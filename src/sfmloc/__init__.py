@@ -11,6 +11,7 @@ from .benchmark import (
     PoseError,
     SyntheticScene,
     generate_synthetic_scene,
+    localize,
     pose_error,
     run_benchmark,
     scene_diameter,
@@ -19,16 +20,14 @@ from .benchmark import (
 )
 from .descriptor_index import (
     DescriptorIndex,
-    GoodMatch,
+    Matches,
     build_index,
     find_good_matches,
-    knn,
     ratio_test,
 )
 from .minimal_solvers import (
     BUNDLER_FLIP,
     Pose,
-    SolverOutput,
     bearing_vectors,
     bundler_to_internal,
     denormalize_points,
@@ -39,32 +38,27 @@ from .minimal_solvers import (
 )
 from .pose_quality import (
     CoverageStats,
-    coverage_area,
+    coverage_area_xy,
     coverage_window,
-    fitted_matches,
-    quality_score,
+    fitted_mask,
     reproject,
 )
 from .ransac_advanced import (
     AdvancedParams,
     BackmatchParams,
-    CooccurrenceState,
     accept_probability,
     backmatch,
-    draw_cooccurrence_points,
     estimate_pose_advanced,
-    intersection_size,
 )
 from .ransac_basic import (
     BasicParams,
+    MatchContext,
     PoseEstimate,
     estimate_pose_basic,
-    sample_unique,
 )
 from .sfm_data import (
     CameraRecord,
     Feature,
-    ModelPoint,
     QueryImage,
     SfmModel,
     average_descriptors,

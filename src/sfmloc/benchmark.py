@@ -366,6 +366,51 @@ def _histogram(values, bins) -> list:
     return rows
 
 
+def localize(query: QueryImage, golden: Pose, index, model: SfmModel,
+             mode: str, basic: BasicParams = BasicParams(),
+             advanced: AdvancedParams = AdvancedParams(),
+             back: BackmatchParams = BackmatchParams(),
+             seed: int | None = None, ratio: float | None = None,
+             solver: str = "auto"):
+    """Match one query, estimate its pose and score it against golden.
+
+    The mode's RANSAC runs with rng_seed=seed; ratio defaults to the
+    mode's good-match ratio.  Returns (estimate, row), with estimate
+    None and the exception type name as the row's failure when the
+    query has too few matches or no pose.  seconds covers matching and
+    estimation.
+    """
+    if ratio is None:
+        ratio = GOOD_RATIO_BASIC if mode == "basic" else GOOD_RATIO_ADVANCED
+    start = time.perf_counter()
+    try:
+        good = find_good_matches(index, query, ratio, model.visibilities,
+                                 model.positions)
+        if mode == "basic":
+            est = estimate_pose_basic(query, good, model,
+                                      replace(basic, rng_seed=seed),
+                                      solver=solver)
+        else:
+            est = estimate_pose_advanced(query, good, model,
+                                         replace(advanced, rng_seed=seed),
+                                         back, solver=solver)
+    except (NoSolution, InsufficientMatches) as exc:
+        return None, QueryResult(query.name, None,
+                                 time.perf_counter() - start, False, 0,
+                                 failure=type(exc).__name__)
+    elapsed = time.perf_counter() - start
+    return est, QueryResult(query.name, pose_error(est.pose, golden), elapsed,
+                            est.used_backmatching, est.iterations_used)
+
+
+def map_jobs(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], on a pool of jobs threads when jobs > 1."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def run_benchmark(queries, model: SfmModel, golden: dict, mode: str = "basic",
                   basic_params: BasicParams = BasicParams(),
                   adv_params: AdvancedParams = AdvancedParams(),
@@ -374,7 +419,8 @@ def run_benchmark(queries, model: SfmModel, golden: dict, mode: str = "basic",
     """Estimate every query, measure wall time and aggregate errors.
 
     golden maps query names to internal-convention Poses.  Index build
-    and dataset load are excluded from the per-query timings.
+    and dataset load are excluded from the per-query timings; query i
+    runs with RANSAC seed seed + i.
     """
     if mode not in ("basic", "advanced"):
         raise InvalidParams(f"unknown mode {mode!r}")
@@ -385,40 +431,14 @@ def run_benchmark(queries, model: SfmModel, golden: dict, mode: str = "basic",
         raise InvalidParams("model has no mean descriptors")
 
     index = build_index(model.mean_descriptors.astype(float))
-    visibilities = model.visibilities
-    ratio = GOOD_RATIO_BASIC if mode == "basic" else GOOD_RATIO_ADVANCED
 
-    def one(args):
-        qi, query = args
-        qseed = None if seed is None else seed + qi
-        start = time.perf_counter()
-        try:
-            good = find_good_matches(index, query, ratio, visibilities,
-                                     model.positions)
-            if mode == "basic":
-                est = estimate_pose_basic(
-                    query, good, model,
-                    replace(basic_params, rng_seed=qseed))
-            else:
-                est = estimate_pose_advanced(
-                    query, good, model,
-                    replace(adv_params, rng_seed=qseed), back_params)
-            elapsed = time.perf_counter() - start
-            err = pose_error(est.pose, golden[query.name])
-            return QueryResult(query.name, err, elapsed,
-                               est.used_backmatching, est.iterations_used)
-        except (NoSolution, InsufficientMatches) as exc:
-            elapsed = time.perf_counter() - start
-            return QueryResult(query.name, None, elapsed, False, 0,
-                               failure=type(exc).__name__)
+    def one(task):
+        qi, query = task
+        return localize(query, golden[query.name], index, model, mode,
+                        basic_params, adv_params, back_params,
+                        seed=None if seed is None else seed + qi)[1]
 
-    tasks = list(enumerate(queries))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, tasks))
-    else:
-        rows = [one(t) for t in tasks]
-    return report_from_rows(rows)
+    return report_from_rows(map_jobs(one, list(enumerate(queries)), jobs))
 
 
 def report_from_rows(rows) -> BenchmarkReport:

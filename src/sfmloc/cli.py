@@ -15,34 +15,24 @@ only when mode/query are missing and a terminal is attached.
 """
 
 import argparse
-import heapq
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .benchmark import (
-    GOOD_RATIO_ADVANCED,
-    GOOD_RATIO_BASIC,
-    QueryResult,
-    pose_error,
-    report_from_rows,
-    write_report,
-)
+from .benchmark import QueryResult, localize, map_jobs, report_from_rows, write_report
 from .descriptor_index import (
     build_index,
-    descriptor_checksum,
-    find_good_matches,
+    descriptor_source_key,
     load_index_cache,
     save_index_cache,
 )
-from .errors import InsufficientMatches, LocalizationError, NoSolution
+from .errors import LocalizationError, MalformedMetadata
 from .minimal_solvers import bundler_to_internal
-from .ransac_advanced import AdvancedParams, BackmatchParams, estimate_pose_advanced
-from .ransac_basic import BasicParams, estimate_pose_basic
+from .ransac_advanced import AdvancedParams, BackmatchParams
+from .ransac_basic import BasicParams
 from .sfm_data import (
     QueryImage,
     build_mean_descriptors,
@@ -93,7 +83,6 @@ class RunConfig:
     jobs: int = 1
     benchmark: bool = False
     cache_path: Path | None = None
-    inlier_metric: str = "ray"
     ratio: float | None = None
     basic: BasicParams = BasicParams()
     advanced: AdvancedParams = AdvancedParams()
@@ -232,33 +221,44 @@ def config_from_args(args) -> RunConfig:
         benchmark=bool(_merged(args, file_values, "benchmark", default=False,
                                cast=bool)),
         cache_path=Path(cache) if cache else None,
-        inlier_metric=metric,
         ratio=numeric["ratio"],
         basic=basic, advanced=advanced, backmatch=backmatch)
 
 
 def _load_meta(path) -> dict:
-    """name -> (width, height, focal_px or None)."""
+    """name -> (width, height, focal_px or None).
+
+    Raises MalformedMetadata, naming the file and line, for a line that
+    is not ``name width height [focal_px]``.
+    """
     meta = {}
     if path is None or not Path(path).is_file():
         return meta
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
                 continue
-            name, width, height = parts[0], int(parts[1]), int(parts[2])
-            focal = float(parts[3]) if len(parts) > 3 else None
-            meta[name] = (width, height, focal)
+            try:
+                focal = float(parts[3]) if len(parts) > 3 else None
+                meta[parts[0]] = (int(parts[1]), int(parts[2]), focal)
+            except (IndexError, ValueError):
+                raise MalformedMetadata(
+                    f"{path}:{lineno}: expected 'name width height "
+                    f"[focal_px]', got {line.strip()!r}") from None
     return meta
 
 
+def _keyfile_path(config: RunConfig, name: str) -> Path:
+    return config.keyfile_dir / (Path(name).stem + ".key")
+
+
 def _load_query_image(config: RunConfig, name: str, meta: dict) -> QueryImage:
-    key_path = config.keyfile_dir / (Path(name).stem + ".key")
-    with open(key_path) as fh:
+    with open(_keyfile_path(config, name)) as fh:
         features = parse_keyfile(fh)
     if name not in meta:
-        raise ValueError(f"no metadata (width height [focal]) for {name!r}")
+        raise MalformedMetadata(
+            f"no metadata (width height [focal]) for {name!r}")
     width, height, focal = meta[name]
     in_bounds = [f for f in features
                  if 0 <= f.x < width and 0 <= f.y < height]
@@ -273,6 +273,7 @@ def run(config: RunConfig) -> int:
         if not Path(path).exists():
             print(f"error: missing input {path}", file=sys.stderr)
             return 2
+    meta = _load_meta(config.meta_path)
 
     t0 = time.perf_counter()
     with open(config.model_path) as fh:
@@ -294,59 +295,45 @@ def run(config: RunConfig) -> int:
 
     info_names = [n for n in camera_names if n not in golden_records]
     descriptors = None
-    checksum = None
     if config.cache_path is not None:
-        checksum = descriptor_checksum(info.positions)
-        descriptors = load_index_cache(config.cache_path, checksum)
+        # the keyfiles that averaging reads: cameras with a track entry
+        cache_key = descriptor_source_key(
+            info, [_keyfile_path(config, info_names[c])
+                   for c in np.unique(info.track_cams)])
+        descriptors = load_index_cache(config.cache_path, cache_key)
     if descriptors is None:
         def keyfile_for_camera(cam_idx):
-            stem = Path(info_names[cam_idx]).stem
-            with open(config.keyfile_dir / (stem + ".key")) as fh:
+            with open(_keyfile_path(config, info_names[cam_idx])) as fh:
                 feats = parse_keyfile(fh)
             return np.array([f.descriptor for f in feats], dtype=float) \
                 .reshape(-1, 128)
         info = build_mean_descriptors(info, keyfile_for_camera)
-        descriptors = info.mean_descriptors
         if config.cache_path is not None:
-            save_index_cache(config.cache_path, descriptors, checksum)
+            save_index_cache(config.cache_path, info.mean_descriptors, cache_key)
     else:
         info = info.with_mean_descriptors(descriptors)
 
     index = build_index(info.mean_descriptors.astype(float))
-    visibilities = info.visibilities
-    golden_poses = {name: bundler_to_internal(rec)
-                    for name, rec in golden_records.items()}
-    meta = _load_meta(config.meta_path)
-    ratio = config.ratio if config.ratio is not None else (
-        GOOD_RATIO_BASIC if config.mode == "basic" else GOOD_RATIO_ADVANCED)
-
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     export_ply(info, out / "mesh.ply")
 
     def one(task):
         qi, name = task
-        query = _load_query_image(config, name, meta)
-        seed = None if config.seed is None else config.seed + qi
-        start = time.perf_counter()
         try:
-            good = find_good_matches(index, query, ratio, visibilities,
-                                     info.positions)
-            if config.mode == "basic":
-                est = estimate_pose_basic(
-                    query, good, info, replace(config.basic, rng_seed=seed),
-                    solver=config.solver_override)
-            else:
-                est = estimate_pose_advanced(
-                    query, good, info,
-                    replace(config.advanced, rng_seed=seed),
-                    config.backmatch, solver=config.solver_override)
-            elapsed = time.perf_counter() - start
-        except (NoSolution, InsufficientMatches) as exc:
-            elapsed = time.perf_counter() - start
+            query = _load_query_image(config, name, meta)
+        except (OSError, LocalizationError) as exc:
             print(f"[{name}] FAILED {type(exc).__name__}: {exc}")
-            return QueryResult(name, None, elapsed, False, 0,
+            return QueryResult(name, None, 0.0, False, 0,
                                failure=type(exc).__name__)
+        est, row = localize(
+            query, bundler_to_internal(golden_records[name]), index, info,
+            config.mode, config.basic, config.advanced, config.backmatch,
+            seed=None if config.seed is None else config.seed + qi,
+            ratio=config.ratio, solver=config.solver_override)
+        if est is None:
+            print(f"[{name}] FAILED {row.failure}")
+            return row
 
         image_source = None
         for candidate in (Path(name), config.model_path.parent / name):
@@ -356,20 +343,13 @@ def run(config: RunConfig) -> int:
         export_query_bundle(est.pose, query, est.fitted, info,
                             out / Path(name).stem, image_source=image_source,
                             write_mesh=False, mesh_filename="../mesh.ply")
-        err = pose_error(est.pose, golden_poses[name])
         print(f"[{name}] q={est.quality.q:.3f} fitted={len(est.fitted)} "
               f"iters={est.iterations_used} "
               f"backmatching={est.used_backmatching} "
-              f"err={err.translation:.3f} ({elapsed:.2f}s)")
-        return QueryResult(name, err, elapsed, est.used_backmatching,
-                           est.iterations_used)
+              f"err={row.error.translation:.3f} ({row.seconds:.2f}s)")
+        return row
 
-    tasks = list(enumerate(query_names))
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(one, tasks))
-    else:
-        rows = [one(t) for t in tasks]
+    rows = map_jobs(one, list(enumerate(query_names)), config.jobs)
 
     if config.benchmark:
         report = report_from_rows(rows)
@@ -390,6 +370,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(config)
+    except MalformedMetadata as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except LocalizationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

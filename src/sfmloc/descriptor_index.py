@@ -1,14 +1,14 @@
 """Nearest-neighbor descriptor search and ratio-test match filtering.
 
 The index is a kd-tree over the model's per-point mean descriptors
-(Euclidean metric on raw SIFT values).  Queries are exact by default,
-which trivially meets the recall requirement; a positive ``eps`` trades
-recall for speed through approximate traversal.  The index is immutable
-after construction and safe for concurrent queries.
+(Euclidean metric on raw SIFT values).  Queries are exact, which
+trivially meets the recall requirement.  The index is immutable after
+construction and safe for concurrent queries.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,27 +19,63 @@ from .sfm_data import DESCRIPTOR_DIM, QueryImage
 CACHE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class GoodMatch:
-    """A 2D-feature-to-3D-point correspondence that passed the ratio test.
+@dataclass(frozen=True, eq=False)
+class Matches:
+    """2D-feature-to-3D-point correspondences as parallel arrays.
 
-    d1/d2 are the nearest and second-nearest descriptor distances;
-    visibility is the set of model cameras observing the matched point
-    and position its world coordinates.
+    Entry i matches query feature feature_idx[i] to model point
+    point_idx[i]; d1/d2 are its nearest and second-nearest descriptor
+    distances, visibility[i] is the set of model cameras observing the
+    point (the model's own frozenset, not a copy) and positions[i] its
+    world coordinates.
     """
 
-    feature_idx: int
-    point_idx: int
-    d1: float
-    d2: float
-    visibility: frozenset
-    position: np.ndarray
+    feature_idx: np.ndarray
+    point_idx: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    visibility: np.ndarray
+    positions: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("feature_idx", np.intp), ("point_idx", np.intp),
+                            ("d1", float), ("d2", float)):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=dtype))
+        object.__setattr__(self, "visibility", _objects(self.visibility))
+        object.__setattr__(self, "positions", np.asarray(
+            self.positions, dtype=float).reshape(-1, 3))
+
+    @classmethod
+    def empty(cls) -> "Matches":
+        return cls([], [], [], [], [], [])
+
+    def __len__(self) -> int:
+        return len(self.feature_idx)
+
+    def take(self, index) -> "Matches":
+        """The entries selected by an index array or a boolean mask."""
+        return Matches(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def __add__(self, other: "Matches") -> "Matches":
+        return Matches(*(np.concatenate([getattr(self, f.name),
+                                         getattr(other, f.name)])
+                         for f in fields(self)))
+
+
+def _objects(items) -> np.ndarray:
+    """items as a 1-D object array, without copying its elements."""
+    if isinstance(items, np.ndarray) and items.dtype == object:
+        return items
+    out = np.empty(len(items), dtype=object)
+    out[:] = list(items)
+    return out
 
 
 class DescriptorIndex:
     """kd-tree over (n, 128) descriptors supporting k-NN queries."""
 
-    def __init__(self, descriptors, eps: float = 0.0):
+    def __init__(self, descriptors):
         mat = np.ascontiguousarray(np.asarray(descriptors, dtype=np.float64))
         if mat.ndim != 2 or mat.shape[1] != DESCRIPTOR_DIM:
             raise ValueError(f"descriptors must be (n, {DESCRIPTOR_DIM}), got {mat.shape}")
@@ -47,7 +83,6 @@ class DescriptorIndex:
             raise EmptyInput("cannot index zero descriptors")
         self._mat = mat
         self._tree = cKDTree(mat)
-        self.eps = float(eps)
 
     def __len__(self) -> int:
         return len(self._mat)
@@ -60,68 +95,54 @@ class DescriptorIndex:
         """
         vecs = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         k_eff = min(k, len(self))
-        dists, idx = self._tree.query(vecs, k=k_eff, eps=self.eps)
+        dists, idx = self._tree.query(vecs, k=k_eff)
         if k_eff == 1:
             dists = dists[:, None]
             idx = idx[:, None]
         return dists, idx
 
 
-def build_index(points, eps: float = 0.0) -> DescriptorIndex:
+def build_index(points) -> DescriptorIndex:
     """Index a list of 128-dim descriptors for k-NN search."""
-    return DescriptorIndex(points, eps=eps)
+    return DescriptorIndex(points)
 
 
-def knn(index: DescriptorIndex, query, k: int):
-    """k nearest indexed points to one query vector.
-
-    Returns [(point_idx, distance), ...] with nondecreasing distances;
-    fewer than k entries when the index is smaller than k.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    dists, idx = index.query(np.asarray(query, dtype=float).reshape(1, -1), k)
-    return [(int(i), float(d)) for i, d in zip(idx[0], dists[0])]
-
-
-def ratio_test(d1: float, d2: float, ratio: float) -> bool:
-    """Lowe's test: accept iff d1 < ratio * d2 (strict)."""
-    if d2 == 0.0:
-        return False
-    return d1 < ratio * d2
+def ratio_test(d1, d2, ratio: float):
+    """Lowe's test, elementwise: accept iff d2 != 0 and d1 < ratio * d2."""
+    return (d2 != 0) & (d1 < ratio * d2)
 
 
 def find_good_matches(index: DescriptorIndex, query: QueryImage,
-                      ratio: float, visibilities, positions) -> list:
+                      ratio: float, visibilities, positions) -> Matches:
     """Ratio-test filter of each query feature's 2-NN result.
 
-    visibilities and positions are indexed by model point; accepted
-    features become GoodMatch entries carrying the matched point's
-    visibility set and world position.
+    visibilities and positions are indexed by model point; each
+    accepted feature's entry carries its point's visibility set and
+    world position.
     """
-    if not query.features:
-        return []
-    descs = query.descriptor_matrix()
-    dists, idx = index.query(descs, k=2)
-    matches = []
-    for fi in range(len(descs)):
-        if dists.shape[1] < 2:
-            break  # single-point index: no second neighbor to test against
-        d1, d2 = float(dists[fi, 0]), float(dists[fi, 1])
-        if not ratio_test(d1, d2, ratio):
-            continue
-        pi = int(idx[fi, 0])
-        matches.append(GoodMatch(
-            feature_idx=fi, point_idx=pi, d1=d1, d2=d2,
-            visibility=visibilities[pi],
-            position=np.asarray(positions[pi], dtype=float)))
-    return matches
+    if not query.features or len(index) < 2:
+        return Matches.empty()  # a single-point index has no second neighbor
+    dists, idx = index.query(query.descriptor_matrix(), k=2)
+    feature_idx = np.flatnonzero(ratio_test(dists[:, 0], dists[:, 1], ratio))
+    point_idx = idx[feature_idx, 0]
+    return Matches(feature_idx, point_idx, dists[feature_idx, 0],
+                   dists[feature_idx, 1], _objects(visibilities)[point_idx],
+                   np.asarray(positions, dtype=float)[point_idx])
 
 
-def descriptor_checksum(descriptors) -> str:
-    """Stable content hash used to invalidate on-disk index caches."""
-    mat = np.ascontiguousarray(np.asarray(descriptors, dtype=np.float64))
-    return hashlib.sha256(mat.tobytes()).hexdigest()
+def descriptor_source_key(model, keyfile_paths) -> str:
+    """Content hash of everything descriptor averaging reads.
+
+    Covers the model's track layout (offsets, cameras, keys) and the
+    bytes of every keyfile, so editing any of them invalidates an
+    on-disk descriptor cache.
+    """
+    h = hashlib.sha256()
+    for arr in (model.track_offsets, model.track_cams, model.track_keys):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    for path in keyfile_paths:
+        h.update(hashlib.sha256(Path(path).read_bytes()).digest())
+    return h.hexdigest()
 
 
 def save_index_cache(path, descriptors, checksum: str) -> None:

@@ -71,10 +71,9 @@ class MissingGolden(LocalizationError):
     """A query has no golden reference pose."""
 
 
+class MalformedMetadata(LocalizationError):
+    """A meta.txt line is malformed, or a query has no meta.txt entry."""
+
+
 class InvalidParams(LocalizationError):
     """Parameter combination violates a documented precondition."""
-
-
-# Exporters raise the interpreter's own I/O errors; the alias keeps the
-# contract name importable.
-IoError = OSError

@@ -9,7 +9,7 @@ looks along +Z, +X points to the right and +Y to the top of the image,
 and image coordinates are centered at the principal point.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,19 +45,6 @@ class Pose:
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         """Map world points (..., 3) into the camera frame."""
         return (np.asarray(points, dtype=float) - self.center) @ self.rotation.T
-
-
-@dataclass(frozen=True)
-class SolverOutput:
-    """All mathematically viable candidates of one minimal solve."""
-
-    candidates: list[Pose] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-    def __iter__(self):
-        return iter(self.candidates)
 
 
 def normalize_points(points, width: float, height: float) -> np.ndarray:
@@ -126,7 +113,7 @@ def _real_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.unique(roots[keep].real)
 
 
-def solve_p3p(bearings, world) -> SolverOutput:
+def solve_p3p(bearings, world) -> list[Pose]:
     """Pose candidates from three ray/point correspondences.
 
     bearings are unit vectors in the internal camera frame, world the
@@ -258,10 +245,10 @@ def solve_p3p(bearings, world) -> SolverOutput:
 
     if not candidates:
         raise NoRealSolution("p3p: no physically valid real root")
-    return SolverOutput(candidates)
+    return candidates
 
 
-def solve_p4pf(image_pts, world) -> SolverOutput:
+def solve_p4pf(image_pts, world) -> list[Pose]:
     """Pose and focal-length candidates from four correspondences.
 
     image_pts are centered pixel coordinates, world the matching 3D
@@ -339,7 +326,7 @@ def solve_p4pf(image_pts, world) -> SolverOutput:
 
     if not candidates:
         raise NoRealSolution("p4pf: no physically valid real root")
-    return SolverOutput(candidates)
+    return candidates
 
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))

@@ -3,8 +3,9 @@
 A candidate pose is judged not by how many matches it fits but by how
 much of the image area its fitted matches cover relative to the area
 covered by all good matches.  Each match stamps a (2c+1) x (2c+1) pixel
-window around its feature; the score is the ratio of the two covered
-areas and always lies in [0, 1].
+window around its feature; the score, computed per candidate by
+``ransac_basic.MatchContext``, is the ratio of the two covered areas
+and always lies in [0, 1].
 """
 
 from dataclasses import dataclass
@@ -12,10 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BehindCamera
-from .minimal_solvers import Pose, normalize_points
-from .sfm_data import QueryImage
-
-DEFAULT_INLIER_THRESHOLD = 0.5  # world units (point-to-ray distance)
+from .minimal_solvers import Pose
 
 
 @dataclass(frozen=True)
@@ -64,20 +62,6 @@ def fitted_mask(pose: Pose, centered_xy: np.ndarray, positions: np.ndarray,
     raise ValueError(f"unknown inlier metric {metric!r}")
 
 
-def fitted_matches(pose: Pose, matches, query: QueryImage,
-                   threshold: float = DEFAULT_INLIER_THRESHOLD,
-                   metric: str = "ray") -> list:
-    """Subset of matches consistent with the pose under the inlier metric."""
-    if not matches:
-        return []
-    xy = np.array([[query.features[m.feature_idx].x,
-                    query.features[m.feature_idx].y] for m in matches])
-    centered = normalize_points(xy, query.width, query.height)
-    positions = np.array([m.position for m in matches])
-    ok = fitted_mask(pose, centered, positions, threshold, metric)
-    return [m for m, keep in zip(matches, ok) if keep]
-
-
 def coverage_window(width: int) -> int:
     """Half window size c: a fortieth of the image width, at least 1."""
     return max(1, width // 40)
@@ -98,27 +82,3 @@ def _paint_windows(cover, xy, width, height, c):
         y1 = min(height - 1, int(np.floor(y + c)))
         if x0 <= x1 and y0 <= y1:
             cover[y0:y1 + 1, x0:x1 + 1] = True
-
-
-def coverage_area(matches, query: QueryImage, c: int) -> int:
-    """Image area (pixel count) covered by the matches' windows."""
-    if not matches:
-        return 0
-    xy = np.array([[query.features[m.feature_idx].x,
-                    query.features[m.feature_idx].y] for m in matches])
-    return coverage_area_xy(xy, query.width, query.height, c)
-
-
-def quality_score(good, fitted, query: QueryImage,
-                  area_good: int | None = None) -> CoverageStats:
-    """Coverage ratio q = fitted area / good area (0 when good is empty).
-
-    area_good may be passed in when the good set is fixed across many
-    candidate poses.
-    """
-    c = coverage_window(query.width)
-    if area_good is None:
-        area_good = coverage_area(good, query, c)
-    area_fitted = coverage_area(fitted, query, c)
-    q = area_fitted / area_good if area_good > 0 else 0.0
-    return CoverageStats(area_good=area_good, area_fitted=area_fitted, q=q)

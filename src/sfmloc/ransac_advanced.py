@@ -11,13 +11,13 @@ on the augmented match set.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor_index import DescriptorIndex, GoodMatch, ratio_test
+from .descriptor_index import DescriptorIndex, Matches, ratio_test
 from .errors import InsufficientMatches, NoSolution, SamplingExhausted
-from .ransac_basic import MatchContext, PoseEstimate, _sample_unique_idx, solve_candidates
+from .ransac_basic import MatchContext, PoseEstimate, solve_candidates
 from .sfm_data import QueryImage, SfmModel
 
 
@@ -50,20 +50,6 @@ class BackmatchParams:
     pop_cap_factor: int = 50
 
 
-@dataclass
-class CooccurrenceState:
-    """Running state of one sequential co-occurrence draw."""
-
-    chosen: list = field(default_factory=list)
-    running_intersection: frozenset = frozenset()
-    zero_streak: int = 0
-
-
-def intersection_size(running, candidate_visibility) -> int:
-    """Cardinality of the intersection of two camera sets."""
-    return len(frozenset(running) & frozenset(candidate_visibility))
-
-
 def accept_probability(inter: int, prev_inter: int, candidate_size: int,
                        k: float) -> float:
     """Probability of accepting a candidate into the running sample.
@@ -81,7 +67,14 @@ def accept_probability(inter: int, prev_inter: int, candidate_size: int,
 
 def _draw_cooccurrence_idx(point_ids, vis_sets, n: int,
                            params: AdvancedParams, rng) -> list:
-    """Indices of n matches drawn under the co-occurrence prior."""
+    """Indices of n matches drawn sequentially under the co-occurrence prior.
+
+    The first match must be visible in at least min_seed_cameras
+    cameras (falling back to the best available); subsequent uniform
+    candidates are accepted with accept_probability.  A run of more
+    than dead_end_limit consecutive zero intersections discards the
+    sample and restarts from a new first point.
+    """
     if len(set(point_ids.tolist())) < n:
         raise InsufficientMatches(
             f"need {n} matches with distinct points, have "
@@ -93,49 +86,32 @@ def _draw_cooccurrence_idx(point_ids, vis_sets, n: int,
 
     for _ in range(params.max_restarts):
         first = int(seeds[rng.integers(len(seeds))])
-        state = CooccurrenceState(
-            chosen=[first],
-            running_intersection=frozenset(vis_sets[first]),
-            zero_streak=0)
+        chosen = [first]
+        running = frozenset(vis_sets[first])
+        zero_streak = 0
         chosen_points = {int(point_ids[first])}
         dead_end = False
-        while len(state.chosen) < n and not dead_end:
+        while len(chosen) < n and not dead_end:
             pool = [i for i in range(len(point_ids))
                     if int(point_ids[i]) not in chosen_points]
             cand = pool[rng.integers(len(pool))]
-            inter = len(state.running_intersection & vis_sets[cand])
+            inter = len(running & vis_sets[cand])
             if inter == 0:
-                state.zero_streak += 1
-                if state.zero_streak > params.dead_end_limit:
+                zero_streak += 1
+                if zero_streak > params.dead_end_limit:
                     dead_end = True
                 continue
-            state.zero_streak = 0
-            p = accept_probability(inter, len(state.running_intersection),
+            zero_streak = 0
+            p = accept_probability(inter, len(running),
                                    len(vis_sets[cand]), params.k_sigmoid)
             if rng.random() < p:
-                state.chosen.append(cand)
+                chosen.append(cand)
                 chosen_points.add(int(point_ids[cand]))
-                state.running_intersection = \
-                    state.running_intersection & vis_sets[cand]
+                running = running & vis_sets[cand]
         if not dead_end:
-            return state.chosen
+            return chosen
     raise SamplingExhausted(
         f"no co-occurring sample after {params.max_restarts} restarts")
-
-
-def draw_cooccurrence_points(matches, n: int, params: AdvancedParams, rng) -> list:
-    """Draw n matches sequentially under the co-occurrence prior.
-
-    The first match must be visible in at least min_seed_cameras
-    cameras (falling back to the best available); subsequent uniform
-    candidates are accepted with accept_probability.  A run of more
-    than dead_end_limit consecutive zero intersections discards the
-    sample and restarts from a new first point.
-    """
-    point_ids = np.array([m.point_idx for m in matches])
-    vis_sets = [frozenset(m.visibility) for m in matches]
-    idx = _draw_cooccurrence_idx(point_ids, vis_sets, n, params, rng)
-    return [matches[i] for i in idx]
 
 
 def _covisible_pool(model: SfmModel, cameras: set) -> np.ndarray:
@@ -146,19 +122,18 @@ def _covisible_pool(model: SfmModel, cameras: set) -> np.ndarray:
     return np.unique(point_of_entry[mask])
 
 
-def backmatch(query: QueryImage, model: SfmModel, good,
-              params: BackmatchParams = BackmatchParams()) -> list:
+def backmatch(query: QueryImage, model: SfmModel, good: Matches,
+              params: BackmatchParams = BackmatchParams()) -> Matches:
     """Match 3D points back into the query image, guided by visibility.
 
     Builds a fresh NN index over the query features, then processes a
     priority queue of candidate model points.  Points of existing good
     matches are boosted to the top; every accepted backmatch raises the
     priority of all points co-visible with it, so the search spreads
-    along the view graph.  Returns the input matches plus newly
+    along the view graph.  Returns the input matches followed by newly
     accepted ones (deduplicated by feature/point pair).
     """
-    good = list(good)
-    if not good or model.num_points == 0 or not query.features:
+    if not len(good) or model.num_points == 0 or not query.features:
         return good
     if model.mean_descriptors is None:
         raise ValueError("model has no mean descriptors")
@@ -167,39 +142,35 @@ def backmatch(query: QueryImage, model: SfmModel, good,
     if len(feat_index) < 2:
         return good
 
+    visibilities = model.visibilities
     if params.pool == "all":
         pool = np.arange(model.num_points)
     else:
-        cameras = set()
-        for m in good:
-            cameras |= set(m.visibility)
-        pool = _covisible_pool(model, cameras)
+        pool = _covisible_pool(model, set().union(*good.visibility))
     pool_set = set(int(p) for p in pool)
-    for m in good:
-        pool_set.add(int(m.point_idx))
+    pool_set.update(good.point_idx.tolist())
 
     # camera -> pool points seen by it, for the priority updates
     cam_to_points = {}
     for pi in pool_set:
-        for cam in model.visibility(pi):
-            cam_to_points.setdefault(int(cam), []).append(pi)
+        for cam in visibilities[pi]:
+            cam_to_points.setdefault(cam, []).append(pi)
 
     priority = dict.fromkeys(pool_set, 0)
-    boost = max(priority.values()) + params.priority_booster
-    for m in good:
-        priority[int(m.point_idx)] = boost
+    priority.update(dict.fromkeys(good.point_idx.tolist(),
+                                  params.priority_booster))
 
     heap = [(-prio, pi) for pi, prio in priority.items()]
     heapq.heapify(heap)
 
-    matched_features = {m.feature_idx for m in good}
-    seen_pairs = {(m.feature_idx, m.point_idx) for m in good}
+    matched_features = set(good.feature_idx.tolist())
+    seen_pairs = set(zip(good.feature_idx.tolist(), good.point_idx.tolist()))
     processed = set()
-    new_matches = []
+    new = []  # (feature_idx, point_idx, d1, d2)
     pops = 0
     pop_cap = params.pop_cap_factor * params.target_backmatches
 
-    while heap and len(new_matches) < params.target_backmatches and pops < pop_cap:
+    while heap and len(new) < params.target_backmatches and pops < pop_cap:
         neg_prio, pi = heapq.heappop(heap)
         if pi in processed or -neg_prio != priority[pi]:
             continue
@@ -213,8 +184,8 @@ def backmatch(query: QueryImage, model: SfmModel, good,
             continue
 
         # spread priority along the accepted point's views
-        for cam in model.visibility(pi):
-            for pj in cam_to_points.get(int(cam), ()):
+        for cam in visibilities[pi]:
+            for pj in cam_to_points.get(cam, ()):
                 if pj not in processed:
                     priority[pj] += 1
                     heapq.heappush(heap, (-priority[pj], pj))
@@ -222,24 +193,25 @@ def backmatch(query: QueryImage, model: SfmModel, good,
         fi = int(idx[0, 0])
         if fi in matched_features or (fi, pi) in seen_pairs:
             continue
-        new_matches.append(GoodMatch(
-            feature_idx=fi, point_idx=pi, d1=d1, d2=d2,
-            visibility=model.visibility(pi),
-            position=model.positions[pi].copy()))
+        new.append((fi, pi, d1, d2))
         matched_features.add(fi)
         seen_pairs.add((fi, pi))
 
-    return good + new_matches
+    if not new:
+        return good
+    fi, pi, d1, d2 = (np.array(col) for col in zip(*new))
+    return good + Matches(fi, pi, d1, d2, visibilities[pi],
+                          model.positions[pi])
 
 
 def _run_phase(ctx: MatchContext, sample_size: int, focal, solver: str,
                params: AdvancedParams, rng, best):
     """One block of exactly iterations_per_phase iterations."""
-    vis_sets = [frozenset(m.visibility) for m in ctx.matches]
     for _ in range(params.iterations_per_phase):
         try:
-            idx = _draw_cooccurrence_idx(
-                ctx.point_ids, vis_sets, sample_size, params, rng)
+            idx = _draw_cooccurrence_idx(ctx.matches.point_idx,
+                                         ctx.matches.visibility, sample_size,
+                                         params, rng)
         except SamplingExhausted:
             continue
         for pose in solve_candidates(ctx, np.array(idx), focal, solver):
@@ -251,7 +223,7 @@ def _run_phase(ctx: MatchContext, sample_size: int, focal, solver: str,
     return best
 
 
-def estimate_pose_advanced(query: QueryImage, matches, model: SfmModel,
+def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,
                            adv: AdvancedParams = AdvancedParams(),
                            back: BackmatchParams = BackmatchParams(),
                            solver: str = "auto") -> PoseEstimate:
@@ -267,9 +239,9 @@ def estimate_pose_advanced(query: QueryImage, matches, model: SfmModel,
     sample_size = 4 if (focal is None or solver in ("p4pf", "both")) else 3
     ctx = MatchContext(query, matches, adv.inlier_threshold,
                        adv.inlier_metric, adv.min_fitted)
-    if len(np.unique(ctx.point_ids)) < sample_size:
+    if len(np.unique(matches.point_idx)) < sample_size:
         raise InsufficientMatches(
-            f"{len(np.unique(ctx.point_ids))} distinct points "
+            f"{len(np.unique(matches.point_idx))} distinct points "
             f"< sample size {sample_size}")
 
     rng = np.random.default_rng(adv.rng_seed)
@@ -280,7 +252,7 @@ def estimate_pose_advanced(query: QueryImage, matches, model: SfmModel,
                   int(np.ceil(adv.skip_fraction * len(ctx.matches))))
     if best is not None and best[2] >= skip_at:
         _, pose, count, stats, mask = best
-        return PoseEstimate(pose=pose, fitted=ctx.fitted_list(mask),
+        return PoseEstimate(pose=pose, fitted=ctx.matches.take(mask),
                             quality=stats,
                             iterations_used=adv.iterations_per_phase,
                             used_backmatching=False,
@@ -303,7 +275,7 @@ def estimate_pose_advanced(query: QueryImage, matches, model: SfmModel,
             f"no candidate fitted {adv.min_fitted}+ matches in "
             f"{2 * adv.iterations_per_phase} iterations")
     _, pose, count, stats, mask = best2
-    return PoseEstimate(pose=pose, fitted=ctx2.fitted_list(mask),
+    return PoseEstimate(pose=pose, fitted=ctx2.matches.take(mask),
                         quality=stats,
                         iterations_used=2 * adv.iterations_per_phase,
                         used_backmatching=True,

@@ -6,16 +6,16 @@ test and coverage-quality ranking.  Stops early once the best estimate
 fits enough matches, otherwise runs to the iteration cap.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .descriptor_index import Matches
 from .errors import (
     DegenerateConfiguration,
     InsufficientMatches,
     NoRealSolution,
     NoSolution,
-    SamplingExhausted,
 )
 from .minimal_solvers import Pose, bearing_vectors, normalize_points, solve_p3p, solve_p4pf
 from .pose_quality import (
@@ -45,7 +45,7 @@ class PoseEstimate:
     """Best pose found by a pipeline run."""
 
     pose: Pose
-    fitted: list
+    fitted: Matches
     quality: CoverageStats
     iterations_used: int
     used_backmatching: bool = False
@@ -73,56 +73,52 @@ def _sample_unique_idx(point_ids: np.ndarray, n: int, rng) -> np.ndarray:
                      for g in chosen_pids])
 
 
-def sample_unique(matches, n: int, rng) -> list:
-    """n matches with distinct point indices, uniformly without replacement."""
-    point_ids = np.array([m.point_idx for m in matches])
-    return [matches[i] for i in _sample_unique_idx(point_ids, n, rng)]
-
-
 class MatchContext:
-    """Per-query arrays shared by every candidate evaluation."""
+    """Per-query arrays shared by every candidate evaluation.
 
-    def __init__(self, query: QueryImage, matches, threshold: float,
+    The one scoring path: a candidate's fitted mask comes from
+    fitted_mask and its quality from the coverage of the masked
+    matches against that of all matches.
+    """
+
+    def __init__(self, query: QueryImage, matches: Matches, threshold: float,
                  metric: str, min_fitted: int):
         self.query = query
-        self.matches = list(matches)
+        self.matches = matches
         self.threshold = threshold
         self.metric = metric
         self.min_fitted = min_fitted
-        xy = np.array([[query.features[m.feature_idx].x,
-                        query.features[m.feature_idx].y]
-                       for m in self.matches]).reshape(-1, 2)
-        self.raw_xy = xy
-        self.centered_xy = normalize_points(xy, query.width, query.height) \
-            if len(xy) else np.empty((0, 2))
-        self.positions = np.array(
-            [m.position for m in self.matches]).reshape(-1, 3)
-        self.point_ids = np.array([m.point_idx for m in self.matches], dtype=int)
+        self.raw_xy = query.feature_xy()[matches.feature_idx]
+        self.centered_xy = normalize_points(self.raw_xy, query.width, query.height) \
+            if len(matches) else np.empty((0, 2))
         self.c = coverage_window(query.width)
         self.area_good = coverage_area_xy(
-            self.raw_xy, query.width, query.height, self.c) if len(xy) else 0
+            self.raw_xy, query.width, query.height, self.c) if len(matches) else 0
 
     def evaluate(self, pose: Pose):
-        """Fitted count, coverage stats and mask for one candidate pose."""
-        mask = fitted_mask(pose, self.centered_xy, self.positions,
+        """Fitted count, coverage stats and mask for one candidate pose.
+
+        Stats are None when fewer than min_fitted matches fit.
+        """
+        mask = fitted_mask(pose, self.centered_xy, self.matches.positions,
                            self.threshold, self.metric)
         count = int(mask.sum())
         if count < self.min_fitted:
             return count, None, mask
+        return count, self.score(mask), mask
+
+    def score(self, mask) -> CoverageStats:
+        """Coverage ratio q of the masked matches (0 when nothing is covered)."""
         area_fitted = coverage_area_xy(
             self.raw_xy[mask], self.query.width, self.query.height, self.c)
         q = area_fitted / self.area_good if self.area_good > 0 else 0.0
-        stats = CoverageStats(self.area_good, area_fitted, q)
-        return count, stats, mask
-
-    def fitted_list(self, mask) -> list:
-        return [m for m, keep in zip(self.matches, mask) if keep]
+        return CoverageStats(self.area_good, area_fitted, q)
 
 
 def solve_candidates(ctx: MatchContext, sample_idx, focal_px: float | None,
                      solver: str = "auto"):
     """Run the minimal solver(s) on one sample; empty list if unsolvable."""
-    world = ctx.positions[sample_idx]
+    world = ctx.matches.positions[sample_idx]
     centered = ctx.centered_xy[sample_idx]
     candidates = []
     want_p3p = solver in ("auto", "p3p", "both") and focal_px is not None
@@ -138,7 +134,7 @@ def solve_candidates(ctx: MatchContext, sample_idx, focal_px: float | None,
     return candidates
 
 
-def estimate_pose_basic(query: QueryImage, matches, model=None,
+def estimate_pose_basic(query: QueryImage, matches: Matches, model=None,
                         params: BasicParams = BasicParams(),
                         solver: str = "auto") -> PoseEstimate:
     """Localize one query with the baseline RANSAC scheme.
@@ -154,19 +150,19 @@ def estimate_pose_basic(query: QueryImage, matches, model=None,
     sample_size = 4 if (focal is None or solver in ("p4pf", "both")) else 3
     ctx = MatchContext(query, matches, params.inlier_threshold,
                        params.inlier_metric, params.min_fitted)
-    if len(np.unique(ctx.point_ids)) < sample_size:
+    if len(np.unique(matches.point_idx)) < sample_size:
         raise InsufficientMatches(
-            f"{len(np.unique(ctx.point_ids))} distinct points "
+            f"{len(np.unique(matches.point_idx))} distinct points "
             f"< sample size {sample_size}")
 
     rng = np.random.default_rng(params.rng_seed)
     stop_at = min(params.stop_count,
-                  int(np.ceil(params.stop_fraction * len(ctx.matches))))
+                  int(np.ceil(params.stop_fraction * len(matches))))
     best = None  # (q, iteration, pose, count, stats, mask)
     iterations = 0
     for it in range(params.max_iterations):
         iterations = it + 1
-        idx = _sample_unique_idx(ctx.point_ids, sample_size, rng)
+        idx = _sample_unique_idx(matches.point_idx, sample_size, rng)
         for pose in solve_candidates(ctx, idx, focal, solver):
             count, stats, mask = ctx.evaluate(pose)
             if stats is None:
@@ -181,5 +177,5 @@ def estimate_pose_basic(query: QueryImage, matches, model=None,
             f"no candidate fitted {params.min_fitted}+ matches "
             f"in {iterations} iterations")
     _, _, pose, count, stats, mask = best
-    return PoseEstimate(pose=pose, fitted=ctx.fitted_list(mask),
+    return PoseEstimate(pose=pose, fitted=matches.take(mask),
                         quality=stats, iterations_used=iterations)

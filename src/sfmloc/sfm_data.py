@@ -10,7 +10,7 @@ two-million-point model loadable in seconds.
 """
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,16 +36,6 @@ class CameraRecord:
     k2: float
     rotation: np.ndarray
     translation: np.ndarray
-
-
-@dataclass(frozen=True)
-class ModelPoint:
-    """A reconstructed 3D point with its camera visibility set."""
-
-    position: np.ndarray
-    color: np.ndarray
-    visibility: frozenset
-    mean_descriptor: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -84,9 +74,9 @@ class SfmModel:
 
     Point attributes live in flat arrays (positions, colors, view-list
     segments indexed by ``track_offsets``) instead of per-point objects;
-    ``point(i)``/``points`` materialize object views when convenient.
-    Instances are immutable after construction and safe to share across
-    threads.
+    ``visibilities`` holds each point's camera set, built once on first
+    use.  Instances are immutable after construction and safe to share
+    across threads.
     """
 
     def __init__(self, cameras, positions, colors, track_offsets,
@@ -102,7 +92,6 @@ class SfmModel:
             None if mean_descriptors is None
             else np.asarray(mean_descriptors).reshape(-1, DESCRIPTOR_DIM))
         self._visibilities = None
-        self._points = None
 
     @property
     def num_cameras(self) -> int:
@@ -119,51 +108,18 @@ class SfmModel:
         return frozenset(self.track_cams[self.track_slice(i)].tolist())
 
     @property
-    def visibilities(self) -> tuple:
+    def visibilities(self) -> np.ndarray:
+        """Object array of every point's camera frozenset."""
         if self._visibilities is None:
-            self._visibilities = tuple(
-                self.visibility(i) for i in range(self.num_points))
+            vis = np.empty(self.num_points, dtype=object)
+            vis[:] = [self.visibility(i) for i in range(self.num_points)]
+            self._visibilities = vis
         return self._visibilities
-
-    def point(self, i: int) -> ModelPoint:
-        return ModelPoint(
-            position=self.positions[i],
-            color=self.colors[i],
-            visibility=self.visibility(i),
-            mean_descriptor=(None if self.mean_descriptors is None
-                             else self.mean_descriptors[i]))
-
-    @property
-    def points(self) -> list:
-        if self._points is None:
-            self._points = [self.point(i) for i in range(self.num_points)]
-        return self._points
 
     def with_mean_descriptors(self, descriptors) -> "SfmModel":
         return SfmModel(self.cameras, self.positions, self.colors,
                         self.track_offsets, self.track_cams, self.track_keys,
                         self.track_xy, descriptors)
-
-    @classmethod
-    def from_points(cls, cameras, points) -> "SfmModel":
-        """Build the columnar layout from ModelPoint objects."""
-        positions = [p.position for p in points]
-        colors = [p.color for p in points]
-        lens, cams = [], []
-        for p in points:
-            vis = sorted(p.visibility)
-            lens.append(len(vis))
-            cams.extend(vis)
-        offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
-        n_entries = int(offsets[-1])
-        descs = None
-        if points and points[0].mean_descriptor is not None:
-            descs = [p.mean_descriptor for p in points]
-        return cls(cameras,
-                   np.asarray(positions, dtype=float).reshape(-1, 3),
-                   np.asarray(colors, dtype=np.uint8).reshape(-1, 3),
-                   offsets, cams, np.zeros(n_entries, np.int32),
-                   np.zeros((n_entries, 2)), descs)
 
 
 def _next_line(lines, what: str) -> str:

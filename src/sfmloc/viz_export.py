@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .descriptor_index import Matches
 from .errors import EmptyInput
 from .minimal_solvers import BUNDLER_FLIP, Pose
 from .sfm_data import QueryImage, SfmModel
@@ -98,11 +99,6 @@ def export_mlp(pose: Pose, query: QueryImage, path,
         fh.write("\n")
 
 
-def _camera_axes(pose: Pose):
-    right, up, forward = pose.rotation
-    return right, up, forward
-
-
 def export_camera_obj(pose: Pose, path, image_size=(400, 300),
                       glyph_scale: float = 1.0) -> None:
     """Write a camera glyph: frustum edges plus a textured sprite quad.
@@ -112,7 +108,7 @@ def export_camera_obj(pose: Pose, path, image_size=(400, 300),
     focal length.
     """
     width, height = image_size
-    right, up, forward = _camera_axes(pose)
+    right, up, forward = pose.rotation
     center = np.asarray(pose.center, dtype=float)
     plane_center = center + glyph_scale * forward
     hx = glyph_scale * width / (2.0 * pose.focal_px)
@@ -144,7 +140,7 @@ def export_camera_obj(pose: Pose, path, image_size=(400, 300),
         fh.write("l 2 3 4 5 2\n")
 
 
-def export_projection_obj(pose: Pose, fitted, model: SfmModel, path,
+def export_projection_obj(pose: Pose, fitted: Matches, model: SfmModel, path,
                           plane_depth: float = 1.0) -> None:
     """Write one polyline per fitted match: center, image plane, point.
 
@@ -152,23 +148,20 @@ def export_projection_obj(pose: Pose, fitted, model: SfmModel, path,
     point segment at camera depth plane_depth, i.e. where the edge
     pierces the sprite plane of the camera glyph.
     """
-    fitted = list(fitted)
-    if not fitted:
+    if not len(fitted):
         raise EmptyInput("no fitted matches to export")
     center = np.asarray(pose.center, dtype=float)
     with open(path, "w") as fh:
-        for m in fitted:
-            point = np.asarray(model.positions[m.point_idx], dtype=float)
+        for point in model.positions[fitted.point_idx]:
             depth = pose.world_to_camera(point.reshape(1, 3))[0, 2]
-            t = plane_depth / depth
-            middle = center + t * (point - center)
+            middle = center + (plane_depth / depth) * (point - center)
             for v in (center, middle, point):
                 fh.write(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
         for i in range(len(fitted)):
             fh.write(f"l {3 * i + 1} {3 * i + 2} {3 * i + 3}\n")
 
 
-def export_query_bundle(pose: Pose, query: QueryImage, fitted,
+def export_query_bundle(pose: Pose, query: QueryImage, fitted: Matches,
                         model: SfmModel, out_dir, image_source=None,
                         write_mesh: bool = True,
                         mesh_filename: str = "mesh.ply") -> ExportBundle:
@@ -194,7 +187,7 @@ def export_query_bundle(pose: Pose, query: QueryImage, fitted,
     obj_path = out / "camera.obj"
     export_camera_obj(pose, obj_path, (query.width, query.height), glyph)
     proj_path = out / "camera_proj.obj"
-    if fitted:
+    if len(fitted):
         export_projection_obj(pose, fitted, model, proj_path, glyph)
     image_path = None
     if image_source is not None and Path(image_source).is_file():

@@ -1,0 +1,119 @@
+"""The sfmloc command line, end to end on a scene directory."""
+
+import csv
+import shutil
+
+import pytest
+
+from sfmloc import cli, parse_keyfile, write_keyfile, write_scene_dir
+
+
+@pytest.fixture(scope="module")
+def scene_dir(clean_scene, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "scene"
+    write_scene_dir(clean_scene, path)
+    return path
+
+
+@pytest.fixture
+def scene_copy(scene_dir, tmp_path):
+    """A scene directory the test may edit."""
+    return shutil.copytree(scene_dir, tmp_path / "scene")
+
+
+def run_cli(scene, out, mode="basic", *extra):
+    return cli.main(["--model", str(scene / "model.out"),
+                     "--keys", str(scene / "keys"),
+                     "--list", str(scene / "query_list.txt"),
+                     "--out", str(out), "--mode", mode, "--query", "all",
+                     "--seed", "3", "--benchmark", *extra])
+
+
+def rows(out):
+    with open(out / "per_query.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+def without_seconds(out):
+    return [{k: v for k, v in r.items() if k != "seconds"} for r in rows(out)]
+
+
+@pytest.mark.parametrize("mode", ["basic", "advanced"])
+def test_localizes_every_query(scene_dir, tmp_path, mode):
+    assert run_cli(scene_dir, tmp_path, mode) == 0
+    got = rows(tmp_path)
+    assert len(got) == 4
+    for row in got:
+        assert row["failure"] == ""
+        assert float(row["translation"]) < 1e-3
+        assert (tmp_path / row["name"].replace(".jpg", "") / "camera.mlp").is_file()
+
+
+@pytest.mark.parametrize("mode", ["basic", "advanced"])
+def test_two_jobs_give_the_same_rows(scene_dir, tmp_path, mode):
+    assert run_cli(scene_dir, tmp_path / "one", mode, "--jobs", "1") == 0
+    assert run_cli(scene_dir, tmp_path / "two", mode, "--jobs", "2") == 0
+    assert without_seconds(tmp_path / "two") == without_seconds(tmp_path / "one")
+
+
+@pytest.mark.parametrize("line", ["query_000.jpg 800",
+                                  "query_000.jpg wide 600 400.0",
+                                  "query_000.jpg 800 600 f400"])
+def test_malformed_meta_exits_2(scene_copy, tmp_path, capsys, line):
+    meta = scene_copy / "meta.txt"
+    lines = meta.read_text().splitlines()
+    meta.write_text("\n".join(lines[:1] + [line] + lines[2:]) + "\n")
+    assert run_cli(scene_copy, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"{meta}:2:" in err
+    assert "Traceback" not in err
+
+
+def _drop_keyfile(scene):
+    (scene / "keys" / "query_001.key").unlink()
+
+
+def _drop_meta_entry(scene):
+    meta = scene / "meta.txt"
+    meta.write_text("".join(line for line in meta.read_text().splitlines(True)
+                            if not line.startswith("query_001.jpg")))
+
+
+def _truncate_keyfile(scene):
+    key = scene / "keys" / "query_001.key"
+    key.write_text(key.read_text()[:500])
+
+
+@pytest.mark.parametrize("defect, failure", [
+    (_drop_keyfile, "FileNotFoundError"),
+    (_drop_meta_entry, "MalformedMetadata"),
+    (_truncate_keyfile, "TruncatedFile"),
+])
+def test_bad_query_fails_only_its_row(scene_copy, tmp_path, defect, failure):
+    defect(scene_copy)
+    assert run_cli(scene_copy, tmp_path / "out", "basic", "--jobs", "2") == 1
+    got = {r["name"]: r["failure"] for r in rows(tmp_path / "out")}
+    assert got == {"query_000.jpg": "", "query_001.jpg": failure,
+                   "query_002.jpg": "", "query_003.jpg": ""}
+
+
+def test_cache_is_invalidated_by_a_keyfile_edit(scene_copy, tmp_path,
+                                                monkeypatch):
+    averaged = []
+    build = cli.build_mean_descriptors
+    monkeypatch.setattr(cli, "build_mean_descriptors",
+                        lambda *a: averaged.append(1) or build(*a))
+    cache = ["--cache-index", str(tmp_path / "descriptors.npz")]
+
+    assert run_cli(scene_copy, tmp_path / "a", "basic", *cache) == 0
+    assert run_cli(scene_copy, tmp_path / "b", "basic", *cache) == 0
+    assert len(averaged) == 1  # the second run read the cache
+
+    key = scene_copy / "keys" / "db_000.key"
+    with open(key) as fh:
+        features = parse_keyfile(fh)
+    features[0].descriptor[:] = 0
+    with open(key, "w") as fh:
+        write_keyfile(features, fh)
+    assert run_cli(scene_copy, tmp_path / "c", "basic", *cache) == 0
+    assert len(averaged) == 2

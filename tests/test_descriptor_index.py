@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sfmloc import build_index, find_good_matches, knn, ratio_test
-from sfmloc.descriptor_index import (
-    descriptor_checksum,
-    load_index_cache,
-    save_index_cache,
-)
+from sfmloc import Matches, build_index, find_good_matches, ratio_test
+from sfmloc.descriptor_index import load_index_cache, save_index_cache
 from sfmloc.errors import EmptyInput
 from sfmloc.sfm_data import Feature, QueryImage
 
@@ -24,9 +20,9 @@ class TestBuildIndexKnn:
         rng = np.random.default_rng(0)
         descs = rng.integers(0, 256, (10, 128)).astype(float)
         index = build_index(descs)
-        got = knn(index, descs[3], 1)
-        assert got[0][0] == 3
-        assert got[0][1] == 0.0
+        dists, idx = index.query(descs[3], 1)
+        assert idx[0, 0] == 3
+        assert dists[0, 0] == 0.0
 
     def test_empty_input_raises(self):
         with pytest.raises(EmptyInput):
@@ -36,18 +32,17 @@ class TestBuildIndexKnn:
         rng = np.random.default_rng(1)
         descs = rng.integers(0, 256, (5, 128)).astype(float)
         index = build_index(descs)
-        got = knn(index, descs[0], 10)
-        assert len(got) == 5
-        dists = [d for _, d in got]
-        assert dists == sorted(dists)
+        dists, idx = index.query(descs[0], 10)
+        assert idx.shape == dists.shape == (1, 5)
+        assert list(dists[0]) == sorted(dists[0])
 
     def test_two_point_index(self):
         v = np.full(128, 10.0)
         w = np.full(128, 200.0)
         index = build_index(np.vstack([v, w]))
-        got = knn(index, v, 2)
-        assert got[0] == (0, 0.0)
-        assert got[1][0] == 1
+        dists, idx = index.query(v, 2)
+        assert list(idx[0]) == [0, 1]
+        assert dists[0, 0] == 0.0
 
     def test_top1_agreement_with_brute_force(self):
         rng = np.random.default_rng(2)
@@ -66,7 +61,7 @@ class TestBuildIndexKnn:
         agree = 0
         for _ in range(1000):
             q = rng.uniform(0, 255, 128)
-            got = [i for i, _ in knn(index, q, 2)]
+            got = list(index.query(q, 2)[1][0])
             d = np.linalg.norm(descs - q, axis=1)
             expected = list(np.argsort(d)[:2])
             agree += got == expected
@@ -84,6 +79,11 @@ class TestRatioTest:
     def test_equal_distances_rejected(self):
         assert not ratio_test(0.5, 0.5, 0.99)
         assert not ratio_test(0.0, 0.0, 0.5)
+
+    def test_elementwise(self):
+        got = ratio_test(np.array([0.4, 0.8, 0.5, 0.0]),
+                         np.array([1.0, 1.0, 0.5, 0.0]), 0.7)
+        assert got.tolist() == [True, False, False, False]
 
     @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0),
            st.floats(0.01, 0.98), st.floats(0.001, 0.5))
@@ -115,16 +115,16 @@ class TestFindGoodMatches:
         got = find_good_matches(self.index, query, 0.7,
                                 self.visibilities, self.positions)
         assert len(got) == 10
-        assert [m.point_idx for m in got] == list(range(10))
-        for m in got:
-            assert m.d1 == 0.0
-            assert m.visibility == self.visibilities[m.point_idx]
-            assert np.array_equal(m.position, self.positions[m.point_idx])
+        assert list(got.feature_idx) == list(got.point_idx) == list(range(10))
+        assert np.all(got.d1 == 0.0)
+        for vis, pi in zip(got.visibility, got.point_idx):
+            assert vis is self.visibilities[pi]
+        assert np.array_equal(got.positions, self.positions[:10])
 
     def test_no_features_empty(self):
         query = _query_from_descriptors([])
-        assert find_good_matches(self.index, query, 0.7,
-                                 self.visibilities, self.positions) == []
+        assert len(find_good_matches(self.index, query, 0.7,
+                                     self.visibilities, self.positions)) == 0
 
     def test_duplicate_indexed_descriptor_rejected(self):
         descs = np.vstack([self.descs, self.descs[0]])
@@ -133,7 +133,7 @@ class TestFindGoodMatches:
         got = find_good_matches(index, query, 0.9,
                                 self.visibilities + [self.visibilities[0]],
                                 np.vstack([self.positions, self.positions[:1]]))
-        assert got == []
+        assert len(got) == 0
 
     def test_output_within_bounds(self):
         rng = np.random.default_rng(6)
@@ -141,17 +141,41 @@ class TestFindGoodMatches:
         got = find_good_matches(self.index, query, 0.9,
                                 self.visibilities, self.positions)
         assert len(got) <= 30
-        for m in got:
-            assert m.d1 <= m.d2
-            assert m.visibility
-            assert all(0 <= c < 4 for c in m.visibility)
+        assert np.all(got.d1 <= got.d2)
+        for vis in got.visibility:
+            assert vis
+            assert all(0 <= c < 4 for c in vis)
+
+
+class TestMatches:
+    def make(self, n):
+        vis = [frozenset({i}) for i in range(n)]
+        return Matches(np.arange(n), np.arange(n) + 10, np.zeros(n),
+                       np.ones(n), vis, np.arange(3 * n).reshape(n, 3))
+
+    def test_take_by_index_and_mask(self):
+        m = self.make(4)
+        by_idx = m.take(np.array([2, 0]))
+        by_mask = m.take(np.array([True, False, True, False]))
+        assert list(by_idx.point_idx) == [12, 10]
+        assert list(by_mask.point_idx) == [10, 12]
+        assert by_idx.visibility[0] is m.visibility[2]
+        assert np.array_equal(by_mask.positions, m.positions[[0, 2]])
+
+    def test_add_concatenates_in_order(self):
+        a, b = self.make(2), self.make(3)
+        both = a + b
+        assert len(both) == 5
+        assert list(both.feature_idx) == [0, 1, 0, 1, 2]
+        assert both.positions.shape == (5, 3)
+        assert len(Matches.empty() + a) == 2
 
 
 class TestIndexCache:
     def test_round_trip_and_invalidation(self, tmp_path):
         rng = np.random.default_rng(7)
         descs = rng.integers(0, 256, (20, 128)).astype(np.uint8)
-        checksum = descriptor_checksum(descs)
+        checksum = "0123abcd"
         path = tmp_path / "cache.npz"
         save_index_cache(path, descs, checksum)
         loaded = load_index_cache(path, checksum)

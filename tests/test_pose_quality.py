@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfmloc import (
+    MatchContext,
+    Matches,
     Pose,
-    coverage_area,
+    coverage_area_xy,
     coverage_window,
-    fitted_matches,
-    quality_score,
     reproject,
 )
-from sfmloc.descriptor_index import GoodMatch
 from sfmloc.errors import BehindCamera
-from sfmloc.pose_quality import coverage_area_xy
 from sfmloc.sfm_data import Feature, QueryImage
 
 
@@ -29,11 +27,22 @@ def make_query(xy, width=400, height=300):
     return QueryImage(name="q", width=width, height=height, features=feats)
 
 
-def make_matches(query, positions):
-    return [GoodMatch(feature_idx=i, point_idx=i, d1=0.0, d2=1.0,
-                      visibility=frozenset({0}),
-                      position=np.asarray(p, dtype=float))
-            for i, p in enumerate(positions)]
+def make_context(query, threshold=0.5, metric="ray"):
+    """Scoring context over one match per query feature."""
+    n = len(query.features)
+    matches = Matches(np.arange(n), np.arange(n), np.zeros(n), np.ones(n),
+                      [frozenset({0})] * n, np.tile([0.0, 0.0, 1.0], (n, 1)))
+    return MatchContext(query, matches, threshold, metric, min_fitted=1)
+
+
+def fitted_count(pose, good, query, threshold, metric="ray"):
+    ctx = MatchContext(query, good, threshold, metric, min_fitted=1)
+    return ctx.evaluate(pose)[0]
+
+
+def first(n, k):
+    """Mask selecting the first k of n matches."""
+    return np.arange(n) < k
 
 
 class TestReproject:
@@ -52,41 +61,34 @@ class TestReproject:
 class TestFittedMatches:
     def test_true_pose_fits_all(self, scene_matches):
         query, golden, good = scene_matches
-        fitted = fitted_matches(golden, good, query, 0.5)
-        assert len(fitted) == len(good)
+        assert fitted_count(golden, good, query, 0.5) == len(good)
 
     def test_reversed_pose_fits_none(self, scene_matches):
         query, golden, good = scene_matches
         half_turn = np.diag([-1.0, 1.0, -1.0])  # about the up axis
         wrong = Pose(half_turn @ golden.rotation, golden.center,
                      golden.focal_px)
-        assert fitted_matches(wrong, good, query, 0.5) == []
+        assert fitted_count(wrong, good, query, 0.5) == 0
 
     def test_empty_matches(self, scene_matches):
         query, golden, _ = scene_matches
-        assert fitted_matches(golden, [], query, 0.5) == []
+        assert fitted_count(golden, Matches.empty(), query, 0.5) == 0
 
     def test_pixel_metric(self, scene_matches):
         query, golden, good = scene_matches
-        fitted = fitted_matches(golden, good, query, 2.0, metric="pixel")
-        assert len(fitted) == len(good)
+        assert fitted_count(golden, good, query, 2.0, "pixel") == len(good)
 
 
 class TestCoverageArea:
     def test_interior_window(self):
-        query = make_query([(200, 150)])
-        matches = make_matches(query, [(0, 0, 1)])
-        assert coverage_area(matches, query, 10) == 441
+        assert coverage_area_xy(np.array([[200.0, 150.0]]), 400, 300, 10) == 441
 
     def test_corner_window_clipped(self):
-        query = make_query([(0, 0)])
-        matches = make_matches(query, [(0, 0, 1)])
-        assert coverage_area(matches, query, 10) == 121
+        assert coverage_area_xy(np.array([[0.0, 0.0]]), 400, 300, 10) == 121
 
     def test_duplicate_match_idempotent(self):
-        query = make_query([(200, 150), (200, 150)])
-        matches = make_matches(query, [(0, 0, 1), (0, 0, 1)])
-        assert coverage_area(matches, query, 10) == 441
+        xy = np.array([[200.0, 150.0], [200.0, 150.0]])
+        assert coverage_area_xy(xy, 400, 300, 10) == 441
 
     def test_never_exceeds_image_area(self):
         query = make_query([(i * 5 % 400, i * 7 % 300) for i in range(100)],
@@ -110,30 +112,27 @@ class TestCoverageArea:
 class TestQualityScore:
     def test_all_fitted_gives_one(self):
         query = make_query([(100, 100), (300, 200)])
-        matches = make_matches(query, [(0, 0, 1)] * 2)
-        stats = quality_score(matches, matches, query)
+        stats = make_context(query).score(first(2, 2))
         assert stats.q == 1.0
         assert stats.area_fitted == stats.area_good
 
     def test_empty_fitted_gives_zero(self):
         query = make_query([(100, 100)])
-        matches = make_matches(query, [(0, 0, 1)])
-        stats = quality_score(matches, [], query)
+        stats = make_context(query).score(first(1, 0))
         assert stats.q == 0.0
         assert stats.area_fitted == 0
 
     def test_half_coverage(self):
         # two far-separated interior matches, c = 400 // 40 = 10
         query = make_query([(100, 100), (300, 200)])
-        matches = make_matches(query, [(0, 0, 1)] * 2)
-        stats = quality_score(matches, matches[:1], query)
+        stats = make_context(query).score(first(2, 1))
         assert stats.area_good == 882
         assert stats.area_fitted == 441
         assert stats.q == 0.5
 
     def test_empty_good_gives_zero(self):
         query = make_query([])
-        stats = quality_score([], [], query)
+        stats = make_context(query).score(first(0, 0))
         assert stats.q == 0.0
 
     @settings(max_examples=40, deadline=None)
@@ -143,12 +142,11 @@ class TestQualityScore:
         coords = data.draw(st.lists(
             st.tuples(st.floats(0, 399), st.floats(0, 299)),
             min_size=n, max_size=n))
-        query = make_query(coords)
-        matches = make_matches(query, [(0, 0, 1)] * n)
+        ctx = make_context(make_query(coords))
         k = data.draw(st.integers(0, n))
-        stats = quality_score(matches, matches[:k], query)
+        stats = ctx.score(first(n, k))
         assert 0.0 <= stats.q <= 1.0
         assert 0 <= stats.area_fitted <= stats.area_good
         if k < n:
-            bigger = quality_score(matches, matches[:k + 1], query)
+            bigger = ctx.score(first(n, k + 1))
             assert bigger.q >= stats.q

@@ -2,41 +2,30 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from sfmloc import (
     AdvancedParams,
     BackmatchParams,
+    Matches,
     accept_probability,
     backmatch,
     build_index,
-    draw_cooccurrence_points,
     estimate_pose_advanced,
     find_good_matches,
-    intersection_size,
     pose_error,
     scene_diameter,
 )
-from sfmloc.descriptor_index import GoodMatch
 from sfmloc.errors import InsufficientMatches
+from sfmloc.ransac_advanced import _draw_cooccurrence_idx
 from sfmloc.sfm_data import Feature, QueryImage, SfmModel
 
 
-def make_match(feature_idx, point_idx, visibility, position=(0, 0, 1)):
-    return GoodMatch(feature_idx=feature_idx, point_idx=point_idx,
-                     d1=0.0, d2=1.0, visibility=frozenset(visibility),
-                     position=np.asarray(position, dtype=float))
-
-
-class TestIntersectionSize:
-    def test_overlap(self):
-        assert intersection_size({1, 2, 3}, {2, 3, 4}) == 2
-
-    def test_disjoint(self):
-        assert intersection_size({1, 2}, {3, 4}) == 0
-
-    def test_subset(self):
-        assert intersection_size({1, 2, 3, 4}, {2, 3}) == 2
+def draw(point_ids, vis_sets, n, rng):
+    """Point ids and visibility sets of one co-occurrence sample."""
+    idx = _draw_cooccurrence_idx(np.asarray(point_ids), vis_sets, n,
+                                 AdvancedParams(), rng)
+    return [point_ids[i] for i in idx], [vis_sets[i] for i in idx]
 
 
 class TestAcceptProbability:
@@ -70,56 +59,48 @@ class TestAcceptProbability:
 
 class TestDrawCooccurrence:
     def test_shared_visibility_returns_distinct(self):
-        vis = frozenset(range(6))
-        matches = [make_match(i, i, vis) for i in range(10)]
+        vis = [frozenset(range(6))] * 10
         rng = np.random.default_rng(0)
-        got = draw_cooccurrence_points(matches, 3, AdvancedParams(), rng)
-        assert len({m.point_idx for m in got}) == 3
+        points, _ = draw(list(range(10)), vis, 3, rng)
+        assert len(set(points)) == 3
 
     def test_disjoint_clusters_never_mixed(self):
         cluster_a = frozenset({0, 1, 2, 3, 4})
         cluster_b = frozenset({10, 11, 12, 13, 14})
-        matches = ([make_match(i, i, cluster_a) for i in range(6)]
-                   + [make_match(6 + i, 6 + i, cluster_b) for i in range(6)])
+        vis = [cluster_a] * 6 + [cluster_b] * 6
         rng = np.random.default_rng(1)
         for _ in range(100):
-            got = draw_cooccurrence_points(matches, 3, AdvancedParams(), rng)
-            in_a = [m.point_idx < 6 for m in got]
+            points, _ = draw(list(range(12)), vis, 3, rng)
+            in_a = [p < 6 for p in points]
             assert all(in_a) or not any(in_a)
 
     def test_insufficient_distinct_points(self):
-        matches = [make_match(i, 0, frozenset({0, 1, 2, 3, 4}))
-                   for i in range(5)]
         with pytest.raises(InsufficientMatches):
-            draw_cooccurrence_points(matches, 3, AdvancedParams(),
-                                     np.random.default_rng(0))
+            draw([0] * 5, [frozenset({0, 1, 2, 3, 4})] * 5, 3,
+                 np.random.default_rng(0))
 
     def test_prefix_intersections_nonempty(self):
         rng = np.random.default_rng(2)
-        matches = [make_match(i, i,
-                              frozenset(rng.choice(12, size=6, replace=False).tolist()))
-                   for i in range(20)]
+        vis = [frozenset(rng.choice(12, size=6, replace=False).tolist())
+               for _ in range(20)]
         for _ in range(50):
-            got = draw_cooccurrence_points(matches, 4, AdvancedParams(), rng)
-            running = set(got[0].visibility)
-            for m in got[1:]:
-                running &= set(m.visibility)
+            _, got = draw(list(range(20)), vis, 4, rng)
+            running = set(got[0])
+            for v in got[1:]:
+                running &= v
                 assert running
 
     def test_first_point_needs_seed_cameras(self):
-        seedable = make_match(0, 0, frozenset(range(8)))
-        small = [make_match(1 + i, 1 + i, frozenset({0, 1})) for i in range(5)]
+        vis = [frozenset(range(8))] + [frozenset({0, 1})] * 5
         rng = np.random.default_rng(3)
         for _ in range(30):
-            got = draw_cooccurrence_points([seedable] + small, 3,
-                                           AdvancedParams(), rng)
-            assert got[0].point_idx == 0
+            points, _ = draw(list(range(6)), vis, 3, rng)
+            assert points[0] == 0
 
     def test_seed_fallback_to_largest(self):
-        matches = [make_match(i, i, frozenset({0, 1, 2})) for i in range(4)]
-        got = draw_cooccurrence_points(matches, 3, AdvancedParams(),
-                                       np.random.default_rng(4))
-        assert len(got) == 3
+        points, _ = draw(list(range(4)), [frozenset({0, 1, 2})] * 4, 3,
+                         np.random.default_rng(4))
+        assert len(points) == 3
 
 
 def micro_scene():
@@ -145,8 +126,7 @@ def micro_scene():
              for i, d in enumerate([descs[1], descs[4], *far])]
     query = QueryImage(name="micro", width=200, height=100, features=feats,
                        exif_focal_px=100.0)
-    good = [GoodMatch(feature_idx=0, point_idx=1, d1=0.0, d2=900.0,
-                      visibility=points_vis[1], position=positions[1])]
+    good = Matches([0], [1], [0.0], [900.0], [points_vis[1]], [positions[1]])
     return model, query, good
 
 
@@ -154,27 +134,29 @@ class TestBackmatch:
     def test_covisible_point_recovered(self):
         model, query, good = micro_scene()
         out = backmatch(query, model, good, BackmatchParams())
-        pairs = {(m.feature_idx, m.point_idx) for m in out}
+        pairs = set(zip(out.feature_idx.tolist(), out.point_idx.tolist()))
         assert (0, 1) in pairs          # input kept
         assert (1, 4) in pairs          # co-visible point matched feature 1
 
     def test_empty_inputs_identity(self):
         model, query, good = micro_scene()
-        assert backmatch(query, model, [], BackmatchParams()) == []
+        assert len(backmatch(query, model, Matches.empty(),
+                             BackmatchParams())) == 0
 
     def test_already_matched_feature_not_duplicated(self):
         model, query, good = micro_scene()
         # make point 2's descriptor identical to the matched feature 0
         model.mean_descriptors[2] = query.features[0].descriptor
         out = backmatch(query, model, good, BackmatchParams())
-        feature_idx = [m.feature_idx for m in out]
-        assert feature_idx.count(0) == 1
+        assert out.feature_idx.tolist().count(0) == 1
 
     def test_never_removes_and_bounded(self):
         model, query, good = micro_scene()
         params = BackmatchParams(target_backmatches=2)
         out = backmatch(query, model, good, params)
-        assert all(g in out for g in good)
+        prefix = out.take(np.arange(len(good)))
+        assert np.array_equal(prefix.feature_idx, good.feature_idx)
+        assert np.array_equal(prefix.point_idx, good.point_idx)
         assert len(out) <= len(good) + params.target_backmatches
 
 
@@ -201,12 +183,12 @@ class TestEstimatePoseAdvanced:
         query, golden = noisy_scene.queries[0]
         good = find_good_matches(index, query, 0.9, model.visibilities,
                                  model.positions)
-        outliers = set(noisy_scene.outlier_labels[0].tolist())
-        true_m = [m for m in good if m.feature_idx not in outliers]
-        out_m = [m for m in good if m.feature_idx in outliers]
+        is_outlier = np.isin(good.feature_idx, noisy_scene.outlier_labels[0])
+        true_i = np.flatnonzero(~is_outlier)
         rng = np.random.default_rng(0)
-        keep = [true_m[i] for i in rng.choice(len(true_m), 11, replace=False)]
-        suppressed = keep + out_m
+        keep = true_i[rng.choice(len(true_i), 11, replace=False)]
+        suppressed = good.take(np.concatenate([keep,
+                                               np.flatnonzero(is_outlier)]))
         # the pool is small here, so make the 12-count rule the binding
         # skip condition (the fraction rule would fire at ceil(m/10))
         est = estimate_pose_advanced(query, suppressed, model,
@@ -220,9 +202,9 @@ class TestEstimatePoseAdvanced:
 
     def test_insufficient_distinct_points(self, scene_matches):
         query, _, good = scene_matches
-        same_point = [m for m in good[:5]]
-        collapsed = [GoodMatch(m.feature_idx, 0, m.d1, m.d2, m.visibility,
-                               m.position) for m in same_point]
+        five = good.take(np.arange(5))
+        collapsed = Matches(five.feature_idx, np.zeros(5), five.d1, five.d2,
+                            five.visibility, five.positions)
         with pytest.raises(InsufficientMatches):
             estimate_pose_advanced(query, collapsed, None,
                                    AdvancedParams(rng_seed=0),

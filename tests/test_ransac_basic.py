@@ -5,49 +5,42 @@ import pytest
 
 from sfmloc import (
     BasicParams,
+    Matches,
     build_index,
     estimate_pose_basic,
     find_good_matches,
     pose_error,
-    sample_unique,
     scene_diameter,
 )
-from sfmloc.descriptor_index import GoodMatch
 from sfmloc.errors import InsufficientMatches, NoSolution
-
-
-def make_match(feature_idx, point_idx, position=(0, 0, 1)):
-    return GoodMatch(feature_idx=feature_idx, point_idx=point_idx,
-                     d1=0.0, d2=1.0, visibility=frozenset({0}),
-                     position=np.asarray(position, dtype=float))
+from sfmloc.ransac_basic import _sample_unique_idx
 
 
 class TestSampleUnique:
     def test_exactly_n_distinct_forced(self):
-        matches = [make_match(i, i) for i in range(3)]
+        point_ids = np.arange(3)
         rng = np.random.default_rng(0)
-        got = sample_unique(matches, 3, rng)
-        assert sorted(m.point_idx for m in got) == [0, 1, 2]
+        got = _sample_unique_idx(point_ids, 3, rng)
+        assert sorted(point_ids[got]) == [0, 1, 2]
 
     def test_insufficient_raises(self):
-        matches = [make_match(i, i) for i in range(3)]
         with pytest.raises(InsufficientMatches):
-            sample_unique(matches, 4, np.random.default_rng(0))
+            _sample_unique_idx(np.arange(3), 4, np.random.default_rng(0))
 
     def test_duplicate_points_counted_once(self):
-        matches = [make_match(0, 5), make_match(1, 5), make_match(2, 6)]
         with pytest.raises(InsufficientMatches):
-            sample_unique(matches, 3, np.random.default_rng(0))
+            _sample_unique_idx(np.array([5, 5, 6]), 3,
+                               np.random.default_rng(0))
 
     def test_pairs_uniform(self):
         # 1000 draws of n=2 from 4 matches: each unordered pair ~ 1/6
-        matches = [make_match(i, i) for i in range(4)]
+        point_ids = np.arange(4)
         rng = np.random.default_rng(42)
         counts = {}
         n_draws = 1000
         for _ in range(n_draws):
-            got = sample_unique(matches, 2, rng)
-            key = tuple(sorted(m.point_idx for m in got))
+            got = _sample_unique_idx(point_ids, 2, rng)
+            key = tuple(sorted(point_ids[got].tolist()))
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 6
         p = 1.0 / 6.0
@@ -92,7 +85,8 @@ class TestEstimatePoseBasic:
     def test_two_matches_insufficient(self, scene_matches):
         query, _, good = scene_matches
         with pytest.raises(InsufficientMatches):
-            estimate_pose_basic(query, good[:2], None, BasicParams(rng_seed=0))
+            estimate_pose_basic(query, good.take(np.arange(2)), None,
+                                BasicParams(rng_seed=0))
 
     def test_deterministic_under_seed(self, scene_matches):
         query, _, good = scene_matches
@@ -101,8 +95,7 @@ class TestEstimatePoseBasic:
         assert np.array_equal(a.pose.rotation, b.pose.rotation)
         assert np.array_equal(a.pose.center, b.pose.center)
         assert a.iterations_used == b.iterations_used
-        assert [m.feature_idx for m in a.fitted] == \
-            [m.feature_idx for m in b.fitted]
+        assert np.array_equal(a.fitted.feature_idx, b.fitted.feature_idx)
 
     def test_unknown_focal_uses_p4pf(self, clean_scene):
         model = clean_scene.model
@@ -121,7 +114,9 @@ class TestEstimatePoseBasic:
     def test_no_solution_on_garbage(self):
         rng = np.random.default_rng(0)
         # random correspondences with no consistent pose
-        matches = [make_match(i, i, rng.uniform(-50, 50, 3)) for i in range(30)]
+        positions = np.array([rng.uniform(-50, 50, 3) for _ in range(30)])
+        matches = Matches(np.arange(30), np.arange(30), np.zeros(30),
+                          np.ones(30), [frozenset({0})] * 30, positions)
         from sfmloc.sfm_data import Feature, QueryImage
         feats = [Feature(x=float(rng.uniform(0, 400)),
                          y=float(rng.uniform(0, 300)), scale=1.0,

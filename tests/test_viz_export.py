@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sfmloc import (
+    Matches,
     Pose,
     export_camera_obj,
     export_mlp,
@@ -13,9 +14,8 @@ from sfmloc import (
     export_projection_obj,
     export_query_bundle,
 )
-from sfmloc.descriptor_index import GoodMatch
 from sfmloc.errors import EmptyInput
-from sfmloc.sfm_data import Feature, QueryImage, SfmModel
+from sfmloc.sfm_data import QueryImage, SfmModel
 
 from conftest import random_rotation
 
@@ -27,6 +27,12 @@ def tiny_model(positions, colors=None):
     return SfmModel([], np.asarray(positions, float), colors, offsets,
                     np.zeros(n, np.int32), np.zeros(n, np.int32),
                     np.zeros((n, 2)))
+
+
+def make_fitted(model, k):
+    """Matches of features 0..k-1 to model points 0..k-1."""
+    return Matches(np.arange(k), np.arange(k), np.zeros(k), np.ones(k),
+                   [frozenset({0})] * k, model.positions[:k])
 
 
 def read_ply(path):
@@ -170,16 +176,11 @@ class TestExportCameraObj:
 
 
 class TestExportProjectionObj:
-    def make_fitted(self, model, k):
-        return [GoodMatch(feature_idx=i, point_idx=i, d1=0.0, d2=1.0,
-                          visibility=frozenset({0}),
-                          position=model.positions[i]) for i in range(k)]
-
     def test_single_match_structure(self, tmp_path):
         model = tiny_model([[0.0, 0.0, 10.0]])
         pose = Pose(np.eye(3), np.zeros(3), 100.0)
         path = tmp_path / "proj.obj"
-        export_projection_obj(pose, self.make_fitted(model, 1), model, path,
+        export_projection_obj(pose, make_fitted(model, 1), model, path,
                               plane_depth=1.0)
         vertices, _, _, lines = parse_obj(path)
         assert len(vertices) == 3
@@ -192,7 +193,7 @@ class TestExportProjectionObj:
         model = tiny_model(pts)
         pose = Pose(np.eye(3), np.zeros(3), 100.0)
         path = tmp_path / "proj.obj"
-        export_projection_obj(pose, self.make_fitted(model, 7), model, path)
+        export_projection_obj(pose, make_fitted(model, 7), model, path)
         vertices, _, _, lines = parse_obj(path)
         assert len(vertices) == 21
         assert len(lines) == 7
@@ -205,7 +206,7 @@ class TestExportProjectionObj:
                                 rng.uniform(4, 9, 5)]) @ rot) + pose.center
         model = tiny_model(pts)
         path = tmp_path / "proj.obj"
-        export_projection_obj(pose, self.make_fitted(model, 5), model, path,
+        export_projection_obj(pose, make_fitted(model, 5), model, path,
                               plane_depth=1.25)
         vertices, *_ = parse_obj(path)
         middles = vertices[1::3]
@@ -216,18 +217,16 @@ class TestExportProjectionObj:
         model = tiny_model([[0.0, 0.0, 10.0]])
         pose = Pose(np.eye(3), np.zeros(3), 100.0)
         with pytest.raises(EmptyInput):
-            export_projection_obj(pose, [], model, tmp_path / "p.obj")
+            export_projection_obj(pose, Matches.empty(), model,
+                                  tmp_path / "p.obj")
 
 
 class TestExportQueryBundle:
     def test_full_bundle_on_disk(self, tmp_path, clean_scene):
         model = clean_scene.model
         query, golden = clean_scene.queries[0]
-        fitted = [GoodMatch(feature_idx=0, point_idx=0, d1=0.0, d2=1.0,
-                            visibility=frozenset({0}),
-                            position=model.positions[0])]
-        bundle = export_query_bundle(golden, query, fitted, model,
-                                     tmp_path / "out")
+        bundle = export_query_bundle(golden, query, make_fitted(model, 1),
+                                     model, tmp_path / "out")
         assert bundle.mesh_path.is_file()
         assert bundle.mlp_path.is_file()
         assert bundle.camera_obj_path.is_file()
@@ -239,8 +238,8 @@ class TestExportQueryBundle:
         query, golden = clean_scene.queries[0]
         outs = []
         for sub in ("a", "b"):
-            bundle = export_query_bundle(golden, query, [], model,
-                                         tmp_path / sub)
+            bundle = export_query_bundle(golden, query, Matches.empty(),
+                                         model, tmp_path / sub)
             outs.append((bundle.mlp_path.read_bytes(),
                          bundle.camera_obj_path.read_bytes(),
                          bundle.mesh_path.read_bytes()))
