@@ -41,7 +41,6 @@ from .pose_quality import (
     coverage_area_xy,
     coverage_window,
     fitted_mask,
-    reproject,
 )
 from .ransac_advanced import (
     AdvancedParams,

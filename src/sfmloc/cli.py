@@ -9,12 +9,16 @@ benchmark module, which produces exactly this):
     meta.txt         per query: name width height [focal_px]
     keys/<stem>.key  one keyfile per image
 
-All pipeline parameters are exposed as flags; a key=value config file
-may supply defaults, with flags winning.  Interactive prompts happen
-only when mode/query are missing and a terminal is attached.
+All pipeline parameters are flags; an unset flag takes the default of
+the params field it sets.  An argument ``@FILE`` reads flags from FILE
+as if typed in its place, split like a shell line with ``#`` starting a
+comment (``--mode advanced  # with backmatching``), so argparse checks
+them and a later flag overrides them.  Interactive prompts happen only
+when mode/query are missing and a terminal is attached.
 """
 
 import argparse
+import shlex
 import sys
 import time
 from dataclasses import dataclass
@@ -22,7 +26,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmark import QueryResult, localize, map_jobs, report_from_rows, write_report
+from .benchmark import (
+    GOOD_RATIO_ADVANCED,
+    GOOD_RATIO_BASIC,
+    QueryResult,
+    localize,
+    map_jobs,
+    report_from_rows,
+    write_report,
+)
 from .descriptor_index import (
     build_index,
     descriptor_source_key,
@@ -43,27 +55,36 @@ from .sfm_data import (
 )
 from .viz_export import export_ply, export_query_bundle
 
-# flag name, config key, type, default, help
-_NUMERIC_FLAGS = [
-    ("max-iterations", int, 10000, "basic: RANSAC iteration cap"),
-    ("stop-fraction", float, 0.1, "basic: fitted fraction that stops RANSAC"),
-    ("stop-count", int, 12, "basic: fitted count that stops RANSAC"),
-    ("iterations-per-phase", int, 100, "advanced: iterations per phase"),
-    ("skip-fraction", float, 0.1, "advanced: fitted fraction that skips backmatching"),
-    ("skip-count", int, 12, "advanced: fitted count that skips backmatching"),
-    ("k-sigmoid", float, 5.0, "advanced: sigmoid scale of the co-occurrence prior"),
-    ("dead-end-limit", int, 30, "advanced: zero intersections before restart"),
-    ("min-seed-cameras", int, 5, "advanced: camera count required of the first point"),
-    ("max-restarts", int, 100, "advanced: restart cap of the sampler"),
-    ("inlier-threshold", float, 0.5, "inlier distance threshold"),
-    ("min-fitted", int, 6, "fitted matches a candidate needs to count"),
-    ("knn", int, 2, "backmatching: neighbors to retrieve"),
-    ("target-backmatches", int, 100, "backmatching: matches to achieve"),
-    ("backmatch-ratio", float, 0.7, "backmatching: ratio-test value"),
-    ("priority-booster", int, 10, "backmatching: priority boost of good matches"),
-    ("pop-cap-factor", int, 50, "backmatching: queue pops per target match"),
-    ("ratio", float, None, "good-match ratio (default 0.7 basic / 0.9 advanced)"),
+_BASIC, _ADVANCED, _BACKMATCH = (BasicParams,), (AdvancedParams,), (BackmatchParams,)
+_BOTH = _BASIC + _ADVANCED
+
+# flag, the params classes whose field it sets, help; the field is the
+# flag without "backmatch-", and the flag takes the field's type and default
+_PARAM_FLAGS = [
+    ("max-iterations", _BASIC, "basic: RANSAC iteration cap"),
+    ("stop-fraction", _BASIC, "basic: fitted fraction that stops RANSAC"),
+    ("stop-count", _BASIC, "basic: fitted count that stops RANSAC"),
+    ("iterations-per-phase", _ADVANCED, "advanced: iterations per phase"),
+    ("skip-fraction", _ADVANCED, "advanced: fitted fraction that skips backmatching"),
+    ("skip-count", _ADVANCED, "advanced: fitted count that skips backmatching"),
+    ("k-sigmoid", _ADVANCED, "advanced: sigmoid scale of the co-occurrence prior"),
+    ("dead-end-limit", _ADVANCED, "advanced: zero intersections before restart"),
+    ("min-seed-cameras", _ADVANCED, "advanced: camera count required of the first point"),
+    ("max-restarts", _ADVANCED, "advanced: restart cap of the sampler"),
+    ("inlier-threshold", _BOTH, "inlier distance threshold"),
+    ("min-fitted", _BOTH, "fitted matches a candidate needs to count"),
+    ("inlier-metric", _BOTH, "fitted-match test"),
+    ("target-backmatches", _BACKMATCH, "backmatching: matches to achieve"),
+    ("backmatch-ratio", _BACKMATCH, "backmatching: ratio-test value"),
+    ("priority-booster", _BACKMATCH, "backmatching: priority boost of good matches"),
+    ("backmatch-pool", _BACKMATCH, "backmatching: candidate points"),
+    ("pop-cap-factor", _BACKMATCH, "backmatching: queue pops per target match"),
 ]
+_CHOICES = {"inlier-metric": ["ray", "pixel"], "backmatch-pool": ["covisible", "all"]}
+
+
+def _field(flag: str) -> str:
+    return flag.removeprefix("backmatch-").replace("-", "_")
 
 
 @dataclass
@@ -91,74 +112,57 @@ class RunConfig:
 
 def build_arg_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="sfmloc",
-        description="Localize query photographs in an SfM point cloud.")
-    p.add_argument("--model", help="bundler model file (model.out)")
-    p.add_argument("--keys", help="directory with .key files")
-    p.add_argument("--list", dest="query_list", help="query image list file")
+        prog="sfmloc", fromfile_prefix_chars="@",
+        description="Localize query photographs in an SfM point cloud.",
+        epilog="@FILE reads flags from FILE ('#' starts a comment); "
+               "later flags override it.")
+
+    def file_line_args(line):
+        try:
+            return shlex.split(line, comments=True)
+        except ValueError as exc:  # an unclosed quote
+            p.error(f"{exc} in {line.strip()!r}")
+    p.convert_arg_line_to_args = file_line_args
+    p.add_argument("--model", required=True,
+                   help="bundler model file (model.out)")
+    p.add_argument("--keys", required=True, help="directory with .key files")
+    p.add_argument("--list", dest="query_list", required=True,
+                   help="query image list file")
     p.add_argument("--camera-list",
                    help="image list aligned with the model's cameras "
                         "(default: list.txt next to the model)")
     p.add_argument("--meta",
                    help="query metadata table: name width height [focal_px] "
                         "(default: meta.txt next to the model)")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--mode", choices=["basic", "advanced"])
     p.add_argument("--query", help="'all' or one query image name")
     p.add_argument("--solver", choices=["auto", "p3p", "p4pf", "both"],
-                   default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--benchmark", action="store_true", default=None,
+                   default=RunConfig.solver_override)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--jobs", type=int, default=RunConfig.jobs)
+    p.add_argument("--benchmark", action="store_true",
                    help="also write benchmark CSVs against golden poses")
-    p.add_argument("--inlier-metric", choices=["ray", "pixel"], default=None)
-    p.add_argument("--backmatch-pool", choices=["covisible", "all"],
-                   default=None)
     p.add_argument("--cache-index", help="descriptor cache file (npz)")
-    p.add_argument("--config", help="key=value config file (flags win)")
-    for name, typ, default, help_text in _NUMERIC_FLAGS:
-        p.add_argument(f"--{name}", type=typ, default=None,
-                       help=f"{help_text} (default {default})")
+    p.add_argument("--ratio", type=float, default=RunConfig.ratio,
+                   help=f"good-match ratio (default {GOOD_RATIO_BASIC} basic "
+                        f"/ {GOOD_RATIO_ADVANCED} advanced)")
+    for flag, classes, help_text in _PARAM_FLAGS:
+        default = getattr(classes[0], _field(flag))
+        p.add_argument(f"--{flag}", type=type(default), default=default,
+                       choices=_CHOICES.get(flag),
+                       help=f"{help_text} (default %(default)s)")
     return p
 
 
-def _read_config_file(path) -> dict:
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _merged(args, file_values: dict, key: str, default=None, cast=None):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        raw = file_values[key]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw) if cast else raw
-    return default
+def _params(cls, args):
+    """``cls`` with every field that a flag sets taken from ``args``."""
+    return cls(**{_field(flag): getattr(args, flag.replace("-", "_"))
+                  for flag, classes, _ in _PARAM_FLAGS if cls in classes})
 
 
 def config_from_args(args) -> RunConfig:
-    file_values = _read_config_file(args.config) if args.config else {}
-
-    def need(key, cast=None):
-        value = _merged(args, file_values, key, cast=cast)
-        if value is None:
-            raise ValueError(f"missing required setting --{key.replace('_', '-')}")
-        return value
-
-    mode = _merged(args, file_values, "mode")
-    query = _merged(args, file_values, "query")
+    mode, query = args.mode, args.query
     if (mode is None or query is None) and sys.stdin.isatty():
         if mode is None:
             mode = input("mode [basic/advanced]: ").strip()
@@ -169,60 +173,25 @@ def config_from_args(args) -> RunConfig:
     if not query:
         raise ValueError("no query selected")
 
-    model_path = Path(need("model"))
-    numeric = {}
-    for name, typ, default, _ in _NUMERIC_FLAGS:
-        key = name.replace("-", "_")
-        numeric[key] = _merged(args, file_values, key, default=default, cast=typ)
-
-    metric = _merged(args, file_values, "inlier_metric", default="ray")
-    basic = BasicParams(
-        max_iterations=numeric["max_iterations"],
-        inlier_threshold=numeric["inlier_threshold"],
-        stop_fraction=numeric["stop_fraction"],
-        stop_count=numeric["stop_count"],
-        min_fitted=numeric["min_fitted"],
-        inlier_metric=metric)
-    advanced = AdvancedParams(
-        iterations_per_phase=numeric["iterations_per_phase"],
-        inlier_threshold=numeric["inlier_threshold"],
-        skip_fraction=numeric["skip_fraction"],
-        skip_count=numeric["skip_count"],
-        k_sigmoid=numeric["k_sigmoid"],
-        dead_end_limit=numeric["dead_end_limit"],
-        min_seed_cameras=numeric["min_seed_cameras"],
-        min_fitted=numeric["min_fitted"],
-        inlier_metric=metric,
-        max_restarts=numeric["max_restarts"])
-    backmatch = BackmatchParams(
-        knn=numeric["knn"],
-        target_backmatches=numeric["target_backmatches"],
-        ratio=numeric["backmatch_ratio"],
-        priority_booster=numeric["priority_booster"],
-        pool=_merged(args, file_values, "backmatch_pool", default="covisible"),
-        pop_cap_factor=numeric["pop_cap_factor"])
-
-    camera_list = _merged(args, file_values, "camera_list")
-    meta = _merged(args, file_values, "meta")
-    cache = _merged(args, file_values, "cache_index")
+    model_path = Path(args.model)
     return RunConfig(
         model_path=model_path,
-        keyfile_dir=Path(need("keys")),
-        query_list_path=Path(need("query_list")),
-        camera_list_path=Path(camera_list) if camera_list
-        else model_path.parent / "list.txt",
-        meta_path=Path(meta) if meta else model_path.parent / "meta.txt",
-        output_dir=Path(need("out")),
+        keyfile_dir=Path(args.keys),
+        query_list_path=Path(args.query_list),
+        camera_list_path=Path(args.camera_list or model_path.parent / "list.txt"),
+        meta_path=Path(args.meta or model_path.parent / "meta.txt"),
+        output_dir=Path(args.out),
         mode=mode,
         query_selector=query,
-        solver_override=_merged(args, file_values, "solver", default="auto"),
-        seed=_merged(args, file_values, "seed", cast=int),
-        jobs=_merged(args, file_values, "jobs", default=1, cast=int),
-        benchmark=bool(_merged(args, file_values, "benchmark", default=False,
-                               cast=bool)),
-        cache_path=Path(cache) if cache else None,
-        ratio=numeric["ratio"],
-        basic=basic, advanced=advanced, backmatch=backmatch)
+        solver_override=args.solver,
+        seed=args.seed,
+        jobs=args.jobs,
+        benchmark=args.benchmark,
+        cache_path=Path(args.cache_index) if args.cache_index else None,
+        ratio=args.ratio,
+        basic=_params(BasicParams, args),
+        advanced=_params(AdvancedParams, args),
+        backmatch=_params(BackmatchParams, args))
 
 
 def _load_meta(path) -> dict:
@@ -365,7 +334,7 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -47,10 +47,6 @@ class NoRealSolution(LocalizationError):
     """The solver polynomial has no physically valid real root."""
 
 
-class BehindCamera(LocalizationError):
-    """Requested projection of a point with non-positive depth."""
-
-
 # --- robust estimation -----------------------------------------------------
 
 class InsufficientMatches(LocalizationError):

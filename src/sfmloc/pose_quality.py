@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera
 from .minimal_solvers import Pose
 
 
@@ -23,14 +22,6 @@ class CoverageStats:
     area_good: int
     area_fitted: int
     q: float
-
-
-def reproject(pose: Pose, point) -> tuple:
-    """Pinhole projection of one world point to centered pixel coords."""
-    pc = pose.world_to_camera(np.asarray(point, dtype=float).reshape(1, 3))[0]
-    if pc[2] <= 0.0:
-        raise BehindCamera(f"point depth {pc[2]:.6g} is not positive")
-    return (pose.focal_px * pc[0] / pc[2], pose.focal_px * pc[1] / pc[2])
 
 
 def fitted_mask(pose: Pose, centered_xy: np.ndarray, positions: np.ndarray,

@@ -42,7 +42,6 @@ class AdvancedParams:
 class BackmatchParams:
     """Knobs of the 3D-to-2D backmatching stage."""
 
-    knn: int = 2
     target_backmatches: int = 100
     ratio: float = 0.7
     priority_booster: int = 10
@@ -177,8 +176,7 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
         processed.add(pi)
         pops += 1
 
-        dists, idx = feat_index.query(
-            model.mean_descriptors[pi].astype(float), params.knn)
+        dists, idx = feat_index.query(model.mean_descriptors[pi].astype(float), 2)
         d1, d2 = float(dists[0, 0]), float(dists[0, 1])
         if not ratio_test(d1, d2, params.ratio):
             continue

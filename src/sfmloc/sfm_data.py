@@ -152,10 +152,11 @@ def parse_bundle(stream) -> SfmModel:
             f, k1, k2 = map(float, _next_line(lines, f"camera {ci}").split())
             rows = [tuple(map(float, _next_line(lines, f"camera {ci}").split()))
                     for _ in range(3)]
+            rotation = np.array(rows, dtype=float).reshape(3, 3)
             tx, ty, tz = map(float, _next_line(lines, f"camera {ci}").split())
         except ValueError as exc:
             raise TruncatedFile(f"short record for camera {ci}") from exc
-        cameras.append(CameraRecord(f, k1, k2, np.array(rows, dtype=float),
+        cameras.append(CameraRecord(f, k1, k2, rotation,
                                     np.array([tx, ty, tz], dtype=float)))
 
     positions = array("d")
@@ -182,7 +183,7 @@ def parse_bundle(stream) -> SfmModel:
             track_keys.extend(map(int, view_parts[2::4]))
             track_x.extend(map(float, view_parts[3::4]))
             track_y.extend(map(float, view_parts[4::4]))
-        except ValueError as exc:
+        except (ValueError, IndexError, OverflowError) as exc:
             raise TruncatedFile(f"short record for point {pi}") from exc
 
     cams_arr = np.frombuffer(track_cams, dtype=np.int64) if track_cams else np.empty(0, np.int64)
@@ -273,8 +274,12 @@ def parse_keyfile(stream) -> list:
         if len(values) != DESCRIPTOR_DIM:
             raise TruncatedFile(
                 f"feature {fi} descriptor has {len(values)} values")
+        try:
+            descriptor = np.array(values, dtype=np.uint8)
+        except OverflowError as exc:  # a value outside 0..255
+            raise TruncatedFile(f"bad descriptor value in feature {fi}") from exc
         features.append(Feature(x=col, y=row, scale=scale, orientation=orientation,
-                                descriptor=np.array(values, dtype=np.uint8)))
+                                descriptor=descriptor))
     return features
 
 

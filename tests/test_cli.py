@@ -2,10 +2,19 @@
 
 import csv
 import shutil
+from pathlib import Path
 
 import pytest
 
-from sfmloc import cli, parse_keyfile, write_keyfile, write_scene_dir
+from sfmloc import (
+    AdvancedParams,
+    BackmatchParams,
+    BasicParams,
+    cli,
+    parse_keyfile,
+    write_keyfile,
+    write_scene_dir,
+)
 
 
 @pytest.fixture(scope="module")
@@ -21,12 +30,14 @@ def scene_copy(scene_dir, tmp_path):
     return shutil.copytree(scene_dir, tmp_path / "scene")
 
 
+def required_flags(scene, out):
+    return ["--model", str(scene / "model.out"), "--keys", str(scene / "keys"),
+            "--list", str(scene / "query_list.txt"), "--out", str(out)]
+
+
 def run_cli(scene, out, mode="basic", *extra):
-    return cli.main(["--model", str(scene / "model.out"),
-                     "--keys", str(scene / "keys"),
-                     "--list", str(scene / "query_list.txt"),
-                     "--out", str(out), "--mode", mode, "--query", "all",
-                     "--seed", "3", "--benchmark", *extra])
+    return cli.main([*required_flags(scene, out), "--mode", mode,
+                     "--query", "all", "--seed", "3", "--benchmark", *extra])
 
 
 def rows(out):
@@ -84,10 +95,18 @@ def _truncate_keyfile(scene):
     key.write_text(key.read_text()[:500])
 
 
+def _descriptor_value_300(scene):
+    key = scene / "keys" / "query_001.key"
+    lines = key.read_text().splitlines()
+    lines[2] = " 300 " + lines[2].split(maxsplit=1)[1]  # first descriptor value
+    key.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("defect, failure", [
     (_drop_keyfile, "FileNotFoundError"),
     (_drop_meta_entry, "MalformedMetadata"),
     (_truncate_keyfile, "TruncatedFile"),
+    (_descriptor_value_300, "TruncatedFile"),
 ])
 def test_bad_query_fails_only_its_row(scene_copy, tmp_path, defect, failure):
     defect(scene_copy)
@@ -117,3 +136,56 @@ def test_cache_is_invalidated_by_a_keyfile_edit(scene_copy, tmp_path,
         write_keyfile(features, fh)
     assert run_cli(scene_copy, tmp_path / "c", "basic", *cache) == 0
     assert len(averaged) == 2
+
+
+def test_settings_file_gives_the_same_rows(scene_dir, tmp_path):
+    settings = tmp_path / "settings.txt"
+    settings.write_text(
+        "# every query, advanced mode\n"
+        f"--model '{scene_dir / 'model.out'}' --keys '{scene_dir / 'keys'}'\n"
+        f"--list '{scene_dir / 'query_list.txt'}'  # the queries\n"
+        "--mode advanced --query all\n"
+        "--seed 3 --benchmark --inlier-threshold 0.4\n")
+    assert cli.main([f"@{settings}", "--out", str(tmp_path / "file")]) == 0
+    assert run_cli(scene_dir, tmp_path / "line", "advanced",
+                   "--inlier-threshold", "0.4") == 0
+    assert without_seconds(tmp_path / "file") == without_seconds(tmp_path / "line")
+
+
+def test_later_flag_overrides_the_settings_file(tmp_path):
+    settings = tmp_path / "settings.txt"
+    settings.write_text("--seed 3 --jobs 2\n")
+    args = cli.build_arg_parser().parse_args(
+        [*required_flags(tmp_path, tmp_path), f"@{settings}", "--seed", "5"])
+    assert (args.seed, args.jobs) == (5, 2)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("--solver p5p", "invalid choice: 'p5p'"),
+    ("--inlier-metric manhattan", "invalid choice: 'manhattan'"),
+    ("--backmatch-pool nearby", "invalid choice: 'nearby'"),
+    ("--benchmark yes please", "unrecognized arguments: yes please"),
+    ("--no-such-flag 1", "unrecognized arguments: --no-such-flag 1"),
+    ("--meta 'meta.txt", "No closing quotation"),
+])
+def test_bad_settings_file_exits_2(tmp_path, capsys, line, message):
+    settings = tmp_path / "settings.txt"
+    settings.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*required_flags(tmp_path, tmp_path), "--mode", "basic",
+                  "--query", "all", f"@{settings}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_unset_flags_take_the_params_defaults():
+    args = cli.build_arg_parser().parse_args(
+        [*required_flags(Path("m"), Path("o")), "--mode", "basic", "--query", "all"])
+    config = cli.config_from_args(args)
+    assert config.basic == BasicParams()
+    assert config.advanced == AdvancedParams()
+    assert config.backmatch == BackmatchParams()
+    assert config == cli.RunConfig(
+        Path("m/model.out"), Path("m/keys"), Path("m/query_list.txt"),
+        Path("m/list.txt"), Path("m/meta.txt"), Path("o"), "basic", "all")

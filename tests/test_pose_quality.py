@@ -1,7 +1,6 @@
-"""Reprojection, fitted-match test and coverage quality."""
+"""Fitted-match test and coverage quality."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfmloc import (
@@ -10,14 +9,8 @@ from sfmloc import (
     Pose,
     coverage_area_xy,
     coverage_window,
-    reproject,
 )
-from sfmloc.errors import BehindCamera
 from sfmloc.sfm_data import Feature, QueryImage
-
-
-def identity_pose(focal=100.0):
-    return Pose(np.eye(3), np.zeros(3), focal)
 
 
 def make_query(xy, width=400, height=300):
@@ -43,19 +36,6 @@ def fitted_count(pose, good, query, threshold, metric="ray"):
 def first(n, k):
     """Mask selecting the first k of n matches."""
     return np.arange(n) < k
-
-
-class TestReproject:
-    def test_on_axis(self):
-        assert reproject(identity_pose(), [0, 0, 10]) == (0.0, 0.0)
-
-    def test_similar_triangles(self):
-        x, y = reproject(identity_pose(), [1, 0, 10])
-        assert abs(x - 10.0) < 1e-12 and abs(y) < 1e-12
-
-    def test_behind_camera_raises(self):
-        with pytest.raises(BehindCamera):
-            reproject(identity_pose(), [0, 0, -1])
 
 
 class TestFittedMatches:
