@@ -41,7 +41,7 @@ from .descriptor_index import (
     load_index_cache,
     save_index_cache,
 )
-from .errors import LocalizationError, MalformedMetadata
+from .errors import CameraListMismatch, LocalizationError, MalformedMetadata
 from .minimal_solvers import bundler_to_internal
 from .ransac_advanced import AdvancedParams, BackmatchParams
 from .ransac_basic import BasicParams
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(config)
-    except MalformedMetadata as exc:
+    except (MalformedMetadata, CameraListMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LocalizationError as exc:

@@ -3,7 +3,11 @@
 The index is a kd-tree over the model's per-point mean descriptors
 (Euclidean metric on raw SIFT values).  Queries are exact, which
 trivially meets the recall requirement.  The index is immutable after
-construction and safe for concurrent queries.
+construction and safe for concurrent queries.  A multi-row query is
+split over every CPU, which gives the same arrays because rows are
+searched independently; a one-row query, as backmatching issues per
+popped point, runs on the calling thread, where starting threads would
+cost more than the search.
 """
 
 import hashlib
@@ -95,7 +99,8 @@ class DescriptorIndex:
         """
         vecs = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         k_eff = min(k, len(self))
-        dists, idx = self._tree.query(vecs, k=k_eff)
+        dists, idx = self._tree.query(vecs, k=k_eff,
+                                      workers=-1 if len(vecs) > 1 else 1)
         if k_eff == 1:
             dists = dists[:, None]
             idx = idx[:, None]

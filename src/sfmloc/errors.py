@@ -23,6 +23,10 @@ class DimensionMismatch(LocalizationError):
     """Descriptor length in a keyfile header is not 128."""
 
 
+class CameraListMismatch(LocalizationError):
+    """The camera list does not name one image per model camera."""
+
+
 class UnknownQuery(LocalizationError):
     """A query image name is not present in the camera list."""
 

@@ -73,12 +73,16 @@ def _draw_cooccurrence_idx(point_ids, vis_sets, n: int,
     candidates are accepted with accept_probability.  A run of more
     than dead_end_limit consecutive zero intersections discards the
     sample and restarts from a new first point.
+
+    The pool holds, ascending, the matches whose point is not chosen yet;
+    only an acceptance rebuilds it, so a rejected draw scans no matches.
     """
-    if len(set(point_ids.tolist())) < n:
+    distinct = len(np.unique(point_ids))
+    if distinct < n:
         raise InsufficientMatches(
-            f"need {n} matches with distinct points, have "
-            f"{len(set(point_ids.tolist()))}")
-    sizes = np.array([len(v) for v in vis_sets])
+            f"need {n} matches with distinct points, have {distinct}")
+    sizes = np.fromiter(map(len, vis_sets), dtype=np.intp,
+                        count=len(vis_sets))
     seeds = np.flatnonzero(sizes >= params.min_seed_cameras)
     if len(seeds) == 0:
         seeds = np.flatnonzero(sizes == sizes.max())
@@ -88,12 +92,10 @@ def _draw_cooccurrence_idx(point_ids, vis_sets, n: int,
         chosen = [first]
         running = frozenset(vis_sets[first])
         zero_streak = 0
-        chosen_points = {int(point_ids[first])}
+        pool = np.flatnonzero(point_ids != point_ids[first])
         dead_end = False
         while len(chosen) < n and not dead_end:
-            pool = [i for i in range(len(point_ids))
-                    if int(point_ids[i]) not in chosen_points]
-            cand = pool[rng.integers(len(pool))]
+            cand = int(pool[rng.integers(len(pool))])
             inter = len(running & vis_sets[cand])
             if inter == 0:
                 zero_streak += 1
@@ -105,7 +107,7 @@ def _draw_cooccurrence_idx(point_ids, vis_sets, n: int,
                                    len(vis_sets[cand]), params.k_sigmoid)
             if rng.random() < p:
                 chosen.append(cand)
-                chosen_points.add(int(point_ids[cand]))
+                pool = pool[point_ids[pool] != point_ids[cand]]
                 running = running & vis_sets[cand]
         if not dead_end:
             return chosen

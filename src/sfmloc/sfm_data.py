@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CameraListMismatch,
     DimensionMismatch,
     EmptyTrack,
     IndexOutOfRange,
@@ -133,8 +134,9 @@ def parse_bundle(stream) -> SfmModel:
     """Parse bundler v0.3 text into an SfmModel.
 
     Raises MalformedHeader when the magic line is wrong, TruncatedFile
-    when the input ends mid-record and IndexOutOfRange when a view list
-    references a camera that does not exist.
+    when the input ends mid-record or a colour is outside 0..255, and
+    IndexOutOfRange when a view list references a camera that does not
+    exist.
     """
     lines = iter(stream)
     magic = _next_line(lines, "magic line").strip()
@@ -192,6 +194,11 @@ def parse_bundle(stream) -> SfmModel:
             f"view list references camera {int(cams_arr.max())} "
             f"of {num_cameras}")
 
+    rgb = np.frombuffer(colors, dtype=float).reshape(-1, 3) if colors else np.empty((0, 3))
+    in_range = ((rgb >= 0) & (rgb <= 255)).all(axis=1)  # false for NaN too
+    if not in_range.all():
+        raise TruncatedFile(f"colour of point {np.argmin(in_range)} outside 0..255")
+
     offsets = np.concatenate([[0], np.cumsum(track_lens, dtype=np.int64)]) \
         if track_lens else np.zeros(1, np.int64)
     if track_x:
@@ -202,7 +209,7 @@ def parse_bundle(stream) -> SfmModel:
     return SfmModel(
         cameras,
         np.frombuffer(positions, dtype=float).reshape(-1, 3) if positions else np.empty((0, 3)),
-        np.frombuffer(colors, dtype=float).reshape(-1, 3).astype(np.uint8) if colors else np.empty((0, 3), np.uint8),
+        rgb.astype(np.uint8),
         offsets,
         cams_arr,
         np.frombuffer(track_keys, dtype=np.int64) if track_keys else np.empty(0, np.int64),
@@ -313,8 +320,9 @@ def split_golden(full: SfmModel, query_names, camera_names):
     points left with an empty visibility set are removed.
     """
     if len(camera_names) != full.num_cameras:
-        raise ValueError(
-            f"{len(camera_names)} camera names for {full.num_cameras} cameras")
+        raise CameraListMismatch(
+            f"the camera list names {len(camera_names)} images, the model "
+            f"has {full.num_cameras} cameras")
     name_to_idx = {}
     for idx, name in enumerate(camera_names):
         name_to_idx.setdefault(name, idx)

@@ -80,6 +80,15 @@ def test_malformed_meta_exits_2(scene_copy, tmp_path, capsys, line):
     assert "Traceback" not in err
 
 
+def test_camera_list_short_of_the_model_exits_2(scene_copy, tmp_path, capsys):
+    names = scene_copy / "list.txt"
+    names.write_text("".join(names.read_text().splitlines(True)[:-1]))
+    assert run_cli(scene_copy, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "names 19 images" in err and "has 20 cameras" in err
+    assert "Traceback" not in err
+
+
 def _drop_keyfile(scene):
     (scene / "keys" / "query_001.key").unlink()
 

@@ -44,6 +44,20 @@ class TestBuildIndexKnn:
         assert list(idx[0]) == [0, 1]
         assert dists[0, 0] == 0.0
 
+    def test_batch_equals_row_by_row(self):
+        rng = np.random.default_rng(4)
+        descs = rng.integers(0, 3, (40, 128)).astype(np.uint8)
+        descs = np.vstack([descs, descs[:10]])  # duplicated rows: exact ties
+        queries = np.vstack([descs[:20],
+                             rng.integers(0, 3, (30, 128)).astype(np.uint8)])
+        index = build_index(descs)
+        for k in (1, 2):
+            dists, idx = index.query(queries, k)
+            rows = [index.query(q, k) for q in queries]
+            assert np.array_equal(dists, np.vstack([d for d, _ in rows]))
+            assert np.array_equal(idx, np.vstack([i for _, i in rows]))
+        assert (dists[:, 0] == dists[:, 1]).any()
+
     def test_top1_agreement_with_brute_force(self):
         rng = np.random.default_rng(2)
         descs = rng.uniform(0, 255, (1000, 128))

@@ -16,7 +16,7 @@ from sfmloc import (
     pose_error,
     scene_diameter,
 )
-from sfmloc.errors import InsufficientMatches
+from sfmloc.errors import InsufficientMatches, SamplingExhausted
 from sfmloc.ransac_advanced import _draw_cooccurrence_idx
 from sfmloc.sfm_data import Feature, QueryImage, SfmModel
 
@@ -101,6 +101,128 @@ class TestDrawCooccurrence:
         points, _ = draw(list(range(4)), [frozenset({0, 1, 2})] * 4, 3,
                          np.random.default_rng(4))
         assert len(points) == 3
+
+
+def oracle_draw_cooccurrence_idx(point_ids, vis_sets, n: int,
+                                 params: AdvancedParams, rng) -> list:
+    """The sampler as it was when each candidate draw rescanned every
+    match; the reference the pool-shrinking version must reproduce."""
+    if len(set(point_ids.tolist())) < n:
+        raise InsufficientMatches(
+            f"need {n} matches with distinct points, have "
+            f"{len(set(point_ids.tolist()))}")
+    sizes = np.array([len(v) for v in vis_sets])
+    seeds = np.flatnonzero(sizes >= params.min_seed_cameras)
+    if len(seeds) == 0:
+        seeds = np.flatnonzero(sizes == sizes.max())
+
+    for _ in range(params.max_restarts):
+        first = int(seeds[rng.integers(len(seeds))])
+        chosen = [first]
+        running = frozenset(vis_sets[first])
+        zero_streak = 0
+        chosen_points = {int(point_ids[first])}
+        dead_end = False
+        while len(chosen) < n and not dead_end:
+            pool = [i for i in range(len(point_ids))
+                    if int(point_ids[i]) not in chosen_points]
+            cand = pool[rng.integers(len(pool))]
+            inter = len(running & vis_sets[cand])
+            if inter == 0:
+                zero_streak += 1
+                if zero_streak > params.dead_end_limit:
+                    dead_end = True
+                continue
+            zero_streak = 0
+            p = accept_probability(inter, len(running),
+                                   len(vis_sets[cand]), params.k_sigmoid)
+            if rng.random() < p:
+                chosen.append(cand)
+                chosen_points.add(int(point_ids[cand]))
+                running = running & vis_sets[cand]
+        if not dead_end:
+            return chosen
+    raise SamplingExhausted(
+        f"no co-occurring sample after {params.max_restarts} restarts")
+
+
+def outcome(sampler, point_ids, vis_sets, n, params, seed):
+    """(indices or exception type, final generator state) of one call."""
+    rng = np.random.default_rng(seed)
+    try:
+        got = sampler(np.asarray(point_ids), vis_sets, n, params, rng)
+    except (InsufficientMatches, SamplingExhausted) as exc:
+        got = type(exc)
+    return got, rng.bit_generator.state
+
+
+def repeated_points():
+    """40 matches of 12 points: several features match the same point."""
+    rng = np.random.default_rng(5)
+    point_ids = rng.integers(0, 12, 40)
+    point_vis = [frozenset(rng.choice(10, size=rng.integers(2, 8),
+                                      replace=False).tolist())
+                 for _ in range(12)]
+    return point_ids, [point_vis[p] for p in point_ids], 4, AdvancedParams()
+
+
+def dead_ends():
+    """A seed in the 3-match cluster rarely draws its 2 partners among
+    63 candidates before the 31-draw dead-end limit, so it restarts."""
+    vis = [frozenset(range(6))] * 3 + [frozenset(range(10, 16))] * 60
+    return np.arange(63), vis, 3, AdvancedParams()
+
+
+def exhausted():
+    """Pairwise disjoint visibility: every sample ends in a dead end."""
+    vis = [frozenset(range(5 * i, 5 * i + 5)) for i in range(10)]
+    return (np.arange(10), vis, 3,
+            AdvancedParams(max_restarts=5, dead_end_limit=4))
+
+
+class TestDrawCooccurrenceOracle:
+    """Same indices, exception and generator state as the oracle."""
+
+    def check(self, point_ids, vis_sets, n, params):
+        results = []
+        for seed in range(200):
+            new = outcome(_draw_cooccurrence_idx, point_ids, vis_sets, n,
+                          params, seed)
+            assert new == outcome(oracle_draw_cooccurrence_idx, point_ids,
+                                  vis_sets, n, params, seed), seed
+            results.append(new[0])
+        return results
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_scene_matches(self, scene_matches, n):
+        _, _, good = scene_matches
+        self.check(good.point_idx, good.visibility, n, AdvancedParams())
+
+    def test_repeated_point_ids(self):
+        point_ids, vis, n, params = repeated_points()
+        assert len(np.unique(point_ids)) < len(point_ids)
+        results = self.check(point_ids, vis, n, params)
+        assert all(len(set(point_ids[r].tolist())) == n for r in results)
+
+    def test_dead_end_restarts(self):
+        point_ids, vis, n, params = dead_ends()
+        self.check(point_ids, vis, n, params)
+        # one restart allowed: some seeds dead-end, so the fixture
+        # really exercises the restart path
+        once = self.check(point_ids, vis, n,
+                          AdvancedParams(max_restarts=1))
+        assert SamplingExhausted in once
+        assert any(isinstance(r, list) for r in once)
+
+    def test_sampling_exhausted(self):
+        results = self.check(*exhausted())
+        assert set(results) == {SamplingExhausted}
+
+    def test_insufficient_distinct_points(self):
+        results = self.check(np.array([0, 0, 1, 1]),
+                             [frozenset({0, 1, 2, 3, 4})] * 4, 3,
+                             AdvancedParams())
+        assert set(results) == {InsufficientMatches}
 
 
 def micro_scene():

@@ -123,6 +123,12 @@ class TestParseBundle:
         with pytest.raises(TruncatedFile):
             parse_bundle(io.StringIO(text))
 
+    @pytest.mark.parametrize("colour", ["300 -1 7", "nan 0 0"])
+    def test_colour_out_of_range_raises(self, colour):
+        text = ONE_CAMERA_ONE_POINT.replace("200 150 100", colour)
+        with pytest.raises(TruncatedFile):
+            parse_bundle(io.StringIO(text))
+
 
 class TestBundleRoundTrip:
     def assert_models_equal(self, a, b, tol=1e-9):
