@@ -56,12 +56,13 @@ from .ransac_basic import (
     estimate_pose_basic,
 )
 from .sfm_data import (
+    KEYFILE_DTYPE,
     CameraRecord,
-    Feature,
     QueryImage,
     SfmModel,
     average_descriptors,
     build_mean_descriptors,
+    keyfile_records,
     parse_bundle,
     parse_image_list,
     parse_keyfile,

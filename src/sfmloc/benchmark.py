@@ -20,7 +20,8 @@ from .errors import InsufficientMatches, InvalidParams, MissingGolden, NoSolutio
 from .minimal_solvers import Pose, denormalize_points, internal_to_bundler
 from .ransac_advanced import AdvancedParams, BackmatchParams, estimate_pose_advanced
 from .ransac_basic import BasicParams, estimate_pose_basic
-from .sfm_data import CameraRecord, Feature, QueryImage, SfmModel
+from .sfm_data import (CameraRecord, QueryImage, SfmModel, average_descriptors,
+                       keyfile_records)
 
 GOOD_RATIO_BASIC = 0.7
 GOOD_RATIO_ADVANCED = 0.9
@@ -79,8 +80,7 @@ class SyntheticScene:
     noise_px: float
     outlier_fraction: float
     outlier_labels: list
-    db_keyfiles: list
-    query_keyfiles: list
+    db_keyfiles: list  # one KEYFILE_DTYPE record array per database camera
     db_names: list
     image_size: tuple
     focal_px: float
@@ -207,43 +207,43 @@ def generate_synthetic_scene(n_points: int, n_cameras: int, image_size=(800, 600
             ok &= np.einsum("ij,ij->i", to_cam, normals) > cos_cone
         return ok, pix, proj
 
-    # database cameras: visibility, keyfiles and view lists
-    db_keyfiles = []
-    track_entries = [[] for _ in range(n_points)]  # (cam, key, x, y)
-    for ci, pose in enumerate(db_poses):
+    # database cameras: visibility, keyfiles and view-list entries
+    n_db = len(db_poses)
+    db_keyfiles, db_points, db_xy = [], [], []
+    for pose in db_poses:
         ok, pix, proj = project_visible(pose)
         vis_idx = np.flatnonzero(ok)
-        descs = perturbed(vis_idx)
-        feats = []
-        for key, pi in enumerate(vis_idx):
-            feats.append(Feature(x=float(pix[pi, 0]), y=float(pix[pi, 1]),
-                                 scale=2.0, orientation=0.0,
-                                 descriptor=descs[key]))
-            track_entries[pi].append((ci, key, proj[pi, 0], proj[pi, 1]))
-        db_keyfiles.append(feats)
+        db_keyfiles.append(keyfile_records(pix[vis_idx], perturbed(vis_idx),
+                                           scale=2.0))
+        db_points.append(vis_idx)
+        db_xy.append(proj[vis_idx])
+    db_cams = np.repeat(np.arange(n_db), [len(p) for p in db_points])
+    db_keys = np.concatenate([np.arange(len(p)) for p in db_points])
+    db_points = np.concatenate(db_points)
+    db_xy = np.concatenate(db_xy)
 
     # some points may be behind every camera; keep only observed points
-    keep = [i for i in range(n_points) if track_entries[i]]
-    positions = positions[keep]
-    colors = colors[keep]
-    base_desc = base_desc[keep]
+    observed = np.bincount(db_points, minlength=n_points) > 0
+    positions = positions[observed]
+    colors = colors[observed]
+    base_desc = base_desc[observed]
     if view_cone_deg is not None:
-        normals = normals[keep]
-    track_entries = [track_entries[i] for i in keep]
+        normals = normals[observed]
+    n_kept = len(positions)
+    db_points = (np.cumsum(observed) - 1)[db_points]  # renumber to kept points
 
     # mean descriptors over each track's per-view descriptors
-    mean_desc = np.empty((len(keep), 128), dtype=np.uint8)
-    for pi, entries in enumerate(track_entries):
-        track = np.array([db_keyfiles[cam][key].descriptor
-                          for cam, key, _, _ in entries], dtype=float)
-        mean_desc[pi] = np.clip(np.floor(track.mean(axis=0) + 0.5), 0, 255)
+    by_point = np.lexsort((db_cams, db_points))
+    track_descs = np.concatenate([k.descriptor for k in db_keyfiles])[by_point]
+    track_ends = np.cumsum(np.bincount(db_points, minlength=n_kept))[:-1]
+    tracks = np.split(track_descs, track_ends) if n_kept else []
+    mean_desc = np.array([average_descriptors(t) for t in tracks],
+                         dtype=np.uint8).reshape(-1, 128)
 
     # queries: exact projections + noise, plus labeled outliers
     queries = []
-    query_keyfiles = []
     outlier_labels = []
-    query_track = [[] for _ in range(len(keep))]
-    n_db = len(db_poses)
+    q_cams, q_points, q_keys, q_xy = [], [], [], []
     for qi, pose in enumerate(query_poses):
         ok, pix, _ = project_visible(pose)
         noisy = pix + rng.normal(0.0, noise_px, size=pix.shape) if noise_px > 0 else pix
@@ -252,36 +252,32 @@ def generate_synthetic_scene(n_points: int, n_cameras: int, image_size=(800, 600
         vis_idx = np.flatnonzero(ok)
         n_out = _outlier_count(len(vis_idx), outlier_fraction)
 
+        xy = noisy[vis_idx]
         descs = perturbed(vis_idx)
-        feats = [Feature(x=float(noisy[pi, 0]), y=float(noisy[pi, 1]),
-                         scale=2.0, orientation=0.0, descriptor=descs[k])
-                 for k, pi in enumerate(vis_idx)]
-        src_points = vis_idx.tolist() + [-1] * n_out
+        src_points = vis_idx
         if n_out:
             stolen = rng.integers(0, len(positions), size=n_out)
             out_desc = perturbed(stolen)
             out_x = rng.uniform(0, width, size=n_out)
             out_y = rng.uniform(0, height, size=n_out)
-            for k in range(n_out):
-                feats.append(Feature(x=float(out_x[k]), y=float(out_y[k]),
-                                     scale=2.0, orientation=0.0,
-                                     descriptor=out_desc[k]))
-        order = rng.permutation(len(feats))
-        feats = [feats[i] for i in order]
-        src_points = [src_points[i] for i in order]
-        outlier_labels.append(np.flatnonzero(
-            np.array(src_points) < 0))
-        for key, src in enumerate(src_points):
-            if src >= 0:
-                f = feats[key]
-                ctr = (f.x - width / 2.0, height / 2.0 - f.y)
-                query_track[src].append((n_db + qi, key, ctr[0], ctr[1]))
+            xy = np.vstack([xy, np.column_stack([out_x, out_y])])
+            descs = np.vstack([descs, out_desc])
+            src_points = np.concatenate([src_points, np.full(n_out, -1)])
+        order = rng.permutation(len(src_points))
+        feats = keyfile_records(xy[order], descs[order], scale=2.0)
+        src_points = src_points[order]
+        outlier_labels.append(np.flatnonzero(src_points < 0))
+        keys = np.flatnonzero(src_points >= 0)
+        q_cams.append(np.full(len(keys), n_db + qi))
+        q_points.append(src_points[keys])
+        q_keys.append(keys)
+        q_xy.append(np.column_stack([feats.xy[keys, 0] - width / 2.0,
+                                     height / 2.0 - feats.xy[keys, 1]]))
 
         name = f"query_{qi:03d}.jpg"
         queries.append((QueryImage(name=name, width=width, height=height,
                                    features=feats, exif_focal_px=focal_px),
                         pose))
-        query_keyfiles.append(feats)
 
     # assemble the full model (database + query cameras, bundler frame)
     cameras = []
@@ -289,19 +285,16 @@ def generate_synthetic_scene(n_points: int, n_cameras: int, image_size=(800, 600
         rot, trans = internal_to_bundler(pose)
         cameras.append(CameraRecord(focal_px, 0.0, 0.0, rot, trans))
 
-    lens, cams_flat, keys_flat, xy_flat = [], [], [], []
-    for pi in range(len(keep)):
-        entries = track_entries[pi] + query_track[pi]
-        lens.append(len(entries))
-        for cam, key, x, y in entries:
-            cams_flat.append(cam)
-            keys_flat.append(key)
-            xy_flat.append((x, y))
-    offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+    # a point's view list runs in camera order: database, then queries
+    cams = np.concatenate([db_cams, *q_cams])
+    points = np.concatenate([db_points, *q_points])
+    views = np.lexsort((cams, points))
+    offsets = np.concatenate(
+        [[0], np.cumsum(np.bincount(points, minlength=n_kept))]).astype(np.int64)
     model = SfmModel(cameras, positions, colors, offsets,
-                     np.array(cams_flat, dtype=np.int32),
-                     np.array(keys_flat, dtype=np.int32),
-                     np.array(xy_flat, dtype=float).reshape(-1, 2),
+                     cams[views].astype(np.int32),
+                     np.concatenate([db_keys, *q_keys])[views].astype(np.int32),
+                     np.concatenate([db_xy, *q_xy])[views],
                      mean_desc)
 
     db_names = [f"db_{i:03d}.jpg" for i in range(n_db)]
@@ -309,7 +302,6 @@ def generate_synthetic_scene(n_points: int, n_cameras: int, image_size=(800, 600
                           outlier_fraction=outlier_fraction,
                           outlier_labels=outlier_labels,
                           db_keyfiles=db_keyfiles,
-                          query_keyfiles=query_keyfiles,
                           db_names=db_names,
                           image_size=image_size, focal_px=focal_px)
 
@@ -350,12 +342,10 @@ def write_scene_dir(scene: SyntheticScene, out_dir) -> None:
         for name in query_names:
             fh.write(f"{name} {width} {height} {scene.focal_px!r}\n")
 
-    for name, feats in zip(scene.db_names, scene.db_keyfiles):
+    keyfiles = scene.db_keyfiles + [q.features for q, _ in scene.queries]
+    for name, keys in zip(all_names, keyfiles):
         with open(out / "keys" / (Path(name).stem + ".key"), "w") as fh:
-            write_keyfile(feats, fh)
-    for name, feats in zip(query_names, scene.query_keyfiles):
-        with open(out / "keys" / (Path(name).stem + ".key"), "w") as fh:
-            write_keyfile(feats, fh)
+            write_keyfile(keys, fh)
 
 
 def _histogram(values, bins) -> list:

@@ -198,7 +198,8 @@ def _load_meta(path) -> dict:
     """name -> (width, height, focal_px or None).
 
     Raises MalformedMetadata, naming the file and line, for a line that
-    is not ``name width height [focal_px]``.
+    is not ``name width height [focal_px]`` with a positive width and
+    height and, when given, a finite positive focal.
     """
     meta = {}
     if path is None or not Path(path).is_file():
@@ -210,11 +211,16 @@ def _load_meta(path) -> dict:
                 continue
             try:
                 focal = float(parts[3]) if len(parts) > 3 else None
-                meta[parts[0]] = (int(parts[1]), int(parts[2]), focal)
+                width, height = int(parts[1]), int(parts[2])
+                if width <= 0 or height <= 0 or not (focal is None
+                                                     or 0 < focal < np.inf):
+                    raise ValueError
             except (IndexError, ValueError):
                 raise MalformedMetadata(
                     f"{path}:{lineno}: expected 'name width height "
-                    f"[focal_px]', got {line.strip()!r}") from None
+                    f"[focal_px]' with positive sizes and a finite positive "
+                    f"focal, got {line.strip()!r}") from None
+            meta[parts[0]] = (width, height, focal)
     return meta
 
 
@@ -229,10 +235,10 @@ def _load_query_image(config: RunConfig, name: str, meta: dict) -> QueryImage:
         raise MalformedMetadata(
             f"no metadata (width height [focal]) for {name!r}")
     width, height, focal = meta[name]
-    in_bounds = [f for f in features
-                 if 0 <= f.x < width and 0 <= f.y < height]
+    xy = features.xy
+    in_bounds = ((xy >= 0) & (xy < (width, height))).all(axis=1)
     return QueryImage(name=name, width=width, height=height,
-                      features=in_bounds, exif_focal_px=focal)
+                      features=features[in_bounds], exif_focal_px=focal)
 
 
 def run(config: RunConfig) -> int:
@@ -273,9 +279,7 @@ def run(config: RunConfig) -> int:
     if descriptors is None:
         def keyfile_for_camera(cam_idx):
             with open(_keyfile_path(config, info_names[cam_idx])) as fh:
-                feats = parse_keyfile(fh)
-            return np.array([f.descriptor for f in feats], dtype=float) \
-                .reshape(-1, 128)
+                return parse_keyfile(fh).descriptor
         info = build_mean_descriptors(info, keyfile_for_camera)
         if config.cache_path is not None:
             save_index_cache(config.cache_path, info.mean_descriptors, cache_key)

@@ -125,9 +125,9 @@ def find_good_matches(index: DescriptorIndex, query: QueryImage,
     accepted feature's entry carries its point's visibility set and
     world position.
     """
-    if not query.features or len(index) < 2:
+    if len(query.features) == 0 or len(index) < 2:
         return Matches.empty()  # a single-point index has no second neighbor
-    dists, idx = index.query(query.descriptor_matrix(), k=2)
+    dists, idx = index.query(query.features.descriptor, k=2)
     feature_idx = np.flatnonzero(ratio_test(dists[:, 0], dists[:, 1], ratio))
     point_idx = idx[feature_idx, 0]
     return Matches(feature_idx, point_idx, dists[feature_idx, 0],

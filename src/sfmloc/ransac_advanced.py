@@ -134,12 +134,12 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
     along the view graph.  Returns the input matches followed by newly
     accepted ones (deduplicated by feature/point pair).
     """
-    if not len(good) or model.num_points == 0 or not query.features:
+    if not len(good) or model.num_points == 0 or len(query.features) == 0:
         return good
     if model.mean_descriptors is None:
         raise ValueError("model has no mean descriptors")
 
-    feat_index = DescriptorIndex(query.descriptor_matrix())
+    feat_index = DescriptorIndex(query.features.descriptor)
     if len(feat_index) < 2:
         return good
 

@@ -88,7 +88,7 @@ class MatchContext:
         self.threshold = threshold
         self.metric = metric
         self.min_fitted = min_fitted
-        self.raw_xy = query.feature_xy()[matches.feature_idx]
+        self.raw_xy = query.features.xy[matches.feature_idx]
         self.centered_xy = normalize_points(self.raw_xy, query.width, query.height) \
             if len(matches) else np.empty((0, 2))
         self.c = coverage_window(query.width)

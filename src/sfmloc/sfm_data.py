@@ -2,11 +2,16 @@
 
 The bundler v0.3 text format carries cameras (focal, two radial
 distortion coefficients, world-to-camera rotation, translation) and 3D
-points (position, color, view list).  Keyfiles follow Lowe's layout:
-one header line per feature followed by 128 descriptor values wrapped
-over several lines.  Parsing is line-streamed so memory stays bounded
-per record; point data lands in columnar numpy arrays, which keeps a
-two-million-point model loadable in seconds.
+points (position, color, view list).  Bundles are parsed line by line
+so memory stays bounded per record; point data lands in columnar numpy
+arrays, which keeps a two-million-point model loadable in seconds.
+
+Keyfiles follow Lowe's layout: a ``count 128`` header line, then per
+feature ``row col scale orientation`` and 128 descriptor values wrapped
+over several lines.  The tokens after the header are converted to
+floats in blocks of whole lines and read as 132 values per feature, so
+the line layout is not checked, only the token count and the value
+ranges.  A parsed keyfile is one record array of ``KEYFILE_DTYPE``.
 """
 
 from array import array
@@ -26,6 +31,10 @@ from .errors import (
 
 BUNDLE_MAGIC = "# Bundle file v0.3"
 DESCRIPTOR_DIM = 128
+# one keyfile feature; xy is (x, y) = (col, row), unlike the file's order
+KEYFILE_DTYPE = np.dtype([("xy", np.float64, 2), ("scale", np.float64),
+                          ("orientation", np.float64),
+                          ("descriptor", np.uint8, DESCRIPTOR_DIM)])
 
 
 @dataclass(frozen=True)
@@ -39,35 +48,18 @@ class CameraRecord:
     translation: np.ndarray
 
 
-@dataclass(frozen=True)
-class Feature:
-    """A SIFT keypoint; x runs along columns, y along rows."""
-
-    x: float
-    y: float
-    scale: float
-    orientation: float
-    descriptor: np.ndarray
-
-
 @dataclass
 class QueryImage:
-    """A query photograph: dimensions, features, optional EXIF focal."""
+    """A query photograph: dimensions, features, optional EXIF focal.
+
+    features is a keyfile record array (``KEYFILE_DTYPE``).
+    """
 
     name: str
     width: int
     height: int
-    features: list
+    features: np.recarray
     exif_focal_px: float | None = None
-
-    def feature_xy(self) -> np.ndarray:
-        """(n, 2) array of raw pixel coordinates."""
-        return np.array([[f.x, f.y] for f in self.features], dtype=float).reshape(-1, 2)
-
-    def descriptor_matrix(self) -> np.ndarray:
-        """(n, 128) float array of feature descriptors."""
-        return np.array([f.descriptor for f in self.features],
-                        dtype=float).reshape(-1, DESCRIPTOR_DIM)
 
 
 class SfmModel:
@@ -248,58 +240,63 @@ def write_bundle(model: SfmModel, stream) -> None:
         w(" ".join(parts) + "\n")
 
 
-def parse_keyfile(stream) -> list:
-    """Parse a Lowe keyfile into Feature objects.
+def keyfile_records(xy, descriptor, scale=1.0, orientation=0.0) -> np.recarray:
+    """A keyfile record array from (n, 2) (x, y) and (n, 128) descriptors."""
+    keys = np.recarray(len(xy), dtype=KEYFILE_DTYPE)
+    keys.xy = xy
+    keys.scale = scale
+    keys.orientation = orientation
+    keys.descriptor = descriptor
+    return keys
 
-    Header is ``num_features 128``; each feature is a ``row col scale
-    orientation`` line followed by 128 integers wrapped over several
-    lines.  Stored (row, col) become (y, x).
+
+def parse_keyfile(stream) -> np.recarray:
+    """Parse a Lowe keyfile into a record array of ``KEYFILE_DTYPE``.
+
+    Stored (row, col) become xy = (col, row).  Raises MalformedHeader
+    for a bad or negative count, DimensionMismatch for a dimension other
+    than 128, and TruncatedFile when the body is not 132 numbers per
+    feature or a descriptor value is not an integer in 0..255.
     """
-    lines = iter(stream)
-    header = _next_line(lines, "keyfile header").split()
+    fields = stream.readline().split()
     try:
-        num_features, dim = int(header[0]), int(header[1])
+        num_features, dim = int(fields[0]), int(fields[1])
     except (ValueError, IndexError) as exc:
-        raise MalformedHeader(f"bad keyfile header: {header!r}") from exc
+        raise MalformedHeader(f"bad keyfile header: {fields!r}") from exc
+    if num_features < 0:
+        raise MalformedHeader(f"negative feature count {num_features}")
     if dim != DESCRIPTOR_DIM:
         raise DimensionMismatch(f"descriptor dimension {dim}, expected {DESCRIPTOR_DIM}")
 
-    features = []
-    for fi in range(num_features):
-        head = _next_line(lines, f"feature {fi}").split()
+    per_feature = 4 + DESCRIPTOR_DIM
+    blocks = []
+    # about 64 KB of lines at a time, so the list of tokens stays small
+    while lines := stream.readlines(1 << 16):
         try:
-            row, col, scale, orientation = map(float, head)
+            blocks.append(np.array("".join(lines).split(), dtype=float))
         except ValueError as exc:
-            raise TruncatedFile(f"bad feature header {fi}") from exc
-        values = []
-        while len(values) < DESCRIPTOR_DIM:
-            parts = _next_line(lines, f"feature {fi} descriptor").split()
-            try:
-                values.extend(map(int, parts))
-            except ValueError as exc:
-                raise TruncatedFile(f"bad descriptor data in feature {fi}") from exc
-        if len(values) != DESCRIPTOR_DIM:
-            raise TruncatedFile(
-                f"feature {fi} descriptor has {len(values)} values")
-        try:
-            descriptor = np.array(values, dtype=np.uint8)
-        except OverflowError as exc:  # a value outside 0..255
-            raise TruncatedFile(f"bad descriptor value in feature {fi}") from exc
-        features.append(Feature(x=col, y=row, scale=scale, orientation=orientation,
-                                descriptor=descriptor))
-    return features
+            raise TruncatedFile(f"non-numeric keyfile value: {exc}") from exc
+    vals = np.concatenate(blocks) if blocks else np.empty(0)
+    if len(vals) != per_feature * num_features:
+        raise TruncatedFile(
+            f"{len(vals)} values for {num_features} features of {per_feature}")
+    vals = vals.reshape(num_features, per_feature)
+    desc = vals[:, 4:]
+    ok = ((desc >= 0) & (desc <= 255) & (desc == np.floor(desc))).all(axis=1)
+    if not ok.all():  # NaN fails every comparison, inf the range
+        raise TruncatedFile(f"bad descriptor value in feature {np.argmin(ok)}")
+    return keyfile_records(vals[:, 1::-1], desc, vals[:, 2], vals[:, 3])
 
 
-def write_keyfile(features, stream) -> None:
-    """Serialize features in Lowe keyfile layout (20 values per line)."""
+def write_keyfile(keys: np.recarray, stream) -> None:
+    """Serialize a keyfile record array in Lowe layout (20 values per line)."""
     w = stream.write
-    w(f"{len(features)} {DESCRIPTOR_DIM}\n")
-    for f in features:
-        w(f"{_f(f.y)} {_f(f.x)} {_f(f.scale)} {_f(f.orientation)}\n")
-        desc = np.asarray(f.descriptor).astype(int)
+    w(f"{len(keys)} {DESCRIPTOR_DIM}\n")
+    heads = np.column_stack([keys.xy[:, ::-1], keys.scale, keys.orientation])
+    for head, desc in zip(heads.tolist(), keys.descriptor.tolist()):
+        w(" ".join(map(repr, head)) + "\n")
         for start in range(0, DESCRIPTOR_DIM, 20):
-            chunk = desc[start:start + 20]
-            w(" " + " ".join(str(v) for v in chunk) + "\n")
+            w(" " + " ".join(map(str, desc[start:start + 20])) + "\n")
 
 
 def parse_image_list(stream) -> list:

@@ -58,9 +58,7 @@ class TestSyntheticScene:
                               b.model.mean_descriptors)
         for (qa, pa), (qb, pb) in zip(a.queries, b.queries):
             assert np.array_equal(pa.rotation, pb.rotation)
-            assert len(qa.features) == len(qb.features)
-            assert all(np.array_equal(fa.descriptor, fb.descriptor)
-                       for fa, fb in zip(qa.features, qb.features))
+            assert np.array_equal(qa.features.descriptor, qb.features.descriptor)
 
     def test_outlier_fraction_exact(self):
         scene = generate_synthetic_scene(400, 10, outlier_fraction=0.3,
@@ -76,9 +74,9 @@ class TestSyntheticScene:
                 pose.rotation @ pose.rotation.T - np.eye(3)) < 1e-9
             assert abs(np.linalg.det(pose.rotation) - 1.0) < 1e-9
             assert pose.focal_px > 0
-            for f in query.features:
-                assert 0 <= f.x < query.width
-                assert 0 <= f.y < query.height
+            x, y = query.features.xy.T
+            assert np.all((0 <= x) & (x < query.width))
+            assert np.all((0 <= y) & (y < query.height))
 
     def test_noise_free_reestimation_is_exact(self, clean_scene):
         model = clean_scene.model

@@ -69,7 +69,12 @@ def test_two_jobs_give_the_same_rows(scene_dir, tmp_path, mode):
 
 @pytest.mark.parametrize("line", ["query_000.jpg 800",
                                   "query_000.jpg wide 600 400.0",
-                                  "query_000.jpg 800 600 f400"])
+                                  "query_000.jpg 800 600 f400",
+                                  "query_000.jpg 800 600 0",
+                                  "query_000.jpg 800 600 nan",
+                                  "query_000.jpg 800 600 inf",
+                                  "query_000.jpg 800 600 -800",
+                                  "query_000.jpg 0 600 400.0"])
 def test_malformed_meta_exits_2(scene_copy, tmp_path, capsys, line):
     meta = scene_copy / "meta.txt"
     lines = meta.read_text().splitlines()
@@ -140,7 +145,7 @@ def test_cache_is_invalidated_by_a_keyfile_edit(scene_copy, tmp_path,
     key = scene_copy / "keys" / "db_000.key"
     with open(key) as fh:
         features = parse_keyfile(fh)
-    features[0].descriptor[:] = 0
+    features.descriptor[0] = 0
     with open(key, "w") as fh:
         write_keyfile(features, fh)
     assert run_cli(scene_copy, tmp_path / "c", "basic", *cache) == 0

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from sfmloc import Matches, build_index, find_good_matches, ratio_test
 from sfmloc.descriptor_index import load_index_cache, save_index_cache
 from sfmloc.errors import EmptyInput
-from sfmloc.sfm_data import Feature, QueryImage
+from sfmloc.sfm_data import QueryImage, keyfile_records
 
 
 def brute_force_top1(descs, query):
@@ -109,8 +109,9 @@ class TestRatioTest:
 
 
 def _query_from_descriptors(descs, width=400, height=300):
-    feats = [Feature(x=float(10 + i), y=float(20 + i), scale=2.0,
-                     orientation=0.0, descriptor=d) for i, d in enumerate(descs)]
+    n = len(descs)
+    xy = np.column_stack([10.0 + np.arange(n), 20.0 + np.arange(n)])
+    feats = keyfile_records(xy, np.reshape(descs, (n, 128)), scale=2.0)
     return QueryImage(name="q.jpg", width=width, height=height,
                       features=feats, exif_focal_px=500.0)
 

@@ -10,13 +10,12 @@ from sfmloc import (
     coverage_area_xy,
     coverage_window,
 )
-from sfmloc.sfm_data import Feature, QueryImage
+from sfmloc.sfm_data import QueryImage, keyfile_records
 
 
 def make_query(xy, width=400, height=300):
-    feats = [Feature(x=float(x), y=float(y), scale=1.0, orientation=0.0,
-                     descriptor=np.zeros(128, dtype=np.uint8))
-             for x, y in xy]
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    feats = keyfile_records(xy, np.zeros((len(xy), 128), dtype=np.uint8))
     return QueryImage(name="q", width=width, height=height, features=feats)
 
 
@@ -73,7 +72,7 @@ class TestCoverageArea:
     def test_never_exceeds_image_area(self):
         query = make_query([(i * 5 % 400, i * 7 % 300) for i in range(100)],
                            width=40, height=30)
-        xy = np.array([[f.x, f.y] for f in query.features])
+        xy = query.features.xy
         assert coverage_area_xy(xy, 40, 30, 15) <= 40 * 30
 
     def test_permutation_invariant(self):

@@ -18,7 +18,7 @@ from sfmloc import (
 )
 from sfmloc.errors import InsufficientMatches, SamplingExhausted
 from sfmloc.ransac_advanced import _draw_cooccurrence_idx
-from sfmloc.sfm_data import Feature, QueryImage, SfmModel
+from sfmloc.sfm_data import QueryImage, SfmModel, keyfile_records
 
 
 def draw(point_ids, vis_sets, n, rng):
@@ -243,9 +243,8 @@ def micro_scene():
                      np.zeros((len(cams), 2)), descs)
 
     far = rng.integers(0, 256, (3, 128)).astype(np.uint8)
-    feats = [Feature(x=10.0 * i, y=5.0 * i, scale=1.0, orientation=0.0,
-                     descriptor=d)
-             for i, d in enumerate([descs[1], descs[4], *far])]
+    feats = keyfile_records(np.outer(np.arange(5), [10.0, 5.0]),
+                            [descs[1], descs[4], *far])
     query = QueryImage(name="micro", width=200, height=100, features=feats,
                        exif_focal_px=100.0)
     good = Matches([0], [1], [0.0], [900.0], [points_vis[1]], [positions[1]])
@@ -268,7 +267,7 @@ class TestBackmatch:
     def test_already_matched_feature_not_duplicated(self):
         model, query, good = micro_scene()
         # make point 2's descriptor identical to the matched feature 0
-        model.mean_descriptors[2] = query.features[0].descriptor
+        model.mean_descriptors[2] = query.features.descriptor[0]
         out = backmatch(query, model, good, BackmatchParams())
         assert out.feature_idx.tolist().count(0) == 1
 

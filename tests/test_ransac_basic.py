@@ -117,12 +117,9 @@ class TestEstimatePoseBasic:
         positions = np.array([rng.uniform(-50, 50, 3) for _ in range(30)])
         matches = Matches(np.arange(30), np.arange(30), np.zeros(30),
                           np.ones(30), [frozenset({0})] * 30, positions)
-        from sfmloc.sfm_data import Feature, QueryImage
-        feats = [Feature(x=float(rng.uniform(0, 400)),
-                         y=float(rng.uniform(0, 300)), scale=1.0,
-                         orientation=0.0,
-                         descriptor=np.zeros(128, dtype=np.uint8))
-                 for _ in range(30)]
+        from sfmloc.sfm_data import QueryImage, keyfile_records
+        xy = [(rng.uniform(0, 400), rng.uniform(0, 300)) for _ in range(30)]
+        feats = keyfile_records(xy, np.zeros((30, 128), dtype=np.uint8))
         query = QueryImage(name="junk", width=400, height=300,
                            features=feats, exif_focal_px=400.0)
         with pytest.raises(NoSolution):

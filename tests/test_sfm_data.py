@@ -1,12 +1,14 @@
 """Parsers, writers and dataset assembly."""
 
 import io
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfmloc import (
+    KEYFILE_DTYPE,
     average_descriptors,
     build_mean_descriptors,
     parse_bundle,
@@ -15,6 +17,7 @@ from sfmloc import (
     split_golden,
     write_bundle,
     write_keyfile,
+    write_scene_dir,
 )
 from sfmloc.errors import (
     DimensionMismatch,
@@ -166,17 +169,24 @@ KEYFILE_ALL_SEVENS = "1 128\n10.5 20.25 3.0 0.5\n" + "\n".join(
 
 class TestParseKeyfile:
     def test_single_feature(self):
-        feats = parse_keyfile(io.StringIO(KEYFILE_ALL_SEVENS))
-        assert len(feats) == 1
-        f = feats[0]
-        # stored (row, col) become (y, x)
-        assert f.y == 10.5 and f.x == 20.25
-        assert f.scale == 3.0 and f.orientation == 0.5
-        assert f.descriptor.shape == (128,)
-        assert np.all(f.descriptor == 7)
+        keys = parse_keyfile(io.StringIO(KEYFILE_ALL_SEVENS))
+        assert keys.dtype == KEYFILE_DTYPE and len(keys) == 1
+        # stored (row, col) become xy = (col, row)
+        assert keys.xy.tolist() == [[20.25, 10.5]]
+        assert keys.scale.tolist() == [3.0] and keys.orientation.tolist() == [0.5]
+        assert keys.descriptor.shape == (1, 128)
+        assert np.all(keys.descriptor == 7)
 
     def test_empty_keyfile(self):
-        assert parse_keyfile(io.StringIO("0 128\n")) == []
+        keys = parse_keyfile(io.StringIO("0 128\n"))
+        assert len(keys) == 0 and keys.descriptor.shape == (0, 128)
+
+    def test_blank_body_is_empty(self):
+        assert len(parse_keyfile(io.StringIO("0 128\n  \n"))) == 0
+
+    def test_negative_count_raises(self):
+        with pytest.raises(MalformedHeader):
+            parse_keyfile(io.StringIO("-1 128\n"))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -187,20 +197,92 @@ class TestParseKeyfile:
         with pytest.raises(TruncatedFile):
             parse_keyfile(io.StringIO(text))
 
-    @pytest.mark.parametrize("value", ["300", "-1"])
+    def test_extra_tokens_raise(self):
+        with pytest.raises(TruncatedFile):
+            parse_keyfile(io.StringIO(KEYFILE_ALL_SEVENS + " 7\n"))
+
+    @pytest.mark.parametrize("value", ["300", "-1", "7.5"])
     def test_descriptor_value_out_of_range(self, value):
         text = KEYFILE_ALL_SEVENS.replace(" 7 ", f" {value} ", 1)
         with pytest.raises(TruncatedFile):
             parse_keyfile(io.StringIO(text))
 
     def test_round_trip(self):
-        feats = parse_keyfile(io.StringIO(KEYFILE_ALL_SEVENS))
+        keys = parse_keyfile(io.StringIO(KEYFILE_ALL_SEVENS))
         buf = io.StringIO()
-        write_keyfile(feats, buf)
+        write_keyfile(keys, buf)
+        assert buf.getvalue() == KEYFILE_ALL_SEVENS
         again = parse_keyfile(io.StringIO(buf.getvalue()))
-        assert len(again) == 1
-        assert again[0].x == feats[0].x and again[0].y == feats[0].y
-        assert np.array_equal(again[0].descriptor, feats[0].descriptor)
+        assert again.tobytes() == keys.tobytes()
+
+
+OracleKeypoint = namedtuple("OracleKeypoint", "x y scale orientation descriptor")
+
+
+def _oracle_next_line(lines, what: str) -> str:
+    line = next(lines, None)
+    if line is None:
+        raise TruncatedFile(f"unexpected end of file while reading {what}")
+    return line
+
+
+def oracle_parse_keyfile(stream) -> list:
+    """The line-by-line keyfile parser the record-array one replaced."""
+    lines = iter(stream)
+    header = _oracle_next_line(lines, "keyfile header").split()
+    try:
+        num_features, dim = int(header[0]), int(header[1])
+    except (ValueError, IndexError) as exc:
+        raise MalformedHeader(f"bad keyfile header: {header!r}") from exc
+    if dim != 128:
+        raise DimensionMismatch(f"descriptor dimension {dim}, expected 128")
+
+    features = []
+    for fi in range(num_features):
+        head = _oracle_next_line(lines, f"feature {fi}").split()
+        try:
+            row, col, scale, orientation = map(float, head)
+        except ValueError as exc:
+            raise TruncatedFile(f"bad feature header {fi}") from exc
+        values = []
+        while len(values) < 128:
+            parts = _oracle_next_line(lines, f"feature {fi} descriptor").split()
+            try:
+                values.extend(map(int, parts))
+            except ValueError as exc:
+                raise TruncatedFile(f"bad descriptor data in feature {fi}") from exc
+        if len(values) != 128:
+            raise TruncatedFile(
+                f"feature {fi} descriptor has {len(values)} values")
+        try:
+            descriptor = np.array(values, dtype=np.uint8)
+        except OverflowError as exc:  # a value outside 0..255
+            raise TruncatedFile(f"bad descriptor value in feature {fi}") from exc
+        features.append(OracleKeypoint(x=col, y=row, scale=scale,
+                                      orientation=orientation,
+                                      descriptor=descriptor))
+    return features
+
+
+@pytest.mark.parametrize("scene", ["clean_scene", "noisy_scene"])
+def test_parse_keyfile_equals_the_line_parser(request, tmp_path, scene):
+    """Every keyfile of a written scene parses as the per-line oracle does."""
+    write_scene_dir(request.getfixturevalue(scene), tmp_path)
+    paths = sorted((tmp_path / "keys").glob("*.key"))
+    assert any(p.name.startswith("db_") for p in paths)
+    assert any(p.name.startswith("query_") for p in paths)
+    for path in paths:
+        with open(path) as fh:
+            keys = parse_keyfile(fh)
+        with open(path) as fh:
+            want = oracle_parse_keyfile(fh)
+        assert len(keys) == len(want)
+        assert keys.xy.tolist() == [[f.x, f.y] for f in want]
+        assert keys.scale.tolist() == [f.scale for f in want]
+        assert keys.orientation.tolist() == [f.orientation for f in want]
+        assert np.array_equal(keys.descriptor,
+                              np.array([f.descriptor for f in want],
+                                       dtype=np.uint8).reshape(-1, 128))
 
 
 class TestParseImageList:
@@ -296,8 +378,7 @@ class TestBuildMeanDescriptors:
                                clean_scene.db_names + query_names)
 
         def keyfile_for_camera(ci):
-            return np.array([f.descriptor
-                             for f in clean_scene.db_keyfiles[ci]], dtype=float)
+            return clean_scene.db_keyfiles[ci].descriptor
 
         rebuilt = build_mean_descriptors(info, keyfile_for_camera)
         # info drops points only seen by queries; surviving ones keep
@@ -341,7 +422,8 @@ def corrupt(text: str, edits) -> str:
 @pytest.mark.parametrize("parse, text", [
     (parse_bundle, written(write_bundle, two_camera_model())),
     (parse_keyfile,
-     written(write_keyfile, parse_keyfile(io.StringIO(KEYFILE_ALL_SEVENS)) * 2)),
+     written(write_keyfile, np.concatenate(
+         [parse_keyfile(io.StringIO(KEYFILE_ALL_SEVENS))] * 2).view(np.recarray))),
 ], ids=["bundle", "keyfile"])
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(edits=st.lists(FUZZ_EDIT, min_size=1, max_size=4))
