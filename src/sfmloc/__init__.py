@@ -60,7 +60,6 @@ from .sfm_data import (
     CameraRecord,
     QueryImage,
     SfmModel,
-    average_descriptors,
     build_mean_descriptors,
     keyfile_records,
     parse_bundle,

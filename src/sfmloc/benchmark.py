@@ -12,6 +12,7 @@ import csv
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -20,8 +21,8 @@ from .errors import InsufficientMatches, InvalidParams, MissingGolden, NoSolutio
 from .minimal_solvers import Pose, denormalize_points, internal_to_bundler
 from .ransac_advanced import AdvancedParams, BackmatchParams, estimate_pose_advanced
 from .ransac_basic import BasicParams, estimate_pose_basic
-from .sfm_data import (CameraRecord, QueryImage, SfmModel, average_descriptors,
-                       keyfile_records)
+from .sfm_data import (CameraRecord, QueryImage, SfmModel, build_mean_descriptors,
+                       keyfile_records, write_bundle, write_keyfile)
 
 GOOD_RATIO_BASIC = 0.7
 GOOD_RATIO_ADVANCED = 0.9
@@ -232,13 +233,16 @@ def generate_synthetic_scene(n_points: int, n_cameras: int, image_size=(800, 600
     n_kept = len(positions)
     db_points = (np.cumsum(observed) - 1)[db_points]  # renumber to kept points
 
-    # mean descriptors over each track's per-view descriptors
+    # mean descriptors over each point's database views
+    cameras = [CameraRecord(focal_px, 0.0, 0.0, *internal_to_bundler(pose))
+               for pose in db_poses + query_poses]
     by_point = np.lexsort((db_cams, db_points))
-    track_descs = np.concatenate([k.descriptor for k in db_keyfiles])[by_point]
-    track_ends = np.cumsum(np.bincount(db_points, minlength=n_kept))[:-1]
-    tracks = np.split(track_descs, track_ends) if n_kept else []
-    mean_desc = np.array([average_descriptors(t) for t in tracks],
-                         dtype=np.uint8).reshape(-1, 128)
+    db_model = SfmModel(cameras[:n_db], positions, colors,
+                        np.concatenate([[0], np.cumsum(np.bincount(
+                            db_points, minlength=n_kept))]),
+                        db_cams[by_point], db_keys[by_point], db_xy[by_point])
+    mean_desc = build_mean_descriptors(
+        db_model, lambda cam: db_keyfiles[cam].descriptor).mean_descriptors
 
     # queries: exact projections + noise, plus labeled outliers
     queries = []
@@ -279,13 +283,8 @@ def generate_synthetic_scene(n_points: int, n_cameras: int, image_size=(800, 600
                                    features=feats, exif_focal_px=focal_px),
                         pose))
 
-    # assemble the full model (database + query cameras, bundler frame)
-    cameras = []
-    for pose in db_poses + query_poses:
-        rot, trans = internal_to_bundler(pose)
-        cameras.append(CameraRecord(focal_px, 0.0, 0.0, rot, trans))
-
-    # a point's view list runs in camera order: database, then queries
+    # the full model: database + query cameras, and a point's view list
+    # runs in camera order, database then queries
     cams = np.concatenate([db_cams, *q_cams])
     points = np.concatenate([db_points, *q_points])
     views = np.lexsort((cams, points))
@@ -322,10 +321,6 @@ def write_scene_dir(scene: SyntheticScene, out_dir) -> None:
     meta.txt (name width height focal per query) and keys/<name>.key
     for every camera.
     """
-    from pathlib import Path
-
-    from .sfm_data import write_bundle, write_keyfile
-
     out = Path(out_dir)
     (out / "keys").mkdir(parents=True, exist_ok=True)
     with open(out / "model.out", "w") as fh:
@@ -466,7 +461,6 @@ def report_from_rows(rows) -> BenchmarkReport:
 
 def write_report(report: BenchmarkReport, out_dir) -> None:
     """Write per_query.csv, the three histogram CSVs and summary.txt."""
-    from pathlib import Path
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -83,6 +83,21 @@ _PARAM_FLAGS = [
 _CHOICES = {"inlier-metric": ["ray", "pixel"], "backmatch-pool": ["covisible", "all"]}
 
 
+def _checked(convert, ok, requirement: str):
+    """argparse type: convert(text), rejected unless ok(value)."""
+    def parse(text):
+        if not ok(value := convert(text)):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+        return value
+    parse.__name__ = convert.__name__  # named in argparse's "invalid float value"
+    return parse
+
+
+# every float flag is finite; the sampler divides by the sigmoid scale
+_FINITE = _checked(float, np.isfinite, "a finite number")
+_POSITIVE = _checked(float, lambda k: 0 < k < np.inf, "a finite number > 0")
+
+
 def _field(flag: str) -> str:
     return flag.removeprefix("backmatch-").replace("-", "_")
 
@@ -139,17 +154,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", help="'all' or one query image name")
     p.add_argument("--solver", choices=["auto", "p3p", "p4pf", "both"],
                    default=RunConfig.solver_override)
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--seed", type=_checked(int, lambda s: s >= 0, "an integer >= 0"),
+                   default=RunConfig.seed)
     p.add_argument("--jobs", type=int, default=RunConfig.jobs)
     p.add_argument("--benchmark", action="store_true",
                    help="also write benchmark CSVs against golden poses")
     p.add_argument("--cache-index", help="descriptor cache file (npz)")
-    p.add_argument("--ratio", type=float, default=RunConfig.ratio,
+    p.add_argument("--ratio", type=_FINITE, default=RunConfig.ratio,
                    help=f"good-match ratio (default {GOOD_RATIO_BASIC} basic "
                         f"/ {GOOD_RATIO_ADVANCED} advanced)")
     for flag, classes, help_text in _PARAM_FLAGS:
         default = getattr(classes[0], _field(flag))
-        p.add_argument(f"--{flag}", type=type(default), default=default,
+        kind = (_POSITIVE if flag == "k-sigmoid" else
+                _FINITE if isinstance(default, float) else type(default))
+        p.add_argument(f"--{flag}", type=kind, default=default,
                        choices=_CHOICES.get(flag),
                        help=f"{help_text} (default %(default)s)")
     return p

@@ -62,7 +62,7 @@ class SamplingExhausted(LocalizationError):
 
 
 class NoSolution(LocalizationError):
-    """No candidate pose ever reached the minimum fitted-match count."""
+    """No solver applies, or no candidate reached the minimum fitted count."""
 
 
 # --- benchmark / cli -------------------------------------------------------

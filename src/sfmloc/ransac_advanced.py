@@ -3,11 +3,12 @@
 Minimal samples are drawn sequentially with an acceptance probability
 driven by the size of the intersection of the candidates' camera
 visibility sets, so points that were reconstructed from the same views
-end up in the same sample.  The pipeline always runs a fixed number of
-iterations; if the first phase does not fit enough matches, additional
-correspondences are recovered by matching 3D points back into the
-query image through a view-prioritized queue, and a second phase runs
-on the augmented match set.
+end up in the same sample.  Each phase runs the shared RANSAC loop,
+ransac_basic.search, with this sampler and no early stop, so it always
+runs its full iteration count.  If the first phase does not fit enough
+matches, additional correspondences are recovered by matching 3D
+points back into the query image through a view-prioritized queue, and
+a second phase runs on the augmented match set.
 """
 
 import heapq
@@ -16,8 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor_index import DescriptorIndex, Matches, ratio_test
-from .errors import InsufficientMatches, NoSolution, SamplingExhausted
-from .ransac_basic import MatchContext, PoseEstimate, solve_candidates
+from .errors import InsufficientMatches, SamplingExhausted
+from .ransac_basic import (
+    MatchContext,
+    PoseEstimate,
+    best_estimate,
+    sample_size,
+    search,
+)
 from .sfm_data import QueryImage, SfmModel
 
 
@@ -204,25 +211,6 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
                           model.positions[pi])
 
 
-def _run_phase(ctx: MatchContext, sample_size: int, focal, solver: str,
-               params: AdvancedParams, rng, best):
-    """One block of exactly iterations_per_phase iterations."""
-    for _ in range(params.iterations_per_phase):
-        try:
-            idx = _draw_cooccurrence_idx(ctx.matches.point_idx,
-                                         ctx.matches.visibility, sample_size,
-                                         params, rng)
-        except SamplingExhausted:
-            continue
-        for pose in solve_candidates(ctx, np.array(idx), focal, solver):
-            count, stats, mask = ctx.evaluate(pose)
-            if stats is None:
-                continue
-            if best is None or stats.q > best[0]:
-                best = (stats.q, pose, count, stats, mask)
-    return best
-
-
 def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,
                            adv: AdvancedParams = AdvancedParams(),
                            back: BackmatchParams = BackmatchParams(),
@@ -236,47 +224,30 @@ def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,
     a second phase of the same length runs on it.
     """
     focal = query.exif_focal_px
-    sample_size = 4 if (focal is None or solver in ("p4pf", "both")) else 3
+    size = sample_size(matches, focal, solver)
+    rng = np.random.default_rng(adv.rng_seed)
+
+    def draw(m: Matches):
+        try:
+            return _draw_cooccurrence_idx(m.point_idx, m.visibility, size, adv, rng)
+        except SamplingExhausted:
+            return None
+
     ctx = MatchContext(query, matches, adv.inlier_threshold,
                        adv.inlier_metric, adv.min_fitted)
-    if len(np.unique(matches.point_idx)) < sample_size:
-        raise InsufficientMatches(
-            f"{len(np.unique(matches.point_idx))} distinct points "
-            f"< sample size {sample_size}")
-
-    rng = np.random.default_rng(adv.rng_seed)
-    best = _run_phase(ctx, sample_size, focal, solver, adv, rng, None)
-
+    best, iterations = search(ctx, draw, adv.iterations_per_phase, focal, solver)
     phase1_count = 0 if best is None else best[2]
-    skip_at = min(adv.skip_count,
-                  int(np.ceil(adv.skip_fraction * len(ctx.matches))))
-    if best is not None and best[2] >= skip_at:
-        _, pose, count, stats, mask = best
-        return PoseEstimate(pose=pose, fitted=ctx.matches.take(mask),
-                            quality=stats,
-                            iterations_used=adv.iterations_per_phase,
-                            used_backmatching=False,
-                            phase1_fitted=phase1_count)
-
-    augmented = backmatch(query, model, ctx.matches, back)
-    ctx2 = MatchContext(query, augmented, adv.inlier_threshold,
-                        adv.inlier_metric, adv.min_fitted)
-    # re-score the phase-1 best against the augmented good set so both
-    # phases compete on the same footing
-    best2 = None
-    if best is not None:
-        count, stats, mask = ctx2.evaluate(best[1])
-        if stats is not None:
-            best2 = (stats.q, best[1], count, stats, mask)
-    best2 = _run_phase(ctx2, sample_size, focal, solver, adv, rng, best2)
-
-    if best2 is None:
-        raise NoSolution(
-            f"no candidate fitted {adv.min_fitted}+ matches in "
-            f"{2 * adv.iterations_per_phase} iterations")
-    _, pose, count, stats, mask = best2
-    return PoseEstimate(pose=pose, fitted=ctx2.matches.take(mask),
-                        quality=stats,
-                        iterations_used=2 * adv.iterations_per_phase,
-                        used_backmatching=True,
-                        phase1_fitted=phase1_count)
+    skip_at = min(adv.skip_count, int(np.ceil(adv.skip_fraction * len(matches))))
+    used_backmatching = best is None or best[2] < skip_at
+    if used_backmatching:
+        ctx = MatchContext(query, backmatch(query, model, matches, back),
+                           adv.inlier_threshold, adv.inlier_metric, adv.min_fitted)
+        # re-score the phase-1 best against the augmented good set so
+        # both phases compete on the same footing
+        if best is not None:
+            count, stats, mask = ctx.evaluate(best[1])
+            best = None if stats is None else (stats.q, best[1], count, stats, mask)
+        best, phase2 = search(ctx, draw, adv.iterations_per_phase, focal, solver, best)
+        iterations += phase2
+    return best_estimate(ctx, best, iterations, used_backmatching=used_backmatching,
+                         phase1_fitted=phase1_count)

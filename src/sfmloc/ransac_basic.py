@@ -3,7 +3,8 @@
 Uniform minimal samples (3 points with known focal length, 4 without),
 solver dispatch to P3P/P4Pf, candidate validation by the fitted-match
 test and coverage-quality ranking.  Stops early once the best estimate
-fits enough matches, otherwise runs to the iteration cap.
+fits enough matches, otherwise runs to the iteration cap.  The advanced
+estimator runs the same loop, search, with its own sampler.
 """
 
 from dataclasses import dataclass
@@ -89,11 +90,9 @@ class MatchContext:
         self.metric = metric
         self.min_fitted = min_fitted
         self.raw_xy = query.features.xy[matches.feature_idx]
-        self.centered_xy = normalize_points(self.raw_xy, query.width, query.height) \
-            if len(matches) else np.empty((0, 2))
+        self.centered_xy = normalize_points(self.raw_xy, query.width, query.height)
         self.c = coverage_window(query.width)
-        self.area_good = coverage_area_xy(
-            self.raw_xy, query.width, query.height, self.c) if len(matches) else 0
+        self.area_good = coverage_area_xy(self.raw_xy, query.width, query.height, self.c)
 
     def evaluate(self, pose: Pose):
         """Fitted count, coverage stats and mask for one candidate pose.
@@ -115,14 +114,34 @@ class MatchContext:
         return CoverageStats(self.area_good, area_fitted, q)
 
 
+def _solvers(focal_px: float | None, solver: str):
+    """(run P3P, run P4Pf); "auto" runs P4Pf only when the focal is unknown."""
+    return (solver in ("auto", "p3p", "both") and focal_px is not None,
+            solver in ("p4pf", "both") or (solver == "auto" and focal_px is None))
+
+
+def sample_size(matches: Matches, focal_px: float | None, solver: str) -> int:
+    """Matches per minimal sample: 3 when P3P runs alone, otherwise 4.
+
+    Raises InsufficientMatches when fewer distinct points are matched and
+    NoSolution when no solver applies (P3P without a focal).
+    """
+    p3p, p4pf = _solvers(focal_px, solver)
+    size = 3 if p3p and not p4pf else 4
+    if (distinct := len(np.unique(matches.point_idx))) < size:
+        raise InsufficientMatches(f"{distinct} distinct points < sample size {size}")
+    if not (p3p or p4pf):
+        raise NoSolution(f"solver {solver!r} needs the focal the query lacks")
+    return size
+
+
 def solve_candidates(ctx: MatchContext, sample_idx, focal_px: float | None,
                      solver: str = "auto"):
     """Run the minimal solver(s) on one sample; empty list if unsolvable."""
     world = ctx.matches.positions[sample_idx]
     centered = ctx.centered_xy[sample_idx]
     candidates = []
-    want_p3p = solver in ("auto", "p3p", "both") and focal_px is not None
-    want_p4pf = solver in ("p4pf", "both") or (solver == "auto" and focal_px is None)
+    want_p3p, want_p4pf = _solvers(focal_px, solver)
     try:
         if want_p3p:
             out = solve_p3p(bearing_vectors(centered[:3], focal_px), world[:3])
@@ -132,6 +151,37 @@ def solve_candidates(ctx: MatchContext, sample_idx, focal_px: float | None,
     except (DegenerateConfiguration, NoRealSolution):
         pass
     return candidates
+
+
+def search(ctx: MatchContext, draw, iterations: int, focal_px: float | None,
+           solver: str, best=None, stop_at: int | None = None):
+    """The RANSAC loop: (best, iterations run) after at most `iterations`.
+
+    draw(matches) gives one minimal sample's indices, or None to spend
+    the iteration without one.  best, None or (q, pose, fitted count,
+    stats, mask), gives way only to a strictly higher q.  The loop ends
+    early once best fits stop_at matches.
+    """
+    for it in range(iterations):
+        idx = draw(ctx.matches)
+        if idx is not None:
+            for pose in solve_candidates(ctx, np.asarray(idx), focal_px, solver):
+                count, stats, mask = ctx.evaluate(pose)
+                if stats is not None and (best is None or stats.q > best[0]):
+                    best = (stats.q, pose, count, stats, mask)
+        if stop_at is not None and best is not None and best[2] >= stop_at:
+            return best, it + 1
+    return best, iterations
+
+
+def best_estimate(ctx: MatchContext, best, iterations: int, **flags) -> PoseEstimate:
+    """The PoseEstimate of a search's best; NoSolution when there is none."""
+    if best is None:
+        raise NoSolution(f"no candidate fitted {ctx.min_fitted}+ matches "
+                         f"in {iterations} iterations")
+    _, pose, _, stats, mask = best
+    return PoseEstimate(pose=pose, fitted=ctx.matches.take(mask),
+                        quality=stats, iterations_used=iterations, **flags)
 
 
 def estimate_pose_basic(query: QueryImage, matches: Matches, model=None,
@@ -144,38 +194,16 @@ def estimate_pose_basic(query: QueryImage, matches: Matches, model=None,
     exits early once the best pose fits stop_count matches or the
     stop_fraction share of the good set.  Raises InsufficientMatches
     when there are too few distinct points and NoSolution when no
-    candidate ever fits min_fitted matches.
+    solver applies or no candidate ever fits min_fitted matches.
     """
     focal = query.exif_focal_px
-    sample_size = 4 if (focal is None or solver in ("p4pf", "both")) else 3
+    size = sample_size(matches, focal, solver)
     ctx = MatchContext(query, matches, params.inlier_threshold,
                        params.inlier_metric, params.min_fitted)
-    if len(np.unique(matches.point_idx)) < sample_size:
-        raise InsufficientMatches(
-            f"{len(np.unique(matches.point_idx))} distinct points "
-            f"< sample size {sample_size}")
-
     rng = np.random.default_rng(params.rng_seed)
     stop_at = min(params.stop_count,
                   int(np.ceil(params.stop_fraction * len(matches))))
-    best = None  # (q, iteration, pose, count, stats, mask)
-    iterations = 0
-    for it in range(params.max_iterations):
-        iterations = it + 1
-        idx = _sample_unique_idx(matches.point_idx, sample_size, rng)
-        for pose in solve_candidates(ctx, idx, focal, solver):
-            count, stats, mask = ctx.evaluate(pose)
-            if stats is None:
-                continue
-            if best is None or stats.q > best[0]:
-                best = (stats.q, it, pose, count, stats, mask)
-        if best is not None and best[3] >= stop_at:
-            break
-
-    if best is None:
-        raise NoSolution(
-            f"no candidate fitted {params.min_fitted}+ matches "
-            f"in {iterations} iterations")
-    _, _, pose, count, stats, mask = best
-    return PoseEstimate(pose=pose, fitted=matches.take(mask),
-                        quality=stats, iterations_used=iterations)
+    best, iterations = search(
+        ctx, lambda m: _sample_unique_idx(m.point_idx, size, rng),
+        params.max_iterations, focal, solver, stop_at=stop_at)
+    return best_estimate(ctx, best, iterations)

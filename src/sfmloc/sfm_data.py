@@ -358,17 +358,6 @@ def split_golden(full: SfmModel, query_names, camera_names):
     return info, golden
 
 
-def average_descriptors(track_descriptors) -> np.ndarray:
-    """Component-wise mean of a track's descriptors, rounded half-up."""
-    if len(track_descriptors) == 0:
-        raise EmptyTrack("cannot average zero descriptors")
-    mat = np.asarray(track_descriptors, dtype=float)
-    if mat.ndim != 2 or mat.shape[1] != DESCRIPTOR_DIM:
-        raise ValueError(f"descriptors must be (n, {DESCRIPTOR_DIM}), got {mat.shape}")
-    mean = mat.mean(axis=0)
-    return np.clip(np.floor(mean + 0.5), 0, 255).astype(np.uint8)
-
-
 def build_mean_descriptors(model: SfmModel, keyfile_for_camera) -> SfmModel:
     """Average per-view SIFT descriptors over each point's track.
 

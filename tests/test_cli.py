@@ -181,6 +181,13 @@ def test_later_flag_overrides_the_settings_file(tmp_path):
     ("--benchmark yes please", "unrecognized arguments: yes please"),
     ("--no-such-flag 1", "unrecognized arguments: --no-such-flag 1"),
     ("--meta 'meta.txt", "No closing quotation"),
+    ("--seed -1", "argument --seed: '-1' is not an integer >= 0"),
+    ("--k-sigmoid 0", "argument --k-sigmoid: '0' is not a finite number > 0"),
+    ("--k-sigmoid nan", "argument --k-sigmoid: 'nan' is not a finite number > 0"),
+    ("--stop-fraction nan", "argument --stop-fraction: 'nan' is not a finite number"),
+    ("--stop-fraction inf", "argument --stop-fraction: 'inf' is not a finite number"),
+    ("--skip-fraction nan", "argument --skip-fraction: 'nan' is not a finite number"),
+    ("--skip-fraction=-inf", "argument --skip-fraction: '-inf' is not a finite number"),
 ])
 def test_bad_settings_file_exits_2(tmp_path, capsys, line, message):
     settings = tmp_path / "settings.txt"

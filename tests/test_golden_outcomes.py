@@ -35,21 +35,6 @@ from sfmloc.errors import LocalizationError
 GOLDEN_PATH = Path(__file__).with_name("golden_outcomes.json")
 
 
-# _feature_idx and _take accept both a list of per-match objects, the
-# layout the values were first recorded with, and a Matches struct of
-# arrays, so this file checks either side of that change unedited.
-def _feature_idx(matches) -> list:
-    if hasattr(matches, "feature_idx"):
-        return [int(i) for i in matches.feature_idx]
-    return [int(m.feature_idx) for m in matches]
-
-
-def _take(matches, idx):
-    if hasattr(matches, "take"):
-        return matches.take(np.asarray(idx, dtype=int))
-    return [matches[i] for i in idx]
-
-
 def _run(scene, qi, mode, seed, focal="exif", params=None, n_features=None,
          suppress=False):
     model = scene.model
@@ -66,12 +51,12 @@ def _run(scene, qi, mode, seed, focal="exif", params=None, n_features=None,
         # the suppressed-match case of test_ransac_advanced: 11 true
         # matches plus every outlier, so phase one cannot skip backmatching
         outliers = set(scene.outlier_labels[qi].tolist())
-        fidx = _feature_idx(good)
+        fidx = good.feature_idx.tolist()
         true_i = [i for i, f in enumerate(fidx) if f not in outliers]
         out_i = [i for i, f in enumerate(fidx) if f in outliers]
         rng = np.random.default_rng(0)
         keep = [true_i[i] for i in rng.choice(len(true_i), 11, replace=False)]
-        good = _take(good, keep + out_i)
+        good = good.take(np.array(keep + out_i))
     try:
         if mode == "basic":
             est = estimate_pose_basic(
@@ -83,7 +68,7 @@ def _run(scene, qi, mode, seed, focal="exif", params=None, n_features=None,
                 BackmatchParams())
     except LocalizationError as exc:
         return {"failure": type(exc).__name__}
-    fitted = _feature_idx(est.fitted)
+    fitted = est.fitted.feature_idx.tolist()
     return {
         "failure": None,
         "rotation": est.pose.rotation.ravel().tolist(),

@@ -1,5 +1,7 @@
 """Baseline RANSAC pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,12 @@ from sfmloc import (
     BasicParams,
     Matches,
     build_index,
+    estimate_pose_advanced,
     estimate_pose_basic,
     find_good_matches,
     pose_error,
+    ransac_advanced,
+    ransac_basic,
     scene_diameter,
 )
 from sfmloc.errors import InsufficientMatches, NoSolution
@@ -125,3 +130,15 @@ class TestEstimatePoseBasic:
         with pytest.raises(NoSolution):
             estimate_pose_basic(query, matches, None,
                                 BasicParams(max_iterations=60, rng_seed=0))
+
+
+@pytest.mark.parametrize("estimate", [estimate_pose_basic, estimate_pose_advanced])
+def test_p3p_without_focal_fails_before_sampling(monkeypatch, scene_matches,
+                                                 estimate):
+    def sampler(*args):
+        raise AssertionError("sampler called")
+    monkeypatch.setattr(ransac_basic, "_sample_unique_idx", sampler)
+    monkeypatch.setattr(ransac_advanced, "_draw_cooccurrence_idx", sampler)
+    query, _, good = scene_matches
+    with pytest.raises(NoSolution):
+        estimate(replace(query, exif_focal_px=None), good, None, solver="p3p")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sfmloc import (
     KEYFILE_DTYPE,
-    average_descriptors,
+    SfmModel,
     build_mean_descriptors,
     parse_bundle,
     parse_image_list,
@@ -343,34 +343,40 @@ class TestSplitGolden:
             assert vis and max(vis) < info.num_cameras
 
 
-class TestAverageDescriptors:
+def one_point_mean(descriptors) -> np.ndarray:
+    """build_mean_descriptors of one point seen once by each of
+    len(descriptors) cameras, camera c with descriptors[c]."""
+    n = len(descriptors)
+    model = SfmModel([None] * n, np.zeros((1, 3)), np.zeros((1, 3)), [0, n],
+                     np.arange(n), np.zeros(n), np.zeros((n, 2)))
+    return build_mean_descriptors(
+        model, lambda cam: np.asarray(descriptors[cam])[None]).mean_descriptors[0]
+
+
+class TestBuildMeanDescriptors:
     def test_single_descriptor_is_identity(self):
         desc = np.arange(128) % 256
-        out = average_descriptors([desc])
-        assert np.array_equal(out, desc)
+        assert np.array_equal(one_point_mean([desc]), desc)
 
     def test_two_descriptors_mean(self):
-        out = average_descriptors([np.full(128, 100), np.full(128, 200)])
+        out = one_point_mean([np.full(128, 100), np.full(128, 200)])
         assert np.all(out == 150)
 
     def test_half_rounds_up(self):
-        out = average_descriptors([np.zeros(128), np.full(128, 255)])
+        out = one_point_mean([np.zeros(128), np.full(128, 255)])
         assert np.all(out == 128)
 
     def test_empty_track_raises(self):
         with pytest.raises(EmptyTrack):
-            average_descriptors([])
+            one_point_mean([])
 
     @given(st.lists(st.integers(0, 255), min_size=2, max_size=6))
     def test_permutation_invariant(self, values):
         descs = [np.full(128, v) for v in values]
         rng = np.random.default_rng(0)
         shuffled = [descs[i] for i in rng.permutation(len(descs))]
-        assert np.array_equal(average_descriptors(descs),
-                              average_descriptors(shuffled))
+        assert np.array_equal(one_point_mean(descs), one_point_mean(shuffled))
 
-
-class TestBuildMeanDescriptors:
     def test_matches_scene_truth(self, clean_scene):
         model = clean_scene.model
         query_names = [q.name for q, _ in clean_scene.queries]
