@@ -13,7 +13,6 @@ from .benchmark import (
     generate_synthetic_scene,
     localize,
     pose_error,
-    run_benchmark,
     scene_diameter,
     write_report,
     write_scene_dir,

@@ -1,4 +1,5 @@
-"""Pose-error metrics, benchmark harness and the synthetic-scene oracle.
+"""Pose-error metrics, the per-query pipeline, benchmark reports and the
+synthetic-scene oracle.
 
 The synthetic scene builds a point cloud inside a box, database cameras
 on a surrounding ring and query cameras with known golden poses.
@@ -16,13 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .descriptor_index import build_index, find_good_matches
-from .errors import InsufficientMatches, InvalidParams, MissingGolden, NoSolution
+from .descriptor_index import find_good_matches
+from .errors import InsufficientMatches, InvalidParams, NoSolution
 from .minimal_solvers import Pose, denormalize_points, internal_to_bundler
 from .ransac_advanced import AdvancedParams, BackmatchParams, estimate_pose_advanced
 from .ransac_basic import BasicParams, estimate_pose_basic
 from .sfm_data import (CameraRecord, QueryImage, SfmModel, build_mean_descriptors,
-                       keyfile_records, write_bundle, write_keyfile)
+                       keyfile_records, split_golden, write_bundle,
+                       write_keyfile)
 
 GOOD_RATIO_BASIC = 0.7
 GOOD_RATIO_ADVANCED = 0.9
@@ -233,17 +235,6 @@ def generate_synthetic_scene(n_points: int, n_cameras: int, image_size=(800, 600
     n_kept = len(positions)
     db_points = (np.cumsum(observed) - 1)[db_points]  # renumber to kept points
 
-    # mean descriptors over each point's database views
-    cameras = [CameraRecord(focal_px, 0.0, 0.0, *internal_to_bundler(pose))
-               for pose in db_poses + query_poses]
-    by_point = np.lexsort((db_cams, db_points))
-    db_model = SfmModel(cameras[:n_db], positions, colors,
-                        np.concatenate([[0], np.cumsum(np.bincount(
-                            db_points, minlength=n_kept))]),
-                        db_cams[by_point], db_keys[by_point], db_xy[by_point])
-    mean_desc = build_mean_descriptors(
-        db_model, lambda cam: db_keyfiles[cam].descriptor).mean_descriptors
-
     # queries: exact projections + noise, plus labeled outliers
     queries = []
     outlier_labels = []
@@ -285,6 +276,8 @@ def generate_synthetic_scene(n_points: int, n_cameras: int, image_size=(800, 600
 
     # the full model: database + query cameras, and a point's view list
     # runs in camera order, database then queries
+    cameras = [CameraRecord(focal_px, 0.0, 0.0, *internal_to_bundler(pose))
+               for pose in db_poses + query_poses]
     cams = np.concatenate([db_cams, *q_cams])
     points = np.concatenate([db_points, *q_points])
     views = np.lexsort((cams, points))
@@ -293,10 +286,16 @@ def generate_synthetic_scene(n_points: int, n_cameras: int, image_size=(800, 600
     model = SfmModel(cameras, positions, colors, offsets,
                      cams[views].astype(np.int32),
                      np.concatenate([db_keys, *q_keys])[views].astype(np.int32),
-                     np.concatenate([db_xy, *q_xy])[views],
-                     mean_desc)
+                     np.concatenate([db_xy, *q_xy])[views])
 
+    # mean descriptors over each point's database views, as the CLI
+    # derives them: every point has one, so the split keeps every point
     db_names = [f"db_{i:03d}.jpg" for i in range(n_db)]
+    query_names = [q.name for q, _ in queries]
+    db_model, _ = split_golden(model, query_names, db_names + query_names)
+    model = model.with_mean_descriptors(build_mean_descriptors(
+        db_model, lambda cam: db_keyfiles[cam].descriptor).mean_descriptors)
+
     return SyntheticScene(model=model, queries=queries, noise_px=noise_px,
                           outlier_fraction=outlier_fraction,
                           outlier_labels=outlier_labels,
@@ -394,36 +393,6 @@ def map_jobs(fn, items, jobs: int) -> list:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
-
-
-def run_benchmark(queries, model: SfmModel, golden: dict, mode: str = "basic",
-                  basic_params: BasicParams = BasicParams(),
-                  adv_params: AdvancedParams = AdvancedParams(),
-                  back_params: BackmatchParams = BackmatchParams(),
-                  seed: int | None = None, jobs: int = 1) -> BenchmarkReport:
-    """Estimate every query, measure wall time and aggregate errors.
-
-    golden maps query names to internal-convention Poses.  Index build
-    and dataset load are excluded from the per-query timings; query i
-    runs with RANSAC seed seed + i.
-    """
-    if mode not in ("basic", "advanced"):
-        raise InvalidParams(f"unknown mode {mode!r}")
-    for q in queries:
-        if q.name not in golden:
-            raise MissingGolden(f"no golden pose for {q.name!r}")
-    if model.mean_descriptors is None:
-        raise InvalidParams("model has no mean descriptors")
-
-    index = build_index(model.mean_descriptors.astype(float))
-
-    def one(task):
-        qi, query = task
-        return localize(query, golden[query.name], index, model, mode,
-                        basic_params, adv_params, back_params,
-                        seed=None if seed is None else seed + qi)[1]
-
-    return report_from_rows(map_jobs(one, list(enumerate(queries)), jobs))
 
 
 def report_from_rows(rows) -> BenchmarkReport:

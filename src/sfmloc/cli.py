@@ -15,6 +15,11 @@ as if typed in its place, split like a shell line with ``#`` starting a
 comment (``--mode advanced  # with backmatching``), so argparse checks
 them and a later flag overrides them.  Interactive prompts happen only
 when mode/query are missing and a terminal is attached.
+
+Exit status: 0 when every query is localized, 1 when at least one
+query row failed, 2 when the run could not be set up (a bad flag, or
+an OSError or LocalizationError before the queries run, printed as
+``error: <Type>: <message>``).
 """
 
 import argparse
@@ -41,7 +46,7 @@ from .descriptor_index import (
     load_index_cache,
     save_index_cache,
 )
-from .errors import CameraListMismatch, LocalizationError, MalformedMetadata
+from .errors import LocalizationError, MalformedMetadata
 from .minimal_solvers import bundler_to_internal
 from .ransac_advanced import AdvancedParams, BackmatchParams
 from .ransac_basic import BasicParams
@@ -95,6 +100,7 @@ def _checked(convert, ok, requirement: str):
 
 # every float flag is finite; the sampler divides by the sigmoid scale
 _FINITE = _checked(float, np.isfinite, "a finite number")
+_NON_NEGATIVE = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _POSITIVE = _checked(float, lambda k: 0 < k < np.inf, "a finite number > 0")
 
 
@@ -130,7 +136,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="sfmloc", fromfile_prefix_chars="@",
         description="Localize query photographs in an SfM point cloud.",
         epilog="@FILE reads flags from FILE ('#' starts a comment); "
-               "later flags override it.")
+               "later flags override it.  Exit status: 0 all queries "
+               "localized, 1 some query failed, 2 the run could not be "
+               "set up.")
 
     def file_line_args(line):
         try:
@@ -154,9 +162,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", help="'all' or one query image name")
     p.add_argument("--solver", choices=["auto", "p3p", "p4pf", "both"],
                    default=RunConfig.solver_override)
-    p.add_argument("--seed", type=_checked(int, lambda s: s >= 0, "an integer >= 0"),
-                   default=RunConfig.seed)
-    p.add_argument("--jobs", type=int, default=RunConfig.jobs)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=RunConfig.seed)
+    p.add_argument("--jobs", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
+                   default=RunConfig.jobs)
     p.add_argument("--benchmark", action="store_true",
                    help="also write benchmark CSVs against golden poses")
     p.add_argument("--cache-index", help="descriptor cache file (npz)")
@@ -166,7 +174,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     for flag, classes, help_text in _PARAM_FLAGS:
         default = getattr(classes[0], _field(flag))
         kind = (_POSITIVE if flag == "k-sigmoid" else
-                _FINITE if isinstance(default, float) else type(default))
+                _FINITE if isinstance(default, float) else
+                _NON_NEGATIVE if isinstance(default, int) else type(default))
         p.add_argument(f"--{flag}", type=kind, default=default,
                        choices=_CHOICES.get(flag),
                        help=f"{help_text} (default %(default)s)")
@@ -260,12 +269,11 @@ def _load_query_image(config: RunConfig, name: str, meta: dict) -> QueryImage:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one localization run; returns the process exit status."""
-    for path in (config.model_path, config.keyfile_dir,
-                 config.query_list_path, config.camera_list_path):
-        if not Path(path).exists():
-            print(f"error: missing input {path}", file=sys.stderr)
-            return 2
+    """Execute one localization run; returns 0, or 1 when a query failed.
+
+    An input that cannot be read or parsed before the queries run raises
+    OSError or LocalizationError; a query's own failure is its row's.
+    """
     meta = _load_meta(config.meta_path)
 
     t0 = time.perf_counter()
@@ -361,12 +369,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(config)
-    except (MalformedMetadata, CameraListMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LocalizationError as exc:
+    except (OSError, LocalizationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

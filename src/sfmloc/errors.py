@@ -67,10 +67,6 @@ class NoSolution(LocalizationError):
 
 # --- benchmark / cli -------------------------------------------------------
 
-class MissingGolden(LocalizationError):
-    """A query has no golden reference pose."""
-
-
 class MalformedMetadata(LocalizationError):
     """A meta.txt line is malformed, or a query has no meta.txt entry."""
 

@@ -139,7 +139,8 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
     matches are boosted to the top; every accepted backmatch raises the
     priority of all points co-visible with it, so the search spreads
     along the view graph.  Returns the input matches followed by newly
-    accepted ones (deduplicated by feature/point pair).
+    accepted ones; a query feature that is already matched is not
+    matched again.
     """
     if not len(good) or model.num_points == 0 or len(query.features) == 0:
         return good
@@ -172,7 +173,6 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
     heapq.heapify(heap)
 
     matched_features = set(good.feature_idx.tolist())
-    seen_pairs = set(zip(good.feature_idx.tolist(), good.point_idx.tolist()))
     processed = set()
     new = []  # (feature_idx, point_idx, d1, d2)
     pops = 0
@@ -198,11 +198,10 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
                     heapq.heappush(heap, (-priority[pj], pj))
 
         fi = int(idx[0, 0])
-        if fi in matched_features or (fi, pi) in seen_pairs:
+        if fi in matched_features:
             continue
         new.append((fi, pi, d1, d2))
         matched_features.add(fi)
-        seen_pairs.add((fi, pi))
 
     if not new:
         return good

@@ -1,4 +1,4 @@
-"""Error metrics, synthetic scene oracle and the benchmark harness."""
+"""Error metrics, synthetic scene oracle and benchmark reports."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,11 @@ from sfmloc import (
     estimate_pose_basic,
     find_good_matches,
     generate_synthetic_scene,
+    localize,
     pose_error,
-    run_benchmark,
-    scene_diameter,
-    write_report,
 )
-from sfmloc.benchmark import _outlier_count, report_from_rows
-from sfmloc.errors import InvalidParams, MissingGolden
+from sfmloc.benchmark import QueryResult, _outlier_count, report_from_rows
+from sfmloc.errors import InvalidParams
 
 from conftest import random_rotation
 
@@ -102,25 +100,28 @@ class TestSyntheticScene:
                 assert n_out == int(np.floor(frac * (n_true + n_out) + 0.5))
 
 
+def localized_rows(scene, queries, seed=0):
+    """Basic-mode rows of queries (query, golden) in order, query i
+    with RANSAC seed seed + i, as ``sfmloc --seed`` runs them."""
+    model = scene.model
+    index = build_index(model.mean_descriptors.astype(float))
+    return [localize(query, golden, index, model, "basic", seed=seed + qi)[1]
+            for qi, (query, golden) in enumerate(queries)]
+
+
 class TestRunBenchmark:
-    def test_empty_queries(self, clean_scene):
-        report = run_benchmark([], clean_scene.model, {}, "basic")
+    """The report of a benchmark run, aggregated from per-query rows."""
+
+    def test_empty_queries(self):
+        report = report_from_rows([])
         assert report.per_query == []
         assert report.median_translation is None
         assert report.mean_translation is None
         assert report.frac_under_half_unit is None
         assert report.wrong_pose_count == 0
 
-    def test_missing_golden_raises(self, clean_scene):
-        query, _ = clean_scene.queries[0]
-        with pytest.raises(MissingGolden):
-            run_benchmark([query], clean_scene.model, {}, "basic")
-
     def test_aggregates_recomputable(self, clean_scene):
-        queries = [q for q, _ in clean_scene.queries]
-        golden = {q.name: p for q, p in clean_scene.queries}
-        report = run_benchmark(queries, clean_scene.model, golden, "basic",
-                               seed=0)
+        report = report_from_rows(localized_rows(clean_scene, clean_scene.queries))
         errs = [r.error.translation for r in report.per_query
                 if r.error is not None]
         assert report.median_translation == pytest.approx(np.median(errs))
@@ -133,30 +134,14 @@ class TestRunBenchmark:
             assert sum(c for _, _, c in rows) <= len(report.per_query)
 
     def test_permutation_invariant_aggregates(self, clean_scene):
-        queries = [q for q, _ in clean_scene.queries]
-        golden = {q.name: p for q, p in clean_scene.queries}
-        a = run_benchmark(queries, clean_scene.model, golden, "basic", seed=0)
-        b = run_benchmark(queries[::-1], clean_scene.model, golden, "basic",
-                          seed=0)
+        queries = clean_scene.queries
+        a = report_from_rows(localized_rows(clean_scene, queries))
+        b = report_from_rows(localized_rows(clean_scene, queries[::-1]))
         # per-query seeds follow list order, so compare recomputed medians
         assert a.median_translation < 0.01
         assert b.median_translation < 0.01
 
-    def test_report_files(self, tmp_path, clean_scene):
-        queries = [q for q, _ in clean_scene.queries[:2]]
-        golden = {q.name: p for q, p in clean_scene.queries}
-        report = run_benchmark(queries, clean_scene.model, golden, "basic",
-                               seed=0)
-        write_report(report, tmp_path)
-        for name in ("per_query.csv", "histogram_time.csv",
-                     "histogram_l2.csv", "histogram_focal.csv",
-                     "summary.txt"):
-            assert (tmp_path / name).is_file()
-        per_query = (tmp_path / "per_query.csv").read_text().splitlines()
-        assert len(per_query) == 1 + len(queries)
-
     def test_failure_rows_counted(self):
-        from sfmloc.benchmark import QueryResult
         rows = [QueryResult("a", None, 0.1, False, 0, failure="NoSolution")]
         report = report_from_rows(rows)
         assert report.n_failed == 1

@@ -52,6 +52,9 @@ def without_seconds(out):
 @pytest.mark.parametrize("mode", ["basic", "advanced"])
 def test_localizes_every_query(scene_dir, tmp_path, mode):
     assert run_cli(scene_dir, tmp_path, mode) == 0
+    for name in ("per_query.csv", "histogram_time.csv", "histogram_l2.csv",
+                 "histogram_focal.csv", "summary.txt"):
+        assert (tmp_path / name).is_file()
     got = rows(tmp_path)
     assert len(got) == 4
     for row in got:
@@ -130,6 +133,53 @@ def test_bad_query_fails_only_its_row(scene_copy, tmp_path, defect, failure):
                    "query_002.jpg": "", "query_003.jpg": ""}
 
 
+def _drop_db_keyfile(scene):
+    (scene / "keys" / "db_000.key").unlink()
+    return []
+
+
+def _drop_db_keyfile_cached(scene):
+    return _drop_db_keyfile(scene) + ["--cache-index", str(scene / "cache.npz")]
+
+
+def _truncate_db_keyfile(scene):
+    key = scene / "keys" / "db_000.key"
+    key.write_text(key.read_text()[:500])
+    return []
+
+
+def _bad_model_magic(scene):
+    model = scene / "model.out"
+    model.write_text("# Bundle file v0.2\n" + model.read_text().split("\n", 1)[1])
+    return []
+
+
+def _query_missing_from_camera_list(scene):
+    with open(scene / "query_list.txt", "a") as fh:
+        fh.write("query_999.jpg\n")
+    return []
+
+
+def _query_flag_missing_from_query_list(scene):
+    return ["--query", "query_999.jpg"]
+
+
+def _missing_model(scene):
+    return ["--model", str(scene / "missing.out")]
+
+
+@pytest.mark.parametrize("defect", [
+    _drop_db_keyfile, _drop_db_keyfile_cached, _truncate_db_keyfile,
+    _bad_model_magic, _query_missing_from_camera_list,
+    _query_flag_missing_from_query_list, _missing_model])
+def test_setup_failure_exits_2(scene_copy, tmp_path, capsys, defect):
+    extra = defect(scene_copy)
+    assert run_cli(scene_copy, tmp_path / "out", "basic", *extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_cache_is_invalidated_by_a_keyfile_edit(scene_copy, tmp_path,
                                                 monkeypatch):
     averaged = []
@@ -182,6 +232,12 @@ def test_later_flag_overrides_the_settings_file(tmp_path):
     ("--no-such-flag 1", "unrecognized arguments: --no-such-flag 1"),
     ("--meta 'meta.txt", "No closing quotation"),
     ("--seed -1", "argument --seed: '-1' is not an integer >= 0"),
+    ("--max-iterations -1", "argument --max-iterations: '-1' is not an integer >= 0"),
+    ("--iterations-per-phase -5",
+     "argument --iterations-per-phase: '-5' is not an integer >= 0"),
+    ("--target-backmatches -1",
+     "argument --target-backmatches: '-1' is not an integer >= 0"),
+    ("--jobs 0", "argument --jobs: '0' is not an integer >= 1"),
     ("--k-sigmoid 0", "argument --k-sigmoid: '0' is not a finite number > 0"),
     ("--k-sigmoid nan", "argument --k-sigmoid: 'nan' is not a finite number > 0"),
     ("--stop-fraction nan", "argument --stop-fraction: 'nan' is not a finite number"),
