@@ -12,6 +12,7 @@ from sfmloc import (
     generate_synthetic_scene,
     localize,
     pose_error,
+    write_report,
 )
 from sfmloc.benchmark import QueryResult, _outlier_count, report_from_rows
 from sfmloc.errors import InvalidParams
@@ -140,6 +141,17 @@ class TestRunBenchmark:
         # per-query seeds follow list order, so compare recomputed medians
         assert a.median_translation < 0.01
         assert b.median_translation < 0.01
+
+    def test_report_files(self, tmp_path, clean_scene):
+        queries = clean_scene.queries[:2]
+        report = report_from_rows(localized_rows(clean_scene, queries))
+        write_report(report, tmp_path)
+        for name in ("per_query.csv", "histogram_time.csv",
+                     "histogram_l2.csv", "histogram_focal.csv",
+                     "summary.txt"):
+            assert (tmp_path / name).is_file()
+        per_query = (tmp_path / "per_query.csv").read_text().splitlines()
+        assert len(per_query) == 1 + len(queries)
 
     def test_failure_rows_counted(self):
         rows = [QueryResult("a", None, 0.1, False, 0, failure="NoSolution")]
