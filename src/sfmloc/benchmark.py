@@ -220,7 +220,7 @@ def generate_synthetic_scene(n_points: int, n_cameras: int, image_size=(800, 600
                                            scale=2.0))
         db_points.append(vis_idx)
         db_xy.append(proj[vis_idx])
-    db_cams = np.repeat(np.arange(n_db), [len(p) for p in db_points])
+    db_cams = np.concatenate([np.full(len(p), c) for c, p in enumerate(db_points)])
     db_keys = np.concatenate([np.arange(len(p)) for p in db_points])
     db_points = np.concatenate(db_points)
     db_xy = np.concatenate(db_xy)

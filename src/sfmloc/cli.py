@@ -116,7 +116,7 @@ class RunConfig:
     keyfile_dir: Path
     query_list_path: Path
     camera_list_path: Path
-    meta_path: Path | None
+    meta_path: Path
     output_dir: Path
     mode: str
     query_selector: str
@@ -155,8 +155,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="image list aligned with the model's cameras "
                         "(default: list.txt next to the model)")
     p.add_argument("--meta",
-                   help="query metadata table: name width height [focal_px] "
-                        "(default: meta.txt next to the model)")
+                   help="query metadata table, which must exist: name width "
+                        "height [focal_px] (default: meta.txt next to the model)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--mode", choices=["basic", "advanced"])
     p.add_argument("--query", help="'all' or one query image name")
@@ -224,13 +224,12 @@ def config_from_args(args) -> RunConfig:
 def _load_meta(path) -> dict:
     """name -> (width, height, focal_px or None).
 
-    Raises MalformedMetadata, naming the file and line, for a line that
-    is not ``name width height [focal_px]`` with a positive width and
-    height and, when given, a finite positive focal.
+    Raises OSError when the file cannot be read (FileNotFoundError when
+    it is missing), and MalformedMetadata, naming the file and line, for
+    a line that is not ``name width height [focal_px]`` with a positive
+    width and height and, when given, a finite positive focal.
     """
     meta = {}
-    if path is None or not Path(path).is_file():
-        return meta
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()

@@ -5,10 +5,12 @@ driven by the size of the intersection of the candidates' camera
 visibility sets, so points that were reconstructed from the same views
 end up in the same sample.  Each phase runs the shared RANSAC loop,
 ransac_basic.search, with this sampler and no early stop, so it always
-runs its full iteration count.  If the first phase does not fit enough
-matches, additional correspondences are recovered by matching 3D
-points back into the query image through a view-prioritized queue, and
-a second phase runs on the augmented match set.
+runs its full iteration count.  A phase builds the sampler's seed list
+(the matches a sample may start from) once; a draw only draws.  If the
+first phase does not fit enough matches, additional correspondences are
+recovered by matching 3D points back into the query image through a
+view-prioritized queue, and a second phase runs on the augmented match
+set.
 """
 
 import heapq
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor_index import DescriptorIndex, Matches, ratio_test
-from .errors import InsufficientMatches, SamplingExhausted
+from .errors import SamplingExhausted
 from .ransac_basic import (
     MatchContext,
     PoseEstimate,
@@ -71,29 +73,27 @@ def accept_probability(inter: int, prev_inter: int, candidate_size: int,
     return float(min(1.0, max(0.0, f_scaling * f_ratio)))
 
 
-def _draw_cooccurrence_idx(point_ids, vis_sets, n: int,
+def _seed_matches(vis_sets, min_cameras: int) -> np.ndarray:
+    """Matches a co-occurrence sample may start from: those seen by at
+    least min_cameras cameras, else those seen by the most."""
+    sizes = np.fromiter(map(len, vis_sets), dtype=np.intp)
+    seeds = np.flatnonzero(sizes >= min_cameras)
+    return seeds if len(seeds) else np.flatnonzero(sizes == sizes.max())
+
+
+def _draw_cooccurrence_idx(point_ids, vis_sets, seeds, n: int,
                            params: AdvancedParams, rng) -> list:
     """Indices of n matches drawn sequentially under the co-occurrence prior.
 
-    The first match must be visible in at least min_seed_cameras
-    cameras (falling back to the best available); subsequent uniform
-    candidates are accepted with accept_probability.  A run of more
-    than dead_end_limit consecutive zero intersections discards the
-    sample and restarts from a new first point.
+    The first match is drawn from seeds (see _seed_matches); subsequent
+    uniform candidates are accepted with accept_probability.  A run of
+    more than dead_end_limit consecutive zero intersections discards the
+    sample and restarts from a new first point.  The caller guarantees
+    n distinct point ids (sample_size checks it).
 
     The pool holds, ascending, the matches whose point is not chosen yet;
     only an acceptance rebuilds it, so a rejected draw scans no matches.
     """
-    distinct = len(np.unique(point_ids))
-    if distinct < n:
-        raise InsufficientMatches(
-            f"need {n} matches with distinct points, have {distinct}")
-    sizes = np.fromiter(map(len, vis_sets), dtype=np.intp,
-                        count=len(vis_sets))
-    seeds = np.flatnonzero(sizes >= params.min_seed_cameras)
-    if len(seeds) == 0:
-        seeds = np.flatnonzero(sizes == sizes.max())
-
     for _ in range(params.max_restarts):
         first = int(seeds[rng.integers(len(seeds))])
         chosen = [first]
@@ -122,14 +122,6 @@ def _draw_cooccurrence_idx(point_ids, vis_sets, n: int,
         f"no co-occurring sample after {params.max_restarts} restarts")
 
 
-def _covisible_pool(model: SfmModel, cameras: set) -> np.ndarray:
-    """Model points sharing at least one camera with the given set."""
-    mask = np.isin(model.track_cams, np.fromiter(cameras, dtype=np.int32))
-    lens = np.diff(model.track_offsets)
-    point_of_entry = np.repeat(np.arange(model.num_points), lens)
-    return np.unique(point_of_entry[mask])
-
-
 def backmatch(query: QueryImage, model: SfmModel, good: Matches,
               params: BackmatchParams = BackmatchParams()) -> Matches:
     """Match 3D points back into the query image, guided by visibility.
@@ -154,8 +146,9 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
     visibilities = model.visibilities
     if params.pool == "all":
         pool = np.arange(model.num_points)
-    else:
-        pool = _covisible_pool(model, set().union(*good.visibility))
+    else:  # points sharing a camera with a good match
+        cams = np.fromiter(set().union(*good.visibility), dtype=np.int32)
+        pool = np.unique(model.track_points[np.isin(model.track_cams, cams)])
     pool_set = set(int(p) for p in pool)
     pool_set.update(good.point_idx.tolist())
 
@@ -226,15 +219,17 @@ def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,
     size = sample_size(matches, focal, solver)
     rng = np.random.default_rng(adv.rng_seed)
 
-    def draw(m: Matches):
-        try:
-            return _draw_cooccurrence_idx(m.point_idx, m.visibility, size, adv, rng)
-        except SamplingExhausted:
-            return None
+    def phase(ctx: MatchContext, best=None):
+        m = ctx.matches
+        seeds = _seed_matches(m.visibility, adv.min_seed_cameras)
+        return search(
+            ctx, lambda: _draw_cooccurrence_idx(m.point_idx, m.visibility,
+                                                seeds, size, adv, rng),
+            adv.iterations_per_phase, focal, solver, best)
 
     ctx = MatchContext(query, matches, adv.inlier_threshold,
                        adv.inlier_metric, adv.min_fitted)
-    best, iterations = search(ctx, draw, adv.iterations_per_phase, focal, solver)
+    best, iterations = phase(ctx)
     phase1_count = 0 if best is None else best[2]
     skip_at = min(adv.skip_count, int(np.ceil(adv.skip_fraction * len(matches))))
     used_backmatching = best is None or best[2] < skip_at
@@ -246,7 +241,7 @@ def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,
         if best is not None:
             count, stats, mask = ctx.evaluate(best[1])
             best = None if stats is None else (stats.q, best[1], count, stats, mask)
-        best, phase2 = search(ctx, draw, adv.iterations_per_phase, focal, solver, best)
+        best, phase2 = phase(ctx, best)
         iterations += phase2
     return best_estimate(ctx, best, iterations, used_backmatching=used_backmatching,
                          phase1_fitted=phase1_count)

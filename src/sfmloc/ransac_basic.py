@@ -17,6 +17,7 @@ from .errors import (
     InsufficientMatches,
     NoRealSolution,
     NoSolution,
+    SamplingExhausted,
 )
 from .minimal_solvers import Pose, bearing_vectors, normalize_points, solve_p3p, solve_p4pf
 from .pose_quality import (
@@ -54,12 +55,9 @@ class PoseEstimate:
 
 
 def _sample_unique_idx(point_ids: np.ndarray, n: int, rng) -> np.ndarray:
-    """Indices of n matches with distinct point ids, uniform without replacement."""
+    """Indices of n matches with distinct point ids, uniform without
+    replacement; the caller guarantees n distinct ids (see sample_size)."""
     m = len(point_ids)
-    if len(np.unique(point_ids)) < n:
-        raise InsufficientMatches(
-            f"need {n} matches with distinct points, have "
-            f"{len(np.unique(point_ids))}")
     for _ in range(100):
         idx = rng.choice(m, size=n, replace=False)
         if len(set(point_ids[idx].tolist())) == n:
@@ -123,8 +121,9 @@ def _solvers(focal_px: float | None, solver: str):
 def sample_size(matches: Matches, focal_px: float | None, solver: str) -> int:
     """Matches per minimal sample: 3 when P3P runs alone, otherwise 4.
 
-    Raises InsufficientMatches when fewer distinct points are matched and
-    NoSolution when no solver applies (P3P without a focal).
+    The only check that a sample can be drawn: raises InsufficientMatches
+    when fewer distinct points are matched and NoSolution when no solver
+    applies (P3P without a focal).  The samplers rely on it.
     """
     p3p, p4pf = _solvers(focal_px, solver)
     size = 3 if p3p and not p4pf else 4
@@ -157,18 +156,22 @@ def search(ctx: MatchContext, draw, iterations: int, focal_px: float | None,
            solver: str, best=None, stop_at: int | None = None):
     """The RANSAC loop: (best, iterations run) after at most `iterations`.
 
-    draw(matches) gives one minimal sample's indices, or None to spend
-    the iteration without one.  best, None or (q, pose, fitted count,
-    stats, mask), gives way only to a strictly higher q.  The loop ends
-    early once best fits stop_at matches.
+    draw() gives one minimal sample as indices into ctx.matches.  The
+    caller has run sample_size on ctx.matches or on a subset of them, so
+    draw may rely on enough distinct points.  An iteration whose draw
+    raises SamplingExhausted passes without a sample.  best, None or
+    (q, pose, fitted count, stats, mask), gives way only to a strictly
+    higher q.  The loop ends early once best fits stop_at matches.
     """
     for it in range(iterations):
-        idx = draw(ctx.matches)
-        if idx is not None:
-            for pose in solve_candidates(ctx, np.asarray(idx), focal_px, solver):
-                count, stats, mask = ctx.evaluate(pose)
-                if stats is not None and (best is None or stats.q > best[0]):
-                    best = (stats.q, pose, count, stats, mask)
+        try:
+            candidates = solve_candidates(ctx, np.asarray(draw()), focal_px, solver)
+        except SamplingExhausted:
+            candidates = []
+        for pose in candidates:
+            count, stats, mask = ctx.evaluate(pose)
+            if stats is not None and (best is None or stats.q > best[0]):
+                best = (stats.q, pose, count, stats, mask)
         if stop_at is not None and best is not None and best[2] >= stop_at:
             return best, it + 1
     return best, iterations
@@ -204,6 +207,6 @@ def estimate_pose_basic(query: QueryImage, matches: Matches, model=None,
     stop_at = min(params.stop_count,
                   int(np.ceil(params.stop_fraction * len(matches))))
     best, iterations = search(
-        ctx, lambda m: _sample_unique_idx(m.point_idx, size, rng),
+        ctx, lambda: _sample_unique_idx(matches.point_idx, size, rng),
         params.max_iterations, focal, solver, stop_at=stop_at)
     return best_estimate(ctx, best, iterations)

@@ -16,6 +16,7 @@ ranges.  A parsed keyfile is one record array of ``KEYFILE_DTYPE``.
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,10 +67,11 @@ class SfmModel:
     """Cameras plus columnar point data.
 
     Point attributes live in flat arrays (positions, colors, view-list
-    segments indexed by ``track_offsets``) instead of per-point objects;
-    ``visibilities`` holds each point's camera set, built once on first
-    use.  Instances are immutable after construction and safe to share
-    across threads.
+    segments indexed by ``track_offsets``) instead of per-point objects.
+    The view lists are decoded here and nowhere else, each once on first
+    use: ``track_points`` gives the point of every view-list entry and
+    ``visibilities`` every point's camera set.  Instances are immutable
+    after construction and safe to share across threads.
     """
 
     def __init__(self, cameras, positions, colors, track_offsets,
@@ -84,7 +86,6 @@ class SfmModel:
         self.mean_descriptors = (
             None if mean_descriptors is None
             else np.asarray(mean_descriptors).reshape(-1, DESCRIPTOR_DIM))
-        self._visibilities = None
 
     @property
     def num_cameras(self) -> int:
@@ -97,17 +98,19 @@ class SfmModel:
     def track_slice(self, i: int) -> slice:
         return slice(self.track_offsets[i], self.track_offsets[i + 1])
 
-    def visibility(self, i: int) -> frozenset:
-        return frozenset(self.track_cams[self.track_slice(i)].tolist())
+    @cached_property
+    def track_points(self) -> np.ndarray:
+        """Point index of every view-list entry."""
+        return np.repeat(np.arange(self.num_points), np.diff(self.track_offsets))
 
-    @property
+    @cached_property
     def visibilities(self) -> np.ndarray:
         """Object array of every point's camera frozenset."""
-        if self._visibilities is None:
-            vis = np.empty(self.num_points, dtype=object)
-            vis[:] = [self.visibility(i) for i in range(self.num_points)]
-            self._visibilities = vis
-        return self._visibilities
+        cams = self.track_cams.tolist()
+        bounds = self.track_offsets.tolist()
+        vis = np.empty(self.num_points, dtype=object)
+        vis[:] = [frozenset(cams[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return vis
 
     def with_mean_descriptors(self, descriptors) -> "SfmModel":
         return SfmModel(self.cameras, self.positions, self.colors,
@@ -338,13 +341,11 @@ def split_golden(full: SfmModel, query_names, camera_names):
     new_cam_idx = np.cumsum(keep_cam) - 1  # old index -> new index
 
     keep_entry = keep_cam[full.track_cams]
-    lens = np.diff(full.track_offsets)
-    point_of_entry = np.repeat(np.arange(full.num_points), lens)
-    new_lens = np.bincount(point_of_entry[keep_entry], minlength=full.num_points)
+    new_lens = np.bincount(full.track_points[keep_entry], minlength=full.num_points)
     keep_point = new_lens > 0
 
     new_offsets = np.concatenate([[0], np.cumsum(new_lens[keep_point])]).astype(np.int64)
-    entry_mask = keep_entry & keep_point[point_of_entry]
+    entry_mask = keep_entry & keep_point[full.track_points]
     info = SfmModel(
         [cam for cam, k in zip(full.cameras, keep_cam) if k],
         full.positions[keep_point],
@@ -362,28 +363,28 @@ def build_mean_descriptors(model: SfmModel, keyfile_for_camera) -> SfmModel:
     """Average per-view SIFT descriptors over each point's track.
 
     keyfile_for_camera(cam_idx) must return the (n, 128) descriptor
-    matrix of that camera's keyfile; each camera is requested once.
+    matrix of that camera's keyfile; it is called once per camera with
+    a view-list entry, in ascending camera order.  Raises EmptyTrack,
+    before any keyfile is read, when a point has no view-list entry, and
+    IndexOutOfRange when a key is not a feature of its keyfile.
     Returns a new model with mean_descriptors filled in.
     """
-    sums = np.zeros((model.num_points, DESCRIPTOR_DIM), dtype=np.float64)
-    counts = np.zeros(model.num_points, dtype=np.int64)
-    lens = np.diff(model.track_offsets)
-    point_of_entry = np.repeat(np.arange(model.num_points), lens)
-    for cam_idx in range(model.num_cameras):
-        in_cam = model.track_cams == cam_idx
-        if not in_cam.any():
-            continue
-        descs = np.asarray(keyfile_for_camera(cam_idx), dtype=np.float64)
-        keys = model.track_keys[in_cam]
-        if len(descs) and keys.max() >= len(descs):
-            raise IndexOutOfRange(
-                f"camera {cam_idx}: key {int(keys.max())} outside keyfile "
-                f"of {len(descs)} features")
-        pts = point_of_entry[in_cam]
-        np.add.at(sums, pts, descs[keys])
-        np.add.at(counts, pts, 1)
+    counts = np.diff(model.track_offsets)
     if (counts == 0).any():
         raise EmptyTrack(f"{int((counts == 0).sum())} points have no descriptors")
+    sums = np.zeros((model.num_points, DESCRIPTOR_DIM), dtype=np.float64)
+    # entries grouped by camera, each group in view-list order
+    order = np.argsort(model.track_cams, kind="stable")
+    cams, starts = np.unique(model.track_cams[order], return_index=True)
+    for cam_idx, entries in zip(cams.tolist(), np.split(order, starts[1:])):
+        descs = np.asarray(keyfile_for_camera(cam_idx), dtype=np.float64)
+        keys = model.track_keys[entries]
+        bad = keys[(keys < 0) | (keys >= len(descs))]
+        if len(bad):
+            raise IndexOutOfRange(
+                f"camera {cam_idx}: key {int(bad[0])} outside keyfile "
+                f"of {len(descs)} features")
+        np.add.at(sums, model.track_points[entries], descs[keys])
     mean = sums / counts[:, None]
     return model.with_mean_descriptors(
         np.clip(np.floor(mean + 0.5), 0, 255).astype(np.uint8))

@@ -30,7 +30,7 @@ class ExportBundle:
     mesh_path: Path
     mlp_path: Path
     camera_obj_path: Path
-    projection_obj_path: Path
+    projection_obj_path: Path | None  # None when there is no fitted match
     image_path: Path | None
 
 
@@ -186,8 +186,9 @@ def export_query_bundle(pose: Pose, query: QueryImage, fitted: Matches,
     export_mlp(pose, query, mlp_path, mesh_filename=mesh_filename)
     obj_path = out / "camera.obj"
     export_camera_obj(pose, obj_path, (query.width, query.height), glyph)
-    proj_path = out / "camera_proj.obj"
+    proj_path = None
     if len(fitted):
+        proj_path = out / "camera_proj.obj"
         export_projection_obj(pose, fitted, model, proj_path, glyph)
     image_path = None
     if image_source is not None and Path(image_source).is_file():

@@ -4,6 +4,7 @@ import csv
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sfmloc import (
@@ -11,7 +12,9 @@ from sfmloc import (
     BackmatchParams,
     BasicParams,
     cli,
+    parse_bundle,
     parse_keyfile,
+    write_bundle,
     write_keyfile,
     write_scene_dir,
 )
@@ -168,15 +171,48 @@ def _missing_model(scene):
     return ["--model", str(scene / "missing.out")]
 
 
+def _drop_meta(scene):
+    (scene / "meta.txt").unlink()
+    return []
+
+
+def _missing_meta_flag(scene):
+    return ["--meta", str(scene / "missing.txt")]
+
+
+def _empty_db_keyfile(scene):
+    (scene / "keys" / "db_000.key").write_text("0 128\n")
+    return []
+
+
+def _negative_view_key(scene):
+    with open(scene / "model.out") as fh:
+        model = parse_bundle(fh)
+    is_db = np.array([name.startswith("db_")
+                      for name in (scene / "list.txt").read_text().split()])
+    model.track_keys[np.flatnonzero(is_db[model.track_cams])[0]] = -1
+    with open(scene / "model.out", "w") as fh:
+        write_bundle(model, fh)
+    return []
+
+
+# the error type a defect must name, where the test pins it
+SETUP_ERROR = {_drop_meta: "FileNotFoundError",
+               _missing_meta_flag: "FileNotFoundError",
+               _empty_db_keyfile: "IndexOutOfRange",
+               _negative_view_key: "IndexOutOfRange"}
+
+
 @pytest.mark.parametrize("defect", [
     _drop_db_keyfile, _drop_db_keyfile_cached, _truncate_db_keyfile,
     _bad_model_magic, _query_missing_from_camera_list,
-    _query_flag_missing_from_query_list, _missing_model])
+    _query_flag_missing_from_query_list, _missing_model, _drop_meta,
+    _missing_meta_flag, _empty_db_keyfile, _negative_view_key])
 def test_setup_failure_exits_2(scene_copy, tmp_path, capsys, defect):
     extra = defect(scene_copy)
     assert run_cli(scene_copy, tmp_path / "out", "basic", *extra) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {SETUP_ERROR.get(defect, '')}")
     assert "Traceback" not in err
 
 

@@ -17,14 +17,19 @@ from sfmloc import (
     scene_diameter,
 )
 from sfmloc.errors import InsufficientMatches, SamplingExhausted
-from sfmloc.ransac_advanced import _draw_cooccurrence_idx
+from sfmloc.ransac_advanced import _draw_cooccurrence_idx, _seed_matches
 from sfmloc.sfm_data import QueryImage, SfmModel, keyfile_records
+
+
+def draw_idx(point_ids, vis_sets, n, params, rng):
+    """One co-occurrence sample with the seed list a phase would build."""
+    seeds = _seed_matches(vis_sets, params.min_seed_cameras)
+    return _draw_cooccurrence_idx(point_ids, vis_sets, seeds, n, params, rng)
 
 
 def draw(point_ids, vis_sets, n, rng):
     """Point ids and visibility sets of one co-occurrence sample."""
-    idx = _draw_cooccurrence_idx(np.asarray(point_ids), vis_sets, n,
-                                 AdvancedParams(), rng)
+    idx = draw_idx(np.asarray(point_ids), vis_sets, n, AdvancedParams(), rng)
     return [point_ids[i] for i in idx], [vis_sets[i] for i in idx]
 
 
@@ -73,11 +78,6 @@ class TestDrawCooccurrence:
             points, _ = draw(list(range(12)), vis, 3, rng)
             in_a = [p < 6 for p in points]
             assert all(in_a) or not any(in_a)
-
-    def test_insufficient_distinct_points(self):
-        with pytest.raises(InsufficientMatches):
-            draw([0] * 5, [frozenset({0, 1, 2, 3, 4})] * 5, 3,
-                 np.random.default_rng(0))
 
     def test_prefix_intersections_nonempty(self):
         rng = np.random.default_rng(2)
@@ -173,6 +173,15 @@ def dead_ends():
     return np.arange(63), vis, 3, AdvancedParams()
 
 
+def few_cameras():
+    """No match is seen by min_seed_cameras (5) cameras, so samples start
+    from the matches seen by the most."""
+    rng = np.random.default_rng(6)
+    vis = [frozenset(rng.choice(6, size=rng.integers(1, 5), replace=False).tolist())
+           for _ in range(30)]
+    return np.arange(30), vis, 3, AdvancedParams()
+
+
 def exhausted():
     """Pairwise disjoint visibility: every sample ends in a dead end."""
     vis = [frozenset(range(5 * i, 5 * i + 5)) for i in range(10)]
@@ -186,8 +195,7 @@ class TestDrawCooccurrenceOracle:
     def check(self, point_ids, vis_sets, n, params):
         results = []
         for seed in range(200):
-            new = outcome(_draw_cooccurrence_idx, point_ids, vis_sets, n,
-                          params, seed)
+            new = outcome(draw_idx, point_ids, vis_sets, n, params, seed)
             assert new == outcome(oracle_draw_cooccurrence_idx, point_ids,
                                   vis_sets, n, params, seed), seed
             results.append(new[0])
@@ -214,15 +222,15 @@ class TestDrawCooccurrenceOracle:
         assert SamplingExhausted in once
         assert any(isinstance(r, list) for r in once)
 
+    def test_seed_fallback(self):
+        point_ids, vis, n, params = few_cameras()
+        sizes = {len(v) for v in vis}
+        assert max(sizes) < params.min_seed_cameras and len(sizes) > 1
+        self.check(point_ids, vis, n, params)
+
     def test_sampling_exhausted(self):
         results = self.check(*exhausted())
         assert set(results) == {SamplingExhausted}
-
-    def test_insufficient_distinct_points(self):
-        results = self.check(np.array([0, 0, 1, 1]),
-                             [frozenset({0, 1, 2, 3, 4})] * 4, 3,
-                             AdvancedParams())
-        assert set(results) == {InsufficientMatches}
 
 
 def micro_scene():

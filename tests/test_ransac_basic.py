@@ -28,15 +28,6 @@ class TestSampleUnique:
         got = _sample_unique_idx(point_ids, 3, rng)
         assert sorted(point_ids[got]) == [0, 1, 2]
 
-    def test_insufficient_raises(self):
-        with pytest.raises(InsufficientMatches):
-            _sample_unique_idx(np.arange(3), 4, np.random.default_rng(0))
-
-    def test_duplicate_points_counted_once(self):
-        with pytest.raises(InsufficientMatches):
-            _sample_unique_idx(np.array([5, 5, 6]), 3,
-                               np.random.default_rng(0))
-
     def test_pairs_uniform(self):
         # 1000 draws of n=2 from 4 matches: each unordered pair ~ 1/6
         point_ids = np.arange(4)
@@ -89,9 +80,13 @@ class TestEstimatePoseBasic:
 
     def test_two_matches_insufficient(self, scene_matches):
         query, _, good = scene_matches
-        with pytest.raises(InsufficientMatches):
-            estimate_pose_basic(query, good.take(np.arange(2)), None,
-                                BasicParams(rng_seed=0))
+        three = good.take(np.arange(3))
+        # three matches of two points: a sample of 3 counts points once
+        duplicated = Matches(three.feature_idx, [5, 5, 6], three.d1, three.d2,
+                             three.visibility, three.positions)
+        for matches in (good.take(np.arange(2)), duplicated):
+            with pytest.raises(InsufficientMatches):
+                estimate_pose_basic(query, matches, None, BasicParams(rng_seed=0))
 
     def test_deterministic_under_seed(self, scene_matches):
         query, _, good = scene_matches

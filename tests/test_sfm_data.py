@@ -82,7 +82,7 @@ class TestParseBundle:
         assert np.array_equal(cam.translation, [0.5, -1.5, 2.0])
         assert np.array_equal(model.positions[0], [1.25, 2.5, -3.75])
         assert np.array_equal(model.colors[0], [200, 150, 100])
-        assert model.visibility(0) == frozenset({0})
+        assert model.visibilities[0] == frozenset({0})
         assert model.track_keys[0] == 7
         assert np.array_equal(model.track_xy[0], [12.5, -4.25])
 
@@ -307,15 +307,15 @@ class TestSplitGolden:
         assert golden["b.jpg"].focal_px == 600
         # point 2 was only seen by camera 1 -> dropped
         assert info.num_points == 2
-        assert info.visibility(0) == frozenset({0})
-        assert info.visibility(1) == frozenset({0})
+        assert info.visibilities[0] == frozenset({0})
+        assert info.visibilities[1] == frozenset({0})
 
     def test_point_conservation(self):
         model = two_camera_model()
         info, _ = split_golden(model, ["b.jpg"], ["a.jpg", "b.jpg"])
         dropped = sum(
             1 for i in range(model.num_points)
-            if not (model.visibility(i) - {1}))
+            if not (model.visibilities[i] - {1}))
         assert info.num_points + dropped == model.num_points
 
     def test_empty_query_list_is_identity(self):
@@ -339,7 +339,7 @@ class TestSplitGolden:
         assert info.num_cameras == len(clean_scene.db_names)
         assert set(golden) == set(query_names)
         for i in range(info.num_points):
-            vis = info.visibility(i)
+            vis = info.visibilities[i]
             assert vis and max(vis) < info.num_cameras
 
 
@@ -369,6 +369,20 @@ class TestBuildMeanDescriptors:
     def test_empty_track_raises(self):
         with pytest.raises(EmptyTrack):
             one_point_mean([])
+        # point 1 has no view: raised before any keyfile is read
+        model = SfmModel([None], np.zeros((2, 3)), np.zeros((2, 3)), [0, 1, 1],
+                         [0], [0], np.zeros((1, 2)))
+        with pytest.raises(EmptyTrack):
+            build_mean_descriptors(model, lambda cam: pytest.fail("keyfile read"))
+
+    @pytest.mark.parametrize("key, n_features", [(2, 2), (-1, 2), (0, 0)],
+                             ids=["key_is_len", "negative_key", "empty_keyfile"])
+    def test_key_outside_keyfile_raises(self, key, n_features):
+        model = SfmModel([None], np.zeros((1, 3)), np.zeros((1, 3)), [0, 1],
+                         [0], [key], np.zeros((1, 2)))
+        with pytest.raises(IndexOutOfRange):
+            build_mean_descriptors(
+                model, lambda cam: np.zeros((n_features, 128), np.uint8))
 
     @given(st.lists(st.integers(0, 255), min_size=2, max_size=6))
     def test_permutation_invariant(self, values):

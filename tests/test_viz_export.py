@@ -240,6 +240,8 @@ class TestExportQueryBundle:
         for sub in ("a", "b"):
             bundle = export_query_bundle(golden, query, Matches.empty(),
                                          model, tmp_path / sub)
+            assert bundle.projection_obj_path is None
+            assert not (tmp_path / sub / "camera_proj.obj").exists()
             outs.append((bundle.mlp_path.read_bytes(),
                          bundle.camera_obj_path.read_bytes(),
                          bundle.mesh_path.read_bytes()))
