@@ -28,6 +28,16 @@ class TestSampleUnique:
         got = _sample_unique_idx(point_ids, 3, rng)
         assert sorted(point_ids[got]) == [0, 1, 2]
 
+    def test_duplicate_points_counted_once(self):
+        # three matches of two points: sample_size, the samplers' only
+        # check, counts each point once
+        matches = Matches(np.arange(3), [5, 5, 6], np.zeros(3), np.ones(3),
+                          [frozenset({0})] * 3, np.zeros((3, 3)))
+        with pytest.raises(InsufficientMatches):
+            ransac_basic.sample_size(matches, 400.0, "p3p")
+        distinct = replace(matches, point_idx=np.array([5, 6, 7]))
+        assert ransac_basic.sample_size(distinct, 400.0, "p3p") == 3
+
     def test_pairs_uniform(self):
         # 1000 draws of n=2 from 4 matches: each unordered pair ~ 1/6
         point_ids = np.arange(4)
@@ -80,13 +90,9 @@ class TestEstimatePoseBasic:
 
     def test_two_matches_insufficient(self, scene_matches):
         query, _, good = scene_matches
-        three = good.take(np.arange(3))
-        # three matches of two points: a sample of 3 counts points once
-        duplicated = Matches(three.feature_idx, [5, 5, 6], three.d1, three.d2,
-                             three.visibility, three.positions)
-        for matches in (good.take(np.arange(2)), duplicated):
-            with pytest.raises(InsufficientMatches):
-                estimate_pose_basic(query, matches, None, BasicParams(rng_seed=0))
+        with pytest.raises(InsufficientMatches):
+            estimate_pose_basic(query, good.take(np.arange(2)), None,
+                                BasicParams(rng_seed=0))
 
     def test_deterministic_under_seed(self, scene_matches):
         query, _, good = scene_matches
