@@ -227,11 +227,16 @@ def _load_meta(path) -> dict:
     Raises OSError when the file cannot be read (FileNotFoundError when
     it is missing), and MalformedMetadata, naming the file and line, for
     a line that is not ``name width height [focal_px]`` with a positive
-    width and height and, when given, a finite positive focal.
+    width and height and, when given, a finite positive focal, or
+    naming the file for a byte that cannot be decoded.
     """
     meta = {}
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise MalformedMetadata(f"{path}: unreadable text: {exc}") from None
+        for lineno, line in enumerate(lines, 1):
             parts = line.split()
             if not parts:
                 continue
@@ -360,7 +365,11 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    try:
+        args = parser.parse_args(argv)
+    except UnicodeDecodeError as exc:  # an @FILE that is not text
+        parser.error(f"unreadable settings file: {exc}")
     try:
         config = config_from_args(args)
     except ValueError as exc:

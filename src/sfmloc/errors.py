@@ -12,7 +12,7 @@ class MalformedHeader(LocalizationError):
 
 
 class TruncatedFile(LocalizationError):
-    """Input ended in the middle of a record."""
+    """Input ended mid-record or holds a value that cannot be read."""
 
 
 class IndexOutOfRange(LocalizationError):

@@ -5,18 +5,27 @@ distortion coefficients, world-to-camera rotation, translation) and 3D
 points (position, color, view list).  Bundles are parsed line by line
 so memory stays bounded per record; point data lands in columnar numpy
 arrays, which keeps a two-million-point model loadable in seconds.
+Every camera value, position and view-list coordinate must be finite.
 
 Keyfiles follow Lowe's layout: a ``count 128`` header line, then per
 feature ``row col scale orientation`` and 128 descriptor values wrapped
-over several lines.  The tokens after the header are converted to
-floats in blocks of whole lines and read as 132 values per feature, so
-the line layout is not checked, only the token count and the value
-ranges.  A parsed keyfile is one record array of ``KEYFILE_DTYPE``.
+over several lines.  The body after the header line is read as ASCII
+bytes.  A token is a run of bytes above 0x20; tokens are separated by
+ASCII whitespace (space, tab, LF, VT, FF, CR), and any other byte below
+0x21 is refused.  Each feature is 132 tokens: four numbers in Python
+``float`` syntax, then 128 descriptor values of one to three ASCII
+digits in 0..255 (``7``, ``07`` and ``007``, but not ``7.0``, ``+7`` or
+``0007``).  The line layout is not checked, only the token count and
+this grammar, and the whole body is decoded with a few vectorized numpy
+passes.  A parsed keyfile is one record array of ``KEYFILE_DTYPE``.
+
+A parser that meets a byte its stream cannot decode raises
+TruncatedFile.
 """
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -118,6 +127,17 @@ class SfmModel:
                         self.track_xy, descriptors)
 
 
+def _decoded(parse):
+    """``parse`` with a stream that cannot be decoded raising TruncatedFile."""
+    @wraps(parse)
+    def checked(stream):
+        try:
+            return parse(stream)
+        except UnicodeError as exc:  # a byte the codec refuses, a non-ASCII keyfile
+            raise TruncatedFile(f"unreadable text: {exc}") from exc
+    return checked
+
+
 def _next_line(lines, what: str) -> str:
     line = next(lines, None)
     if line is None:
@@ -125,11 +145,19 @@ def _next_line(lines, what: str) -> str:
     return line
 
 
+def _rows(values: array, *shape) -> np.ndarray:
+    """An ``array`` of numbers as a numpy view of shape (-1, *shape)."""
+    return np.frombuffer(values, dtype=values.typecode).reshape(-1, *shape) \
+        if values else np.empty((0, *shape), dtype=values.typecode)
+
+
+@_decoded
 def parse_bundle(stream) -> SfmModel:
     """Parse bundler v0.3 text into an SfmModel.
 
     Raises MalformedHeader when the magic line is wrong, TruncatedFile
-    when the input ends mid-record or a colour is outside 0..255, and
+    when the input ends mid-record, a colour is outside 0..255 or a
+    camera value, position or view-list coordinate is not finite, and
     IndexOutOfRange when a view list references a camera that does not
     exist.
     """
@@ -143,18 +171,18 @@ def parse_bundle(stream) -> SfmModel:
     except (ValueError, IndexError) as exc:
         raise MalformedHeader(f"bad counts line: {counts!r}") from exc
 
-    cameras = []
+    # five lines of three numbers per camera: focal k1 k2, the three
+    # rotation rows, the translation
+    cam_values = array("d")
     for ci in range(num_cameras):
-        try:
-            f, k1, k2 = map(float, _next_line(lines, f"camera {ci}").split())
-            rows = [tuple(map(float, _next_line(lines, f"camera {ci}").split()))
-                    for _ in range(3)]
-            rotation = np.array(rows, dtype=float).reshape(3, 3)
-            tx, ty, tz = map(float, _next_line(lines, f"camera {ci}").split())
-        except ValueError as exc:
-            raise TruncatedFile(f"short record for camera {ci}") from exc
-        cameras.append(CameraRecord(f, k1, k2, rotation,
-                                    np.array([tx, ty, tz], dtype=float)))
+        for _ in range(5):
+            parts = _next_line(lines, f"camera {ci}").split()
+            try:
+                if len(parts) != 3:
+                    raise ValueError
+                cam_values.extend(map(float, parts))
+            except ValueError as exc:
+                raise TruncatedFile(f"short record for camera {ci}") from exc
 
     positions = array("d")
     colors = array("d")
@@ -183,33 +211,34 @@ def parse_bundle(stream) -> SfmModel:
         except (ValueError, IndexError, OverflowError) as exc:
             raise TruncatedFile(f"short record for point {pi}") from exc
 
-    cams_arr = np.frombuffer(track_cams, dtype=np.int64) if track_cams else np.empty(0, np.int64)
+    cams_arr = _rows(track_cams)
     if len(cams_arr) and (cams_arr.max() >= num_cameras or cams_arr.min() < 0):
         raise IndexOutOfRange(
             f"view list references camera {int(cams_arr.max())} "
             f"of {num_cameras}")
 
-    rgb = np.frombuffer(colors, dtype=float).reshape(-1, 3) if colors else np.empty((0, 3))
+    camera_rows = _rows(cam_values, 15)
+    finite = np.isfinite(camera_rows).all(axis=1)
+    if not finite.all():
+        raise TruncatedFile(f"camera {np.argmin(finite)} holds a non-finite value")
+
+    rgb = _rows(colors, 3)
     in_range = ((rgb >= 0) & (rgb <= 255)).all(axis=1)  # false for NaN too
     if not in_range.all():
         raise TruncatedFile(f"colour of point {np.argmin(in_range)} outside 0..255")
 
-    offsets = np.concatenate([[0], np.cumsum(track_lens, dtype=np.int64)]) \
-        if track_lens else np.zeros(1, np.int64)
-    if track_x:
-        xy = np.column_stack([np.frombuffer(track_x, dtype=float),
-                              np.frombuffer(track_y, dtype=float)])
-    else:
-        xy = np.empty((0, 2))
-    return SfmModel(
-        cameras,
-        np.frombuffer(positions, dtype=float).reshape(-1, 3) if positions else np.empty((0, 3)),
-        rgb.astype(np.uint8),
-        offsets,
-        cams_arr,
-        np.frombuffer(track_keys, dtype=np.int64) if track_keys else np.empty(0, np.int64),
-        xy,
-    )
+    offsets = np.concatenate([[0], np.cumsum(track_lens, dtype=np.int64)])
+    pos, xy = _rows(positions, 3), np.column_stack([_rows(track_x), _rows(track_y)])
+    finite = np.isfinite(pos).all(axis=1)
+    bad_views = np.flatnonzero(~np.isfinite(xy).all(axis=1))
+    finite[np.searchsorted(offsets, bad_views, side="right") - 1] = False
+    if not finite.all():
+        raise TruncatedFile(f"point {np.argmin(finite)} holds a non-finite value")
+
+    cameras = [CameraRecord(f, k1, k2, np.reshape(v[:9], (3, 3)), np.array(v[9:]))
+               for f, k1, k2, *v in camera_rows.tolist()]
+    return SfmModel(cameras, pos, rgb.astype(np.uint8), offsets, cams_arr,
+                    _rows(track_keys), xy)
 
 
 def _f(x) -> str:
@@ -253,13 +282,16 @@ def keyfile_records(xy, descriptor, scale=1.0, orientation=0.0) -> np.recarray:
     return keys
 
 
+@_decoded
 def parse_keyfile(stream) -> np.recarray:
     """Parse a Lowe keyfile into a record array of ``KEYFILE_DTYPE``.
 
-    Stored (row, col) become xy = (col, row).  Raises MalformedHeader
-    for a bad or negative count, DimensionMismatch for a dimension other
-    than 128, and TruncatedFile when the body is not 132 numbers per
-    feature or a descriptor value is not an integer in 0..255.
+    Stored (row, col) become xy = (col, row).  The header line is split
+    as text; the body follows the byte grammar of the module docstring.
+    Raises MalformedHeader for a bad or negative count, DimensionMismatch
+    for a dimension other than 128, and TruncatedFile when the body is
+    not 132 tokens per feature, holds a non-ASCII byte or a control
+    byte other than whitespace, or a token breaks the grammar.
     """
     fields = stream.readline().split()
     try:
@@ -272,23 +304,51 @@ def parse_keyfile(stream) -> np.recarray:
         raise DimensionMismatch(f"descriptor dimension {dim}, expected {DESCRIPTOR_DIM}")
 
     per_feature = 4 + DESCRIPTOR_DIM
-    blocks = []
-    # about 64 KB of lines at a time, so the list of tokens stays small
-    while lines := stream.readlines(1 << 16):
-        try:
-            blocks.append(np.array("".join(lines).split(), dtype=float))
-        except ValueError as exc:
-            raise TruncatedFile(f"non-numeric keyfile value: {exc}") from exc
-    vals = np.concatenate(blocks) if blocks else np.empty(0)
-    if len(vals) != per_feature * num_features:
+    buf = np.frombuffer(stream.read().encode("ascii"), dtype=np.uint8)
+    # ASCII whitespace is 9..13 and 32; no other byte below 33 may occur
+    stray = (buf < 9) | ((buf > 13) & (buf < 32))
+    if stray.any():
+        raise TruncatedFile(f"control byte {buf[np.argmax(stray)]:#04x} in keyfile")
+    # token i of feature f spans bytes bounds[f, i, 0] up to bounds[f, i, 1];
+    # int32 halves the index arrays of any body under 2 GiB
+    bounds = np.flatnonzero(np.diff(buf > 32, prepend=False, append=False))
+    bounds = bounds.astype(np.int32 if len(buf) < 2**31 else np.int64)
+    if len(bounds) != 2 * per_feature * num_features:
         raise TruncatedFile(
-            f"{len(vals)} values for {num_features} features of {per_feature}")
-    vals = vals.reshape(num_features, per_feature)
-    desc = vals[:, 4:]
-    ok = ((desc >= 0) & (desc <= 255) & (desc == np.floor(desc))).all(axis=1)
-    if not ok.all():  # NaN fails every comparison, inf the range
-        raise TruncatedFile(f"bad descriptor value in feature {np.argmin(ok)}")
-    return keyfile_records(vals[:, 1::-1], desc, vals[:, 2], vals[:, 3])
+            f"{len(bounds) // 2} values for {num_features} features of {per_feature}")
+    bounds = bounds.reshape(num_features, per_feature, 2)
+
+    # descriptor values from the last three bytes of each token; a byte
+    # below "0" wraps above 9, and any hundreds digit above 2 breaks the
+    # range, so only the ones and tens need a digit check
+    end = bounds[:, 4:, 1]
+    length = end - bounds[:, 4:, 0]
+    zero = np.uint8(ord("0"))
+    ones = buf[end - 1] - zero
+    tens = (buf[end - 2] - zero) * (length > 1)
+    hundreds = (buf[end - 3] - zero) * (length > 2)
+    value = (ones + np.multiply(tens, 10, dtype=np.int16)
+             + np.multiply(hundreds, 100, dtype=np.int16))
+    ok = (length <= 3) & (np.maximum(ones, tens) <= 9) & (value <= 255)
+    if not ok.all():
+        raise TruncatedFile(
+            f"bad descriptor value in feature {np.argmin(ok.all(axis=1))}")
+
+    # the four numbers per feature, cast from one (tokens, width) byte
+    # matrix per token width, so no matrix outgrows the file
+    start = bounds[:, :4, 0].ravel()
+    width = bounds[:, :4, 1].ravel() - start
+    head = np.empty(len(start))
+    order = np.argsort(width)
+    widths, first = np.unique(width[order], return_index=True)
+    try:
+        for w, idx in zip(widths.tolist(), np.split(order, first[1:])):
+            chars = buf[start[idx, None] + np.arange(w)]
+            head[idx] = chars.view(f"S{w}").ravel().astype(np.float64)
+    except ValueError as exc:
+        raise TruncatedFile(f"non-numeric keyfile value: {exc}") from exc
+    head = head.reshape(-1, 4)
+    return keyfile_records(head[:, 1::-1], value, head[:, 2], head[:, 3])
 
 
 def write_keyfile(keys: np.recarray, stream) -> None:
@@ -302,11 +362,17 @@ def write_keyfile(keys: np.recarray, stream) -> None:
             w(" " + " ".join(map(str, desc[start:start + 20])) + "\n")
 
 
+@_decoded
 def parse_image_list(stream) -> list:
-    """Newline-separated entries; blanks skipped, whitespace trimmed."""
+    """Newline-separated entries; blanks skipped, whitespace trimmed.
+
+    Raises TruncatedFile for a name holding a NUL, which no file name can.
+    """
     out = []
     for line in stream:
         name = line.strip()
+        if "\0" in name:
+            raise TruncatedFile(f"image name {name!r} holds a NUL")
         if name:
             out.append(name)
     return out

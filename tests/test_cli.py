@@ -2,6 +2,7 @@
 
 import csv
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,17 @@ def _truncate_keyfile(scene):
     key.write_text(key.read_text()[:500])
 
 
+def _with_byte(relpath, byte):
+    """A defect that puts ``byte`` in the middle of the scene file ``relpath``."""
+    def defect(scene):
+        path = scene / relpath
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2] + byte + data[len(data) // 2:])
+        return []
+    defect.__name__ = f"_{byte.hex()}_in_{relpath.replace('/', '_')}"
+    return defect
+
+
 def _descriptor_value_300(scene):
     key = scene / "keys" / "query_001.key"
     lines = key.read_text().splitlines()
@@ -127,6 +139,7 @@ def _descriptor_value_300(scene):
     (_drop_meta_entry, "MalformedMetadata"),
     (_truncate_keyfile, "TruncatedFile"),
     (_descriptor_value_300, "TruncatedFile"),
+    (_with_byte("keys/query_001.key", b"\xff"), "TruncatedFile"),
 ])
 def test_bad_query_fails_only_its_row(scene_copy, tmp_path, defect, failure):
     defect(scene_copy)
@@ -185,29 +198,63 @@ def _empty_db_keyfile(scene):
     return []
 
 
-def _negative_view_key(scene):
+def _rewrite_model(scene, edit):
     with open(scene / "model.out") as fh:
         model = parse_bundle(fh)
-    is_db = np.array([name.startswith("db_")
-                      for name in (scene / "list.txt").read_text().split()])
-    model.track_keys[np.flatnonzero(is_db[model.track_cams])[0]] = -1
+    edit(model)
     with open(scene / "model.out", "w") as fh:
         write_bundle(model, fh)
     return []
 
 
+def _negative_view_key(scene):
+    is_db = np.array([name.startswith("db_")
+                      for name in (scene / "list.txt").read_text().split()])
+
+    def edit(model):
+        model.track_keys[np.flatnonzero(is_db[model.track_cams])[0]] = -1
+    return _rewrite_model(scene, edit)
+
+
+def _nan_point(scene):
+    def edit(model):
+        model.positions[0, 0] = np.nan
+    return _rewrite_model(scene, edit)
+
+
+def _inf_focal(scene):
+    def edit(model):
+        model.cameras[0] = replace(model.cameras[0], focal_px=np.inf)
+    return _rewrite_model(scene, edit)
+
+
+_ff_in_model = _with_byte("model.out", b"\xff")
+_ff_in_camera_list = _with_byte("list.txt", b"\xff")
+_ff_in_meta = _with_byte("meta.txt", b"\xff")
+_ff_in_db_keyfile = _with_byte("keys/db_000.key", b"\xff")
+_nul_in_camera_list = _with_byte("list.txt", b"\0")
+
 # the error type a defect must name, where the test pins it
 SETUP_ERROR = {_drop_meta: "FileNotFoundError",
                _missing_meta_flag: "FileNotFoundError",
                _empty_db_keyfile: "IndexOutOfRange",
-               _negative_view_key: "IndexOutOfRange"}
+               _negative_view_key: "IndexOutOfRange",
+               _ff_in_model: "TruncatedFile",
+               _ff_in_camera_list: "TruncatedFile",
+               _ff_in_meta: "MalformedMetadata",
+               _ff_in_db_keyfile: "TruncatedFile",
+               _nul_in_camera_list: "TruncatedFile",
+               _nan_point: "TruncatedFile",
+               _inf_focal: "TruncatedFile"}
 
 
 @pytest.mark.parametrize("defect", [
     _drop_db_keyfile, _drop_db_keyfile_cached, _truncate_db_keyfile,
     _bad_model_magic, _query_missing_from_camera_list,
     _query_flag_missing_from_query_list, _missing_model, _drop_meta,
-    _missing_meta_flag, _empty_db_keyfile, _negative_view_key])
+    _missing_meta_flag, _empty_db_keyfile, _negative_view_key,
+    _ff_in_model, _ff_in_camera_list, _ff_in_meta, _ff_in_db_keyfile,
+    _nul_in_camera_list, _nan_point, _inf_focal])
 def test_setup_failure_exits_2(scene_copy, tmp_path, capsys, defect):
     extra = defect(scene_copy)
     assert run_cli(scene_copy, tmp_path / "out", "basic", *extra) == 2
@@ -290,6 +337,16 @@ def test_bad_settings_file_exits_2(tmp_path, capsys, line, message):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_undecodable_settings_file_exits_2(tmp_path, capsys):
+    settings = tmp_path / "settings.txt"
+    settings.write_bytes(b"--seed 3 \xff\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*required_flags(tmp_path, tmp_path), f"@{settings}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unreadable settings file" in err and "Traceback" not in err
 
 
 def test_unset_flags_take_the_params_defaults():

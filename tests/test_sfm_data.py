@@ -43,6 +43,11 @@ ONE_CAMERA_ONE_POINT = """\
 """
 
 
+def undecodable(data: bytes):
+    """A UTF-8 text stream over ``data``, as ``open`` gives for a file."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def two_camera_model():
     text = """\
 # Bundle file v0.3
@@ -132,6 +137,26 @@ class TestParseBundle:
         with pytest.raises(TruncatedFile):
             parse_bundle(io.StringIO(text))
 
+    @pytest.mark.parametrize("line, bad", [
+        ("1.25 2.5 -3.75", "nan 2.5 -3.75"),
+        ("1.25 2.5 -3.75", "1.25 1e400 -3.75"),
+        ("520.5 -0.01 0.002", "inf -0.01 0.002"),
+        ("0 1 0", "0 nan 0"),
+        ("0.5 -1.5 2", "0.5 -1.5 -inf"),
+        ("1 0 7 12.5 -4.25", "1 0 7 12.5 nan"),
+    ], ids=["position", "position_overflow", "focal", "rotation", "translation",
+            "view_list_xy"])
+    def test_non_finite_value_raises(self, line, bad):
+        text = ONE_CAMERA_ONE_POINT.replace(line + "\n", bad + "\n", 1)
+        assert text != ONE_CAMERA_ONE_POINT
+        with pytest.raises(TruncatedFile):
+            parse_bundle(io.StringIO(text))
+
+    def test_undecodable_byte_raises(self):
+        data = ONE_CAMERA_ONE_POINT.encode().replace(b"200", b"2\xff0")
+        with pytest.raises(TruncatedFile):
+            parse_bundle(undecodable(data))
+
 
 class TestBundleRoundTrip:
     def assert_models_equal(self, a, b, tol=1e-9):
@@ -201,9 +226,40 @@ class TestParseKeyfile:
         with pytest.raises(TruncatedFile):
             parse_keyfile(io.StringIO(KEYFILE_ALL_SEVENS + " 7\n"))
 
-    @pytest.mark.parametrize("value", ["300", "-1", "7.5"])
+    # 1-3 ASCII digits only: no sign, point, exponent, "_" or a fourth digit
+    @pytest.mark.parametrize("value", ["300", "-1", "7.5", "7.0", "7e0", "+7",
+                                       "0007", "1_0", "\u0667"])
     def test_descriptor_value_out_of_range(self, value):
         text = KEYFILE_ALL_SEVENS.replace(" 7 ", f" {value} ", 1)
+        with pytest.raises(TruncatedFile):
+            parse_keyfile(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "stray", [c for c in map(chr, range(33)) if c not in " \t\n\v\f\r"] + ["\u00e9"],
+        ids=lambda c: f"{ord(c):#04x}")
+    def test_stray_character_between_tokens(self, stray):
+        # the token count stays 132, so only the stray character can fail
+        text = KEYFILE_ALL_SEVENS.replace(" 7 ", f" 7 {stray} ", 1)
+        with pytest.raises(TruncatedFile):
+            parse_keyfile(io.StringIO(text))
+
+    def test_undecodable_byte_raises(self):
+        data = KEYFILE_ALL_SEVENS.encode().replace(b" 7 ", b" 7 \xff ", 1)
+        with pytest.raises(TruncatedFile):
+            parse_keyfile(undecodable(data))
+
+    @pytest.mark.parametrize("head", ["1_0 .5 +1.5 -0", "1e400 nan inf -1e400"])
+    def test_feature_numbers_read_as_python_floats(self, head):
+        keys = parse_keyfile(io.StringIO(
+            KEYFILE_ALL_SEVENS.replace("10.5 20.25 3.0 0.5", head)))
+        row, col, scale, orientation = map(float, head.split())
+        got = np.array([keys.xy[0, 1], keys.xy[0, 0], keys.scale[0],
+                        keys.orientation[0]])
+        assert got.tobytes() == np.array([row, col, scale, orientation]).tobytes()
+
+    @pytest.mark.parametrize("head", ["0x10 1 1 1", "1d3 1 1 1", "1 1 1 e5"])
+    def test_feature_number_not_a_float(self, head):
+        text = KEYFILE_ALL_SEVENS.replace("10.5 20.25 3.0 0.5", head)
         with pytest.raises(TruncatedFile):
             parse_keyfile(io.StringIO(text))
 
@@ -264,6 +320,16 @@ def oracle_parse_keyfile(stream) -> list:
     return features
 
 
+def assert_same_as_oracle(keys, want):
+    assert len(keys) == len(want)
+    assert keys.xy.tolist() == [[f.x, f.y] for f in want]
+    assert keys.scale.tolist() == [f.scale for f in want]
+    assert keys.orientation.tolist() == [f.orientation for f in want]
+    assert np.array_equal(keys.descriptor,
+                          np.array([f.descriptor for f in want],
+                                   dtype=np.uint8).reshape(-1, 128))
+
+
 @pytest.mark.parametrize("scene", ["clean_scene", "noisy_scene"])
 def test_parse_keyfile_equals_the_line_parser(request, tmp_path, scene):
     """Every keyfile of a written scene parses as the per-line oracle does."""
@@ -275,14 +341,43 @@ def test_parse_keyfile_equals_the_line_parser(request, tmp_path, scene):
         with open(path) as fh:
             keys = parse_keyfile(fh)
         with open(path) as fh:
-            want = oracle_parse_keyfile(fh)
-        assert len(keys) == len(want)
-        assert keys.xy.tolist() == [[f.x, f.y] for f in want]
-        assert keys.scale.tolist() == [f.scale for f in want]
-        assert keys.orientation.tolist() == [f.orientation for f in want]
-        assert np.array_equal(keys.descriptor,
-                              np.array([f.descriptor for f in want],
-                                       dtype=np.uint8).reshape(-1, 128))
+            assert_same_as_oracle(keys, oracle_parse_keyfile(fh))
+
+
+FLOAT_FORMATS = [repr, "{:+.3f}".format, "{:e}".format, "{:.0f}".format]
+
+
+@st.composite
+def keyfile_layouts(draw):
+    """Valid keyfile text in a random layout the line oracle also reads.
+
+    Each feature's four numbers sit on one line and its 128 values wrap
+    at a random width; gaps are spaces or tabs, line ends LF or CRLF,
+    values carry leading zeros up to three characters, and the last
+    line end may be missing.
+    """
+    gap = st.sampled_from([" ", "\t", "  ", " \t "])
+    eol = st.sampled_from(["\n", "\r\n"])
+    n = draw(st.integers(0, 3))
+    lines = [f"{n} 128{draw(eol)}"]
+    for _ in range(n):
+        head = draw(st.lists(st.floats(allow_nan=False), min_size=4, max_size=4))
+        fmt = draw(st.sampled_from(FLOAT_FORMATS))
+        lines.append(draw(gap).join(map(fmt, head)) + draw(eol))
+        values = draw(st.lists(st.integers(0, 255), min_size=128, max_size=128))
+        wrap = draw(st.integers(1, 128))
+        for at in range(0, 128, wrap):
+            tokens = [str(v).zfill(draw(st.integers(1, 3))) for v in values[at:at + wrap]]
+            lines.append(draw(gap) + draw(gap).join(tokens) + draw(eol))
+    text = "".join(lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(text=keyfile_layouts())
+def test_any_layout_parses_as_the_line_parser(text):
+    assert_same_as_oracle(parse_keyfile(io.StringIO(text)),
+                          oracle_parse_keyfile(io.StringIO(text)))
 
 
 class TestParseImageList:
@@ -296,6 +391,14 @@ class TestParseImageList:
     def test_trailing_whitespace_trimmed(self):
         got = parse_image_list(io.StringIO("  img.jpg  \n\n other.jpg\n"))
         assert got == ["img.jpg", "other.jpg"]
+
+    def test_nul_in_a_name_raises(self):
+        with pytest.raises(TruncatedFile):
+            parse_image_list(io.StringIO("img_a.jpg\nimg\0b.jpg\n"))
+
+    def test_undecodable_byte_raises(self):
+        with pytest.raises(TruncatedFile):
+            parse_image_list(undecodable(b"img_a.jpg\nimg_\xff.jpg\n"))
 
 
 class TestSplitGolden:
