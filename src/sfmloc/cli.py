@@ -226,8 +226,8 @@ def _load_meta(path) -> dict:
 
     Raises OSError when the file cannot be read (FileNotFoundError when
     it is missing), and MalformedMetadata, naming the file and line, for
-    a line that is not ``name width height [focal_px]`` with a positive
-    width and height and, when given, a finite positive focal, or
+    a line that is not ``name width height [focal_px]`` with a width and
+    height in 1..2^31 - 1 and, when given, a finite positive focal, or
     naming the file for a byte that cannot be decoded.
     """
     meta = {}
@@ -243,14 +243,14 @@ def _load_meta(path) -> dict:
             try:
                 focal = float(parts[3]) if len(parts) > 3 else None
                 width, height = int(parts[1]), int(parts[2])
-                if width <= 0 or height <= 0 or not (focal is None
-                                                     or 0 < focal < np.inf):
+                if not (0 < width < 2**31 and 0 < height < 2**31
+                        and (focal is None or 0 < focal < np.inf)):
                     raise ValueError
             except (IndexError, ValueError):
                 raise MalformedMetadata(
                     f"{path}:{lineno}: expected 'name width height "
-                    f"[focal_px]' with positive sizes and a finite positive "
-                    f"focal, got {line.strip()!r}") from None
+                    f"[focal_px]' with sizes in 1..2^31 - 1 and a finite "
+                    f"positive focal, got {line.strip()!r}") from None
             meta[parts[0]] = (width, height, focal)
     return meta
 

@@ -3,9 +3,10 @@
 A candidate pose is judged not by how many matches it fits but by how
 much of the image area its fitted matches cover relative to the area
 covered by all good matches.  Each match stamps a (2c+1) x (2c+1) pixel
-window around its feature; the score, computed per candidate by
-``ransac_basic.MatchContext``, is the ratio of the two covered areas
-and always lies in [0, 1].
+window around its feature; a covered area is the exact size of the
+windows' union, summed from their row intervals without an image.  The
+score, computed per candidate by ``ransac_basic.MatchContext``, is the
+ratio of the two covered areas and always lies in [0, 1].
 """
 
 from dataclasses import dataclass
@@ -59,17 +60,25 @@ def coverage_window(width: int) -> int:
 
 
 def coverage_area_xy(xy: np.ndarray, width: int, height: int, c: int) -> int:
-    """Distinct pixels under (2c+1)^2 windows centered at each coordinate."""
-    cover = np.zeros((height, width), dtype=bool)
-    _paint_windows(cover, xy, width, height, c)
-    return int(cover.sum())
+    """Distinct pixels under (2c+1)^2 windows centered at each coordinate.
 
-
-def _paint_windows(cover, xy, width, height, c):
-    for x, y in np.atleast_2d(xy):
-        x0 = max(0, int(np.ceil(x - c)))
-        x1 = min(width - 1, int(np.floor(x + c)))
-        y0 = max(0, int(np.ceil(y - c)))
-        y1 = min(height - 1, int(np.floor(y + c)))
-        if x0 <= x1 and y0 <= y1:
-            cover[y0:y1 + 1, x0:x1 + 1] = True
+    A window spans columns ceil(x - c)..floor(x + c) and rows
+    ceil(y - c)..floor(y + c), clipped to the image.  Its row intervals,
+    keyed row * width + column and taken in key order, add to the exact
+    union whatever lies past the furthest end before them.
+    """
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    lo = np.maximum(np.ceil(xy - c), 0.0)
+    hi = np.minimum(np.floor(xy + c), [width - 1.0, height - 1.0])
+    keep = np.flatnonzero((lo <= hi).all(axis=1))
+    # windows by first column, so a stable sort by row orders them by key
+    keep = keep[np.argsort(lo[keep, 0], kind="stable")]
+    (x0, y0), (x1, y1) = lo[keep].astype(np.int64).T, hi[keep].astype(np.int64).T
+    rows = y1 - y0 + 1
+    row = np.arange(rows.sum()) + np.repeat(y0 + rows - np.cumsum(rows), rows)
+    # rows that fit 16 bits take numpy's radix sort
+    by_row = np.argsort(row.astype(np.uint16) if height <= 1 << 16 else row, kind="stable")
+    start = (np.repeat(x0, rows) + row * width)[by_row]
+    end = start + np.repeat(x1 + 1 - x0, rows)[by_row]
+    reach = np.r_[0, np.maximum.accumulate(end)[:-1]]  # furthest end before
+    return int(np.maximum(end - np.maximum(start, reach), 0).sum())

@@ -132,16 +132,17 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
     priority of all points co-visible with it, so the search spreads
     along the view graph.  Returns the input matches followed by newly
     accepted ones; a query feature that is already matched is not
-    matched again.
+    matched again, so when every feature is matched, good is returned
+    before any index is built.
     """
     if not len(good) or model.num_points == 0 or len(query.features) == 0:
         return good
     if model.mean_descriptors is None:
         raise ValueError("model has no mean descriptors")
+    if len(np.unique(good.feature_idx)) == len(query.features):
+        return good
 
     feat_index = DescriptorIndex(query.features.descriptor)
-    if len(feat_index) < 2:
-        return good
 
     visibilities = model.visibilities
     if params.pool == "all":
@@ -213,7 +214,8 @@ def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,
     iterations.  If its best pose fits skip_count matches (or the
     skip_fraction share), backmatching is skipped and that pose is
     returned; otherwise the match set is augmented by backmatching and
-    a second phase of the same length runs on it.
+    a second phase of the same length runs on it.  When backmatching
+    adds nothing, the second phase reuses the first phase's context.
     """
     focal = query.exif_focal_px
     size = sample_size(matches, focal, solver)
@@ -234,13 +236,14 @@ def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,
     skip_at = min(adv.skip_count, int(np.ceil(adv.skip_fraction * len(matches))))
     used_backmatching = best is None or best[2] < skip_at
     if used_backmatching:
-        ctx = MatchContext(query, backmatch(query, model, matches, back),
-                           adv.inlier_threshold, adv.inlier_metric, adv.min_fitted)
-        # re-score the phase-1 best against the augmented good set so
-        # both phases compete on the same footing
-        if best is not None:
-            count, stats, mask = ctx.evaluate(best[1])
-            best = None if stats is None else (stats.q, best[1], count, stats, mask)
+        augmented = backmatch(query, model, matches, back)
+        if augmented is not matches:
+            ctx = MatchContext(query, augmented, adv.inlier_threshold,
+                               adv.inlier_metric, adv.min_fitted)
+            # re-score the phase-1 best on the augmented set: both phases compete alike
+            if best is not None:
+                count, stats, mask = ctx.evaluate(best[1])
+                best = None if stats is None else (stats.q, best[1], count, stats, mask)
         best, phase2 = phase(ctx, best)
         iterations += phase2
     return best_estimate(ctx, best, iterations, used_backmatching=used_backmatching,

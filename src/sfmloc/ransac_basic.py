@@ -92,15 +92,20 @@ class MatchContext:
         self.c = coverage_window(query.width)
         self.area_good = coverage_area_xy(self.raw_xy, query.width, query.height, self.c)
 
-    def evaluate(self, pose: Pose):
+    def evaluate(self, pose: Pose, beat: float = -np.inf):
         """Fitted count, coverage stats and mask for one candidate pose.
 
-        Stats are None when fewer than min_fitted matches fit.
+        Stats are None when fewer than min_fitted matches fit, or when
+        the candidate's q cannot exceed beat: count windows cover at
+        most count * (2c+1)^2 pixels, so q is at most that area (capped
+        at area_good) over area_good, and the coverage is not computed.
         """
         mask = fitted_mask(pose, self.centered_xy, self.matches.positions,
                            self.threshold, self.metric)
         count = int(mask.sum())
-        if count < self.min_fitted:
+        bound = min(count * (2 * self.c + 1) ** 2, self.area_good)
+        if count < self.min_fitted or (
+                bound / self.area_good if self.area_good > 0 else 0.0) <= beat:
             return count, None, mask
         return count, self.score(mask), mask
 
@@ -161,7 +166,8 @@ def search(ctx: MatchContext, draw, iterations: int, focal_px: float | None,
     draw may rely on enough distinct points.  An iteration whose draw
     raises SamplingExhausted passes without a sample.  best, None or
     (q, pose, fitted count, stats, mask), gives way only to a strictly
-    higher q.  The loop ends early once best fits stop_at matches.
+    higher q, so a candidate is scored only if it may beat that q (see
+    MatchContext.evaluate).  The loop ends early once best fits stop_at.
     """
     for it in range(iterations):
         try:
@@ -169,7 +175,7 @@ def search(ctx: MatchContext, draw, iterations: int, focal_px: float | None,
         except SamplingExhausted:
             candidates = []
         for pose in candidates:
-            count, stats, mask = ctx.evaluate(pose)
+            count, stats, mask = ctx.evaluate(pose, -np.inf if best is None else best[0])
             if stats is not None and (best is None or stats.q > best[0]):
                 best = (stats.q, pose, count, stats, mask)
         if stop_at is not None and best is not None and best[2] >= stop_at:

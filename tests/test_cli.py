@@ -1,18 +1,25 @@
 """The sfmloc command line, end to end on a scene directory."""
 
 import csv
+import io
+import re
 import shutil
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sfmloc import (
     AdvancedParams,
     BackmatchParams,
     BasicParams,
     cli,
+    generate_synthetic_scene,
     parse_bundle,
     parse_keyfile,
     write_bundle,
@@ -81,7 +88,9 @@ def test_two_jobs_give_the_same_rows(scene_dir, tmp_path, mode):
                                   "query_000.jpg 800 600 nan",
                                   "query_000.jpg 800 600 inf",
                                   "query_000.jpg 800 600 -800",
-                                  "query_000.jpg 0 600 400.0"])
+                                  "query_000.jpg 0 600 400.0",
+                                  "query_000.jpg 99999999999999999999 600 400.0",
+                                  "query_000.jpg 800 2147483648 400.0"])
 def test_malformed_meta_exits_2(scene_copy, tmp_path, capsys, line):
     meta = scene_copy / "meta.txt"
     lines = meta.read_text().splitlines()
@@ -359,3 +368,69 @@ def test_unset_flags_take_the_params_defaults():
     assert config == cli.RunConfig(
         Path("m/model.out"), Path("m/keys"), Path("m/query_list.txt"),
         Path("m/list.txt"), Path("m/meta.txt"), Path("o"), "basic", "all")
+
+
+@pytest.fixture(scope="module")
+def small_scene_dir(tmp_path_factory):
+    scene = generate_synthetic_scene(400, 10, seed=5, n_queries=2)
+    path = tmp_path_factory.mktemp("fuzz") / "scene"
+    write_scene_dir(scene, path)
+    return path
+
+
+FUZZ_FILES = ["model.out", "list.txt", "query_list.txt", "meta.txt",
+              "keys/db_000.key", "keys/query_000.key"]
+FUZZ_TOKENS = [b"", b"0", b"-1", b"-0", b"0.5", b"3", b"255", b"256", b"x",
+               b"nan", b"inf", b"-inf", b"1e309", b"1e-320",
+               b"99999999999999999999", b"\xff", b"\x00"]
+
+
+def corrupt(data: bytes, op: str, at: int, token: bytes) -> bytes:
+    """One token replaced, a truncation, or one line dropped, doubled or
+    swapped with the next, at position ``at`` (taken modulo the size)."""
+    if op == "token":
+        spans = [m.span() for m in re.finditer(rb"\S+", data)]
+        if not spans:
+            return data + token
+        start, end = spans[at % len(spans)]
+        return data[:start] + token + data[end:]
+    if op == "truncate":
+        return data[:at % (len(data) + 1)]
+    lines = data.splitlines(keepends=True)
+    i = at % max(1, len(lines))
+    if op == "drop":
+        return b"".join(lines[:i] + lines[i + 1:])
+    if op == "double":
+        return b"".join(lines[:i + 1] + lines[i:])
+    return b"".join(lines[:i] + lines[i + 1:i + 2] + lines[i:i + 1] + lines[i + 2:])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(FUZZ_FILES),
+       st.sampled_from(["token", "truncate", "drop", "double", "swap"]),
+       st.integers(0, 10**6), st.sampled_from(FUZZ_TOKENS))
+# the escapes that bytes parsing mended: a 0xff byte in the model or a
+# database keyfile (UnicodeDecodeError) and a NUL in the camera list
+# (ValueError: embedded null byte) went out as tracebacks
+@example("model.out", "token", 7, b"\xff")
+@example("keys/db_000.key", "token", 40, b"\xff")
+@example("list.txt", "token", 1, b"\x00")
+# found by this test: a 20-digit image width overflowed the coverage
+# keys (the painted image could not be allocated before), and a
+# subnormal focal made P3P's rays coplanar, so its quartic overflowed
+@example("meta.txt", "token", 1, b"99999999999999999999")
+@example("meta.txt", "token", 3, b"1e-320")
+def test_any_single_corruption_exits_cleanly(small_scene_dir, name, op, at, token):
+    with tempfile.TemporaryDirectory() as tmp:
+        scene = shutil.copytree(small_scene_dir, Path(tmp) / "scene")
+        path = scene / name
+        path.write_bytes(corrupt(path.read_bytes(), op, at, token))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run_cli(scene, Path(tmp) / "out", "advanced")
+    assert code in (0, 1, 2)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == 2:
+        assert re.match(r"error: \w+: ", err.getvalue()), err.getvalue()

@@ -14,7 +14,9 @@ from sfmloc import (
     solve_p3p,
     solve_p4pf,
 )
-from sfmloc.errors import DegenerateConfiguration
+from sfmloc import minimal_solvers
+from sfmloc.errors import DegenerateConfiguration, NoRealSolution
+from sfmloc.minimal_solvers import _PAIRS
 from sfmloc.sfm_data import CameraRecord
 
 from conftest import random_rotation, rotation_angle
@@ -86,6 +88,13 @@ class TestSolveP3P:
     def test_coincident_bearings_raise(self):
         bearings = np.array([[0, 0, 1], [0, 0, 1], [0.1, 0, 1]])
         bearings = bearings / np.linalg.norm(bearings, axis=1, keepdims=True)
+        world = np.array([[0, 0, 5], [1, 0, 5], [0, 1, 5]], dtype=float)
+        with pytest.raises(DegenerateConfiguration):
+            solve_p3p(bearings, world)
+
+    def test_coplanar_bearings_raise(self):
+        # a subnormal focal puts all three rays in the image plane
+        bearings = bearing_vectors([(10, 0), (0, 10), (-10, -5)], 1e-320)
         world = np.array([[0, 0, 5], [1, 0, 5], [0, 1, 5]], dtype=float)
         with pytest.raises(DegenerateConfiguration):
             solve_p3p(bearings, world)
@@ -168,6 +177,108 @@ class TestSolveP4Pf:
         proj = np.array([[0, 0], [10, 0], [20, 0], [0, 10]], dtype=float)
         with pytest.raises(DegenerateConfiguration):
             solve_p4pf(proj, world)
+
+
+def oracle_polish_depths(m2d, gl, f, zb, zc, zd):
+    """Gauss-Newton refinement of a raw (focal, depth-ratio) root.
+
+    The elimination template can lose several digits; a few iterations
+    on the exact pairwise-distance ratios restore close to machine
+    precision.  The depth of the first point is fixed to one, so the
+    squared distances are only determined up to a common scale; the
+    residuals cross-multiply each pair against the (0, 3) pair to stay
+    scale-free.  Unknowns are (zb, zc, zd, w) with w = f^2.
+    """
+    x = np.array([zb, zc, zd, f * f])
+    ref = 2  # index of pair (0, 3) in _PAIRS
+
+    def distances(x):
+        z = np.array([1.0, x[0], x[1], x[2]])
+        w = x[3]
+        q = np.empty(6)
+        Jq = np.zeros((6, 4))
+        for n, (i, j) in enumerate(_PAIRS):
+            du = z[i] * m2d[:, i] - z[j] * m2d[:, j]
+            dz = z[i] - z[j]
+            q[n] = du @ du + w * dz * dz
+            if i > 0:
+                Jq[n, i - 1] = 2.0 * (m2d[:, i] @ du) + 2.0 * w * dz
+            if j > 0:
+                Jq[n, j - 1] = -2.0 * (m2d[:, j] @ du) - 2.0 * w * dz
+            Jq[n, 3] = dz * dz
+        return q, Jq
+
+    def residuals(x):
+        q, Jq = distances(x)
+        rows = [n for n in range(6) if n != ref]
+        r = gl[ref] * q[rows] - gl[rows] * q[ref]
+        J = gl[ref] * Jq[rows] - np.outer(gl[rows], Jq[ref])
+        return r, J
+
+    r, J = residuals(x)
+    best_x, best_norm = x, np.linalg.norm(r)
+    for _ in range(10):
+        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        x = x + step
+        if x[3] <= 0.0:
+            break
+        r, J = residuals(x)
+        norm = np.linalg.norm(r)
+        if norm < best_norm:
+            best_x, best_norm = x, norm
+        if norm < 1e-16:
+            break
+    zb, zc, zd, w = best_x
+    return float(np.sqrt(w)), float(zb), float(zc), float(zd)
+
+
+def close_poses(a, b, tol):
+    """Rotation entries, centre and focal of a and b agree within tol (relative)."""
+    return (np.abs(a.rotation - b.rotation).max() <= tol
+            and np.linalg.norm(a.center - b.center) <= tol * max(1.0, np.linalg.norm(b.center))
+            and abs(a.focal_px - b.focal_px) <= tol * b.focal_px)
+
+
+@pytest.mark.parametrize("noise_px", [0.0, 0.5, 3.0])
+def test_p4pf_polish_matches_the_oracle(monkeypatch, noise_px):
+    """The float polish gives the oracle's candidates, in the same order.
+
+    numpy's two-element dot products round differently from Python
+    floats (fused multiply-add), and Gauss-Newton on an ill-conditioned
+    root carries a one-ulp difference to about 1e-7; a candidate that
+    reprojects noise-free points exactly matches to 1e-9.
+    """
+    rng = np.random.default_rng(23)
+    problems = []
+    for _ in range(200):
+        pose = random_pose(rng, focal=rng.uniform(300.0, 1500.0))
+        world, proj = forward_project(pose, 4, rng)
+        problems.append((pose, proj + rng.normal(0.0, noise_px, proj.shape), world))
+
+    def solve_all():
+        out = []
+        for _, proj, world in problems:
+            try:
+                out.append(solve_p4pf(proj, world))
+            except NoRealSolution:
+                out.append([])
+        return out
+
+    got = solve_all()
+    monkeypatch.setattr(minimal_solvers, "_polish_depths", oracle_polish_depths)
+    want = solve_all()
+    assert sum(map(len, want)) >= 300
+    exact = 0
+    for (_, proj, world), cands, oracle in zip(problems, got, want):
+        assert len(cands) == len(oracle)
+        for c, o in zip(cands, oracle):
+            pc = o.world_to_camera(world)
+            if noise_px == 0.0 and np.abs(o.focal_px * pc[:, :2] / pc[:, 2:] - proj).max() < 1e-6:
+                assert close_poses(c, o, 1e-9)
+                exact += 1
+            else:
+                assert close_poses(c, o, 1e-6)
+    assert noise_px > 0.0 or exact >= 200
 
 
 class TestBundlerConversion:

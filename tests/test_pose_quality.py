@@ -1,6 +1,7 @@
 """Fitted-match test and coverage quality."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfmloc import (
@@ -35,6 +36,49 @@ def fitted_count(pose, good, query, threshold, metric="ray"):
 def first(n, k):
     """Mask selecting the first k of n matches."""
     return np.arange(n) < k
+
+
+def oracle_coverage_area(xy: np.ndarray, width: int, height: int, c: int) -> int:
+    """Distinct pixels under (2c+1)^2 windows centered at each coordinate."""
+    cover = np.zeros((height, width), dtype=bool)
+    _paint_windows(cover, xy, width, height, c)
+    return int(cover.sum())
+
+
+def _paint_windows(cover, xy, width, height, c):
+    for x, y in np.atleast_2d(xy):
+        x0 = max(0, int(np.ceil(x - c)))
+        x1 = min(width - 1, int(np.floor(x + c)))
+        y0 = max(0, int(np.ceil(y - c)))
+        y1 = min(height - 1, int(np.floor(y + c)))
+        if x0 <= x1 and y0 <= y1:
+            cover[y0:y1 + 1, x0:x1 + 1] = True
+
+
+@st.composite
+def window_sets(draw):
+    """An image, a half window and centres that stress the window edges.
+
+    Centres fall inside, on and outside the border, exactly k +- c from
+    an integer k (where ceil and floor meet an edge), repeat earlier
+    centres, and c may reach past the whole image.
+    """
+    width, height = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    c = draw(st.integers(1, 60))
+
+    def coordinate(size):
+        return st.one_of(
+            st.floats(-c - 3.0, size + c + 3.0, allow_nan=False),
+            st.integers(-c - 2, size + c + 1).map(float),
+            st.tuples(st.integers(-1, size), st.sampled_from([-c, c]),
+                      st.sampled_from([0.0, -1e-9, 1e-9])).map(sum),
+            st.sampled_from([0.0, size - 1.0, -0.5, size - 0.5]))
+
+    centre = st.tuples(coordinate(width), coordinate(height))
+    centres = draw(st.lists(centre, max_size=25))
+    if centres:
+        centres += draw(st.lists(st.sampled_from(centres), max_size=5))
+    return np.array(centres, dtype=float).reshape(-1, 2), width, height, c
 
 
 class TestFittedMatches:
@@ -81,6 +125,22 @@ class TestCoverageArea:
         a = coverage_area_xy(xy, 400, 300, 10)
         b = coverage_area_xy(xy[rng.permutation(20)], 400, 300, 10)
         assert a == b
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(window_sets())
+    def test_equals_painting_oracle(self, case):
+        xy, width, height, c = case
+        assert coverage_area_xy(xy, width, height, c) == \
+            oracle_coverage_area(xy, width, height, c)
+
+    @pytest.mark.parametrize("xy, c", [
+        (np.empty((0, 2)), 5),                             # no windows
+        (np.array([[3.0, 4.0], [3.0, 4.0]]), 60),          # c past the image
+        (np.array([[-5.0, 2.0], [44.0, 2.0]]), 5),         # edges exactly on the border
+        (np.array([[-5.5, 2.0], [44.0 + 1e-9, 2.0]]), 5),  # just outside it
+    ])
+    def test_edge_cases_equal_the_oracle(self, xy, c):
+        assert coverage_area_xy(xy, 40, 30, c) == oracle_coverage_area(xy, 40, 30, c)
 
     def test_window_size(self):
         assert coverage_window(400) == 10

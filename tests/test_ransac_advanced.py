@@ -1,5 +1,7 @@
 """Co-occurrence sampling, backmatching and the advanced pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from sfmloc import (
     estimate_pose_advanced,
     find_good_matches,
     pose_error,
+    ransac_advanced,
     scene_diameter,
 )
 from sfmloc.errors import InsufficientMatches, SamplingExhausted
@@ -365,3 +368,54 @@ class TestEstimatePoseAdvanced:
             assert est.iterations_used in (100, 200)
             assert est.iterations_used == \
                 (200 if est.used_backmatching else 100)
+
+
+class TestBackmatchWithEveryFeatureMatched:
+    """Backmatching cannot add a match when every query feature has one."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        counts = {"index": 0, "query": 0, "context": 0}
+
+        class CountingIndex(ransac_advanced.DescriptorIndex):
+            def __init__(self, *args, **kwargs):
+                counts["index"] += 1
+                super().__init__(*args, **kwargs)
+
+            def query(self, *args, **kwargs):
+                counts["query"] += 1
+                return super().query(*args, **kwargs)
+
+        class CountingContext(ransac_advanced.MatchContext):
+            def __init__(self, *args, **kwargs):
+                counts["context"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ransac_advanced, "DescriptorIndex", CountingIndex)
+        monkeypatch.setattr(ransac_advanced, "MatchContext", CountingContext)
+        return counts
+
+    @staticmethod
+    def fully_matched(clean_scene):
+        """A query holding only the features its good matches use."""
+        model = clean_scene.model
+        index = build_index(model.mean_descriptors.astype(float))
+        query, _ = clean_scene.queries[0]
+        good = find_good_matches(index, query, 0.9, model.visibilities,
+                                 model.positions)
+        query = replace(query, features=query.features[good.feature_idx])
+        return model, query, replace(good, feature_idx=np.arange(len(good)))
+
+    def test_backmatch_returns_good_unindexed(self, clean_scene, counted):
+        model, query, good = self.fully_matched(clean_scene)
+        assert backmatch(query, model, good, BackmatchParams()) is good
+        assert counted["index"] == 0 and counted["query"] == 0
+
+    def test_second_phase_reuses_the_first_context(self, clean_scene, counted):
+        model, query, good = self.fully_matched(clean_scene)
+        # a skip threshold above the match count forces backmatching
+        adv = AdvancedParams(rng_seed=4, skip_count=10**6, skip_fraction=2.0)
+        est = estimate_pose_advanced(query, good, model, adv, BackmatchParams())
+        assert est.used_backmatching and est.iterations_used == 200
+        assert len(est.fitted) == len(good)
+        assert counted == {"index": 0, "query": 0, "context": 1}

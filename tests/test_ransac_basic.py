@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sfmloc import (
+    AdvancedParams,
     BasicParams,
     Matches,
     build_index,
@@ -17,8 +18,11 @@ from sfmloc import (
     ransac_basic,
     scene_diameter,
 )
-from sfmloc.errors import InsufficientMatches, NoSolution
-from sfmloc.ransac_basic import _sample_unique_idx
+from sfmloc.errors import InsufficientMatches, NoSolution, SamplingExhausted
+from sfmloc.minimal_solvers import Pose
+from sfmloc.ransac_advanced import _draw_cooccurrence_idx, _seed_matches
+from sfmloc.ransac_basic import _sample_unique_idx, solve_candidates
+from sfmloc.sfm_data import QueryImage, keyfile_records
 
 
 class TestSampleUnique:
@@ -143,3 +147,119 @@ def test_p3p_without_focal_fails_before_sampling(monkeypatch, scene_matches,
     query, _, good = scene_matches
     with pytest.raises(NoSolution):
         estimate(replace(query, exif_focal_px=None), good, None, solver="p3p")
+
+
+def oracle_search(ctx, draw, iterations: int, focal_px: float | None,
+                  solver: str, best=None, stop_at: int | None = None):
+    """The RANSAC loop: (best, iterations run) after at most `iterations`.
+
+    draw() gives one minimal sample as indices into ctx.matches.  The
+    caller has run sample_size on ctx.matches or on a subset of them, so
+    draw may rely on enough distinct points.  An iteration whose draw
+    raises SamplingExhausted passes without a sample.  best, None or
+    (q, pose, fitted count, stats, mask), gives way only to a strictly
+    higher q.  The loop ends early once best fits stop_at matches.
+    """
+    for it in range(iterations):
+        try:
+            candidates = solve_candidates(ctx, np.asarray(draw()), focal_px, solver)
+        except SamplingExhausted:
+            candidates = []
+        for pose in candidates:
+            count, stats, mask = ctx.evaluate(pose)
+            if stats is not None and (best is None or stats.q > best[0]):
+                best = (stats.q, pose, count, stats, mask)
+        if stop_at is not None and best is not None and best[2] >= stop_at:
+            return best, it + 1
+    return best, iterations
+
+
+def noisy_context(noisy_scene, qi):
+    """Scoring context over the good matches of one noisy-scene query."""
+    model = noisy_scene.model
+    index = build_index(model.mean_descriptors.astype(float))
+    query, _ = noisy_scene.queries[qi]
+    good = find_good_matches(index, query, 0.9, model.visibilities,
+                             model.positions)
+    return query, ransac_basic.MatchContext(query, good, 0.5, "ray", 6)
+
+
+def sampler(kind, matches, size, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "basic":
+        return lambda: _sample_unique_idx(matches.point_idx, size, rng)
+    params = AdvancedParams()
+    seeds = _seed_matches(matches.visibility, params.min_seed_cameras)
+    return lambda: _draw_cooccurrence_idx(matches.point_idx, matches.visibility,
+                                          seeds, size, params, rng)
+
+
+class TestSkipBound:
+    @pytest.mark.parametrize("kind", ["basic", "advanced"])
+    @pytest.mark.parametrize("solver", ["p3p", "p4pf"])
+    @pytest.mark.parametrize("stop_at", [None, 12])
+    def test_search_matches_the_oracle(self, noisy_scene, monkeypatch, kind,
+                                       solver, stop_at):
+        skipped = []
+        evaluate = ransac_basic.MatchContext.evaluate
+
+        def counting(ctx, pose, beat=-np.inf):
+            count, stats, mask = evaluate(ctx, pose, beat)
+            skipped.append(stats is None and count >= ctx.min_fitted)
+            return count, stats, mask
+        monkeypatch.setattr(ransac_basic.MatchContext, "evaluate", counting)
+        for qi in (0, 1):
+            query, ctx = noisy_context(noisy_scene, qi)
+            focal = query.exif_focal_px
+            size = ransac_basic.sample_size(ctx.matches, focal, solver)
+            want, want_its = oracle_search(ctx, sampler(kind, ctx.matches, size, qi),
+                                           60, focal, solver, stop_at=stop_at)
+            got, got_its = ransac_basic.search(ctx, sampler(kind, ctx.matches, size, qi),
+                                               60, focal, solver, stop_at=stop_at)
+            assert got_its == want_its
+            assert got[0] == want[0] and got[2] == want[2] and got[3] == want[3]
+            assert np.array_equal(got[1].rotation, want[1].rotation)
+            assert np.array_equal(got[1].center, want[1].center)
+            assert got[1].focal_px == want[1].focal_px
+            assert np.array_equal(got[4], want[4])
+        # without an early stop, the bound does skip candidates
+        assert stop_at is not None or any(skipped)
+
+    def test_bound_is_tight_for_disjoint_interior_windows(self, monkeypatch):
+        # ten windows of 21 x 21 pixels, apart and inside a 400 x 300 image:
+        # fitting k of them covers exactly the bound's k * 21^2 pixels
+        xy = [(30.0 + 35.0 * i, 40.0 + 20.0 * (i % 3)) for i in range(10)]
+        feats = keyfile_records(xy, np.zeros((10, 128), dtype=np.uint8))
+        query = QueryImage(name="q", width=400, height=300, features=feats)
+        matches = Matches(np.arange(10), np.arange(10), np.zeros(10), np.ones(10),
+                          [frozenset({0})] * 10, np.zeros((10, 3)))
+        ctx = ransac_basic.MatchContext(query, matches, 0.5, "ray", 1)
+        assert ctx.area_good == 10 * 21 ** 2
+        monkeypatch.setattr(ransac_basic, "fitted_mask",
+                            lambda *args: np.arange(10) < 4)
+        pose = Pose(np.eye(3), np.zeros(3), 400.0)
+        q = ctx.evaluate(pose)[1].q
+        assert q == 0.4
+        assert ctx.evaluate(pose, q)[1] is None
+        assert ctx.evaluate(pose, np.nextafter(q, -np.inf))[1].q == q
+
+    def test_no_stats_only_when_q_cannot_beat(self, noisy_scene):
+        query, ctx = noisy_context(noisy_scene, 2)
+        draw = sampler("basic", ctx.matches, 3, 0)
+        checked = 0
+        for _ in range(60):
+            for pose in ransac_basic.solve_candidates(ctx, draw(), query.exif_focal_px):
+                count, stats, _ = ctx.evaluate(pose)
+                if stats is None:
+                    continue
+                below = np.nextafter(stats.q, -np.inf)
+                for beat in (0.0, below, stats.q, 0.5, 1.0):
+                    bounded = ctx.evaluate(pose, beat)[1]
+                    if bounded is None:
+                        assert stats.q <= beat
+                    else:
+                        assert bounded == stats
+                # a beat just below q leaves the candidate scored
+                assert ctx.evaluate(pose, below)[1] == stats
+                checked += 1
+        assert checked > 20
