@@ -11,7 +11,6 @@ what makes the whole pipeline verifiable without a city-scale dataset.
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -385,14 +384,6 @@ def localize(query: QueryImage, golden: Pose, index, model: SfmModel,
     elapsed = time.perf_counter() - start
     return est, QueryResult(query.name, pose_error(est.pose, golden), elapsed,
                             est.used_backmatching, est.iterations_used)
-
-
-def map_jobs(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items], on a pool of jobs threads when jobs > 1."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def report_from_rows(rows) -> BenchmarkReport:

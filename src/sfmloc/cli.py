@@ -36,7 +36,6 @@ from .benchmark import (
     GOOD_RATIO_BASIC,
     QueryResult,
     localize,
-    map_jobs,
     report_from_rows,
     write_report,
 )
@@ -122,7 +121,6 @@ class RunConfig:
     query_selector: str
     solver_override: str = "auto"
     seed: int | None = None
-    jobs: int = 1
     benchmark: bool = False
     cache_path: Path | None = None
     ratio: float | None = None
@@ -163,8 +161,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["auto", "p3p", "p4pf", "both"],
                    default=RunConfig.solver_override)
     p.add_argument("--seed", type=_NON_NEGATIVE, default=RunConfig.seed)
-    p.add_argument("--jobs", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
-                   default=RunConfig.jobs)
     p.add_argument("--benchmark", action="store_true",
                    help="also write benchmark CSVs against golden poses")
     p.add_argument("--cache-index", help="descriptor cache file (npz)")
@@ -212,7 +208,6 @@ def config_from_args(args) -> RunConfig:
         query_selector=query,
         solver_override=args.solver,
         seed=args.seed,
-        jobs=args.jobs,
         benchmark=args.benchmark,
         cache_path=Path(args.cache_index) if args.cache_index else None,
         ratio=args.ratio,
@@ -352,7 +347,7 @@ def run(config: RunConfig) -> int:
               f"err={row.error.translation:.3f} ({row.seconds:.2f}s)")
         return row
 
-    rows = map_jobs(one, list(enumerate(query_names)), config.jobs)
+    rows = [one(task) for task in enumerate(query_names)]
 
     if config.benchmark:
         report = report_from_rows(rows)

@@ -3,14 +3,16 @@
 The index is a kd-tree over the model's per-point mean descriptors
 (Euclidean metric on raw SIFT values).  Queries are exact, which
 trivially meets the recall requirement.  The index is immutable after
-construction and safe for concurrent queries.  A multi-row query is
-split over every CPU, which gives the same arrays because rows are
-searched independently; a one-row query, as backmatching issues per
-popped point, runs on the calling thread, where starting threads would
-cost more than the search.
+construction.  A multi-row query is split over every CPU, which gives
+the same arrays because rows are searched independently; a one-row
+query, as backmatching issues per popped point, runs on the calling
+thread, where starting threads would cost more than the search.
 """
 
 import hashlib
+import tokenize
+import zipfile
+import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -21,6 +23,10 @@ from .errors import EmptyInput
 from .sfm_data import DESCRIPTOR_DIM, QueryImage
 
 CACHE_VERSION = 1
+# np.load's errors on a missing, foreign, cut or bit-flipped cache file
+# (RuntimeError: an unsupported zip feature; TokenError: a bad array header)
+_UNREADABLE_CACHE = (OSError, KeyError, ValueError, EOFError, RuntimeError,
+                     zipfile.BadZipFile, zlib.error, tokenize.TokenError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +165,7 @@ def save_index_cache(path, descriptors, checksum: str) -> None:
 
 
 def load_index_cache(path, checksum: str):
-    """Load cached descriptors; None when missing, stale or incompatible."""
+    """Load cached descriptors; None when missing, stale or unreadable."""
     try:
         with np.load(path) as data:
             if int(data["version"]) != CACHE_VERSION:
@@ -167,5 +173,5 @@ def load_index_cache(path, checksum: str):
             if bytes(data["checksum"]).decode() != checksum:
                 return None
             return data["descriptors"]
-    except (OSError, KeyError, ValueError):
+    except _UNREADABLE_CACHE:
         return None

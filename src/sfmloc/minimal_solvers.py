@@ -97,13 +97,19 @@ def internal_to_bundler(pose: Pose) -> tuple[np.ndarray, np.ndarray]:
     return rot, -rot @ pose.center
 
 
+def _cross(u, v) -> np.ndarray:
+    """np.cross of two 3-vectors, bit for bit, without its axis handling."""
+    (u0, u1, u2), (v0, v1, v2) = u.tolist(), v.tolist()
+    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+
+
 def _check_not_collinear(world: np.ndarray, rel_tol: float = 1e-9) -> None:
     for i, j, k in ((0, 1, 2),) if len(world) == 3 else (
             (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
         u = world[j] - world[i]
         v = world[k] - world[i]
         scale = np.linalg.norm(u) * np.linalg.norm(v)
-        if scale == 0.0 or np.linalg.norm(np.cross(u, v)) < rel_tol * scale:
+        if scale == 0.0 or np.linalg.norm(_cross(u, v)) < rel_tol * scale:
             raise DegenerateConfiguration(
                 f"world points {i},{j},{k} are collinear or coincident")
 
@@ -134,9 +140,9 @@ def solve_p3p(bearings, world) -> list[Pose]:
     # theta inside [0, pi]).
     def camera_frame(f1, f2):
         e1 = f1
-        e3 = np.cross(f1, f2)
+        e3 = _cross(f1, f2)
         e3 = e3 / np.linalg.norm(e3)
-        e2 = np.cross(e3, e1)
+        e2 = _cross(e3, e1)
         return np.vstack([e1, e2, e3])
 
     T = camera_frame(f[0], f[1])
@@ -151,9 +157,9 @@ def solve_p3p(bearings, world) -> list[Pose]:
     # Intermediate world frame spanned by the three points.
     n1 = P[1] - P[0]
     n1 = n1 / np.linalg.norm(n1)
-    n3 = np.cross(n1, P[2] - P[0])
+    n3 = _cross(n1, P[2] - P[0])
     n3 = n3 / np.linalg.norm(n3)
-    n2 = np.cross(n3, n1)
+    n2 = _cross(n3, n1)
     N = np.vstack([n1, n2, n3])
 
     P3 = N @ (P[2] - P[0])

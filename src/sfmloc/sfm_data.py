@@ -80,7 +80,7 @@ class SfmModel:
     The view lists are decoded here and nowhere else, each once on first
     use: ``track_points`` gives the point of every view-list entry and
     ``visibilities`` every point's camera set.  Instances are immutable
-    after construction and safe to share across threads.
+    after construction.
     """
 
     def __init__(self, cameras, positions, colors, track_offsets,

@@ -74,13 +74,6 @@ def test_localizes_every_query(scene_dir, tmp_path, mode):
         assert (tmp_path / row["name"].replace(".jpg", "") / "camera.mlp").is_file()
 
 
-@pytest.mark.parametrize("mode", ["basic", "advanced"])
-def test_two_jobs_give_the_same_rows(scene_dir, tmp_path, mode):
-    assert run_cli(scene_dir, tmp_path / "one", mode, "--jobs", "1") == 0
-    assert run_cli(scene_dir, tmp_path / "two", mode, "--jobs", "2") == 0
-    assert without_seconds(tmp_path / "two") == without_seconds(tmp_path / "one")
-
-
 @pytest.mark.parametrize("line", ["query_000.jpg 800",
                                   "query_000.jpg wide 600 400.0",
                                   "query_000.jpg 800 600 f400",
@@ -152,7 +145,7 @@ def _descriptor_value_300(scene):
 ])
 def test_bad_query_fails_only_its_row(scene_copy, tmp_path, defect, failure):
     defect(scene_copy)
-    assert run_cli(scene_copy, tmp_path / "out", "basic", "--jobs", "2") == 1
+    assert run_cli(scene_copy, tmp_path / "out", "basic") == 1
     got = {r["name"]: r["failure"] for r in rows(tmp_path / "out")}
     assert got == {"query_000.jpg": "", "query_001.jpg": failure,
                    "query_002.jpg": "", "query_003.jpg": ""}
@@ -272,12 +265,17 @@ def test_setup_failure_exits_2(scene_copy, tmp_path, capsys, defect):
     assert "Traceback" not in err
 
 
-def test_cache_is_invalidated_by_a_keyfile_edit(scene_copy, tmp_path,
-                                                monkeypatch):
-    averaged = []
+@pytest.fixture
+def averaged(monkeypatch):
+    """One entry per run that averaged descriptors instead of reading a cache."""
+    calls = []
     build = cli.build_mean_descriptors
     monkeypatch.setattr(cli, "build_mean_descriptors",
-                        lambda *a: averaged.append(1) or build(*a))
+                        lambda *a: calls.append(1) or build(*a))
+    return calls
+
+
+def test_cache_is_invalidated_by_a_keyfile_edit(scene_copy, tmp_path, averaged):
     cache = ["--cache-index", str(tmp_path / "descriptors.npz")]
 
     assert run_cli(scene_copy, tmp_path / "a", "basic", *cache) == 0
@@ -292,6 +290,25 @@ def test_cache_is_invalidated_by_a_keyfile_edit(scene_copy, tmp_path,
         write_keyfile(features, fh)
     assert run_cli(scene_copy, tmp_path / "c", "basic", *cache) == 0
     assert len(averaged) == 2
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: b"",
+    lambda data: b"PK\x03\x04garbage",
+    lambda data: data[:len(data) // 2],
+], ids=["empty", "bad_zip", "cut_in_half"])
+def test_corrupt_cache_is_a_miss(scene_dir, tmp_path, averaged, damage):
+    path = tmp_path / "descriptors.npz"
+    cache = ["--cache-index", str(path)]
+    assert run_cli(scene_dir, tmp_path / "plain", "basic") == 0
+    assert run_cli(scene_dir, tmp_path / "a", "basic", *cache) == 0
+    path.write_bytes(damage(path.read_bytes()))
+
+    assert run_cli(scene_dir, tmp_path / "b", "basic", *cache) == 0
+    assert run_cli(scene_dir, tmp_path / "c", "basic", *cache) == 0
+    assert len(averaged) == 3  # b rewrote the cache, and c read it
+    for out in ("b", "c"):
+        assert without_seconds(tmp_path / out) == without_seconds(tmp_path / "plain")
 
 
 def test_settings_file_gives_the_same_rows(scene_dir, tmp_path):
@@ -310,10 +327,10 @@ def test_settings_file_gives_the_same_rows(scene_dir, tmp_path):
 
 def test_later_flag_overrides_the_settings_file(tmp_path):
     settings = tmp_path / "settings.txt"
-    settings.write_text("--seed 3 --jobs 2\n")
+    settings.write_text("--seed 3 --ratio 0.8\n")
     args = cli.build_arg_parser().parse_args(
         [*required_flags(tmp_path, tmp_path), f"@{settings}", "--seed", "5"])
-    assert (args.seed, args.jobs) == (5, 2)
+    assert (args.seed, args.ratio) == (5, 0.8)
 
 
 @pytest.mark.parametrize("line, message", [
@@ -329,7 +346,7 @@ def test_later_flag_overrides_the_settings_file(tmp_path):
      "argument --iterations-per-phase: '-5' is not an integer >= 0"),
     ("--target-backmatches -1",
      "argument --target-backmatches: '-1' is not an integer >= 0"),
-    ("--jobs 0", "argument --jobs: '0' is not an integer >= 1"),
+    ("--jobs 2", "unrecognized arguments: --jobs 2"),
     ("--k-sigmoid 0", "argument --k-sigmoid: '0' is not a finite number > 0"),
     ("--k-sigmoid nan", "argument --k-sigmoid: 'nan' is not a finite number > 0"),
     ("--stop-fraction nan", "argument --stop-fraction: 'nan' is not a finite number"),

@@ -197,3 +197,14 @@ class TestIndexCache:
         assert np.array_equal(loaded, descs)
         assert load_index_cache(path, "different") is None
         assert load_index_cache(tmp_path / "missing.npz", checksum) is None
+
+    @pytest.mark.parametrize("mask", [0x01, 0xff])
+    def test_any_flipped_byte_is_a_miss_or_the_same_array(self, tmp_path, mask):
+        descs = np.random.default_rng(7).integers(0, 256, (2, 128)).astype(np.uint8)
+        path = tmp_path / "cache.npz"
+        save_index_cache(path, descs, "0123abcd")
+        data = path.read_bytes()
+        for i in range(len(data)):
+            path.write_bytes(data[:i] + bytes([data[i] ^ mask]) + data[i + 1:])
+            loaded = load_index_cache(path, "0123abcd")
+            assert loaded is None or np.array_equal(loaded, descs), i

@@ -125,6 +125,14 @@ class TestSolveP3P:
             assert match < 1e-8
 
 
+def test_cross_is_numpy_cross_bit_for_bit():
+    rng = np.random.default_rng(31)
+    n = 200_000
+    u, v = rng.normal(size=(2, n, 3)) * 10.0 ** rng.uniform(-8, 8, (2, n, 1))
+    got = np.array([minimal_solvers._cross(a, b) for a, b in zip(u, v)])
+    assert got.tobytes() == np.cross(u, v).tobytes()
+
+
 class TestSolveP4Pf:
     def test_forward_oracle_with_focal(self):
         rng = np.random.default_rng(17)
