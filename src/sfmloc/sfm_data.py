@@ -4,7 +4,9 @@ The bundler v0.3 text format carries cameras (focal, two radial
 distortion coefficients, world-to-camera rotation, translation) and 3D
 points (position, color, view list).  Bundles are parsed line by line
 so memory stays bounded per record; point data lands in columnar numpy
-arrays, which keeps a two-million-point model loadable in seconds.
+arrays.  The benchmark's street model (7 162 points, 47 946 views,
+2.6 MB) parses in 0.10-0.15 s on a 2-core x86 host, 13-21 us a point:
+about half a minute for two million points.
 Every camera value, position and view-list coordinate must be finite.
 
 Keyfiles follow Lowe's layout: a ``count 128`` header line, then per
@@ -429,28 +431,36 @@ def build_mean_descriptors(model: SfmModel, keyfile_for_camera) -> SfmModel:
     """Average per-view SIFT descriptors over each point's track.
 
     keyfile_for_camera(cam_idx) must return the (n, 128) descriptor
-    matrix of that camera's keyfile; it is called once per camera with
-    a view-list entry, in ascending camera order.  Raises EmptyTrack,
-    before any keyfile is read, when a point has no view-list entry, and
-    IndexOutOfRange when a key is not a feature of its keyfile.
-    Returns a new model with mean_descriptors filled in.
+    matrix of that camera's keyfile, integers in 0..255; it is called
+    once per camera with a view-list entry, in ascending camera order.
+    Sums and the rounding stay in integers: each mean is
+    floor(sum / count + 1/2), rounded half up, and it lies in 0..255.
+    Raises EmptyTrack, before any keyfile is read, when a point has no
+    view-list entry, and IndexOutOfRange when a key is not a feature of
+    its keyfile.  Returns a new model with mean_descriptors filled in.
     """
     counts = np.diff(model.track_offsets)
     if (counts == 0).any():
         raise EmptyTrack(f"{int((counts == 0).sum())} points have no descriptors")
-    sums = np.zeros((model.num_points, DESCRIPTOR_DIM), dtype=np.float64)
+    # 2 * sum + count <= 511 * count must fit the sums' integer type
+    dtype = np.int32 if 511 * counts.max(initial=0) < 2**31 else np.int64
+    sums = np.zeros((model.num_points, DESCRIPTOR_DIM), dtype=dtype)
     # entries grouped by camera, each group in view-list order
     order = np.argsort(model.track_cams, kind="stable")
     cams, starts = np.unique(model.track_cams[order], return_index=True)
     for cam_idx, entries in zip(cams.tolist(), np.split(order, starts[1:])):
-        descs = np.asarray(keyfile_for_camera(cam_idx), dtype=np.float64)
+        descs = np.asarray(keyfile_for_camera(cam_idx))
         keys = model.track_keys[entries]
         bad = keys[(keys < 0) | (keys >= len(descs))]
         if len(bad):
             raise IndexOutOfRange(
                 f"camera {cam_idx}: key {int(bad[0])} outside keyfile "
                 f"of {len(descs)} features")
-        np.add.at(sums, model.track_points[entries], descs[keys])
-    mean = sums / counts[:, None]
-    return model.with_mean_descriptors(
-        np.clip(np.floor(mean + 0.5), 0, 255).astype(np.uint8))
+        # add.at, not +=, so that repeated points all add
+        np.add.at(sums, model.track_points[entries], descs[keys].astype(dtype))
+    # floor(sum / c + 1/2) == (2 * sum + c) // (2 * c), in place
+    c = counts.astype(dtype)[:, None]
+    sums *= 2
+    sums += c
+    sums //= 2 * c
+    return model.with_mean_descriptors(sums.astype(np.uint8))

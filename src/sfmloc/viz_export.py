@@ -53,9 +53,10 @@ def export_ply(model: SfmModel, path) -> None:
         fh.write("property uchar green\n")
         fh.write("property uchar blue\n")
         fh.write("end_header\n")
-        for pos, col in zip(model.positions, model.colors):
-            fh.write(f"{_fmt(pos[0])} {_fmt(pos[1])} {_fmt(pos[2])} "
-                     f"{int(col[0])} {int(col[1])} {int(col[2])}\n")
+        # one % over all rows; %.9g is _fmt's format and +0.0 folds -0.0
+        rows = zip((model.positions + 0.0).tolist(), model.colors.tolist())
+        fh.write(("%.9g %.9g %.9g %d %d %d\n" * model.num_points)
+                 % tuple(v for pos, col in rows for v in (*pos, *col)))
 
 
 def export_mlp(pose: Pose, query: QueryImage, path,

@@ -1,6 +1,7 @@
 """Parsers, writers and dataset assembly."""
 
 import io
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -515,6 +516,73 @@ class TestBuildMeanDescriptors:
                      rebuilt.track_keys[rebuilt.track_slice(i)])])
             expected = np.clip(np.floor(track.mean(axis=0) + 0.5), 0, 255)
             assert np.array_equal(rebuilt.mean_descriptors[i], expected)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 64), min_size=1, max_size=8),
+           st.integers(1, 5), st.integers(0, 255), st.integers(0, 255),
+           st.integers(0, 2**32 - 1))
+    def test_equals_the_float_formula(self, lengths, n_cams, low, span, seed):
+        """Integer rounding equals floor(sum / count + 0.5) in float64.
+
+        Column 0 of an even track alternates v and v + 1, an exact half.
+        """
+        rng = np.random.default_rng(seed)
+        n = sum(lengths)
+        rows = rng.integers(low, min(low + span, 255) + 1, size=(n, 128))
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        for a, b in zip(offsets, offsets[1:]):
+            if (b - a) % 2 == 0:
+                rows[a:b, 0] = min(low, 254) + np.arange(b - a) % 2
+        cams = rng.integers(0, n_cams, size=n)
+        keys = np.empty(n, dtype=np.int64)
+        keyfiles = []
+        for c in range(n_cams):
+            seen = np.flatnonzero(cams == c)
+            keys[seen] = np.arange(len(seen))
+            keyfiles.append(rows[seen].astype(np.uint8))
+        model = SfmModel([None] * n_cams, np.zeros((len(lengths), 3)),
+                         np.zeros((len(lengths), 3)), offsets, cams, keys,
+                         np.zeros((n, 2)))
+        means = build_mean_descriptors(model, keyfiles.__getitem__).mean_descriptors
+        sums = np.add.reduceat(rows.astype(np.float64), offsets[:-1])
+        expected = np.clip(np.floor(sums / np.array(lengths)[:, None] + 0.5), 0, 255)
+        assert means.dtype == np.uint8
+        assert np.array_equal(means, expected)
+
+    def test_one_camera_sees_a_point_under_many_keys(self):
+        # every repeat of (camera 0, point 0) must add, keys 3 and 1 twice
+        keys = [0, 1, 2, 3, 3, 1]
+        keyfile = np.array([np.full(128, v) for v in (0, 10, 20, 200)], np.uint8)
+        model = SfmModel([None], np.zeros((1, 3)), np.zeros((1, 3)),
+                         [0, len(keys)], np.zeros(len(keys)), keys,
+                         np.zeros((len(keys), 2)))
+        means = build_mean_descriptors(model, lambda cam: keyfile).mean_descriptors
+        assert np.all(means == 73)  # (0 + 10 + 20 + 200 + 200 + 10) / 6 = 73.3
+
+    def test_long_track_of_255(self):
+        # 100 000 views over 100 cameras: the sums reach 25.5 M
+        n_cams, per_cam = 100, 1000
+        n = n_cams * per_cam
+        model = SfmModel([None] * n_cams, np.zeros((1, 3)), np.zeros((1, 3)),
+                         [0, n], np.repeat(np.arange(n_cams), per_cam),
+                         np.tile(np.arange(per_cam), n_cams), np.zeros((n, 2)))
+        keyfile = np.full((per_cam, 128), 255, np.uint8)
+        means = build_mean_descriptors(model, lambda cam: keyfile).mean_descriptors
+        assert np.all(means == 255)
+
+    def test_heap_peak_is_a_few_int32_rows_per_point(self, noisy_scene):
+        """No float64 (points, 128) array: the peak stays under two int32 ones."""
+        query_names = [q.name for q, _ in noisy_scene.queries]
+        info, _ = split_golden(noisy_scene.model, query_names,
+                               noisy_scene.db_names + query_names)
+        tracemalloc.start()
+        try:
+            build_mean_descriptors(
+                info, lambda ci: noisy_scene.db_keyfiles[ci].descriptor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * info.num_points * 128 * 4
 
 
 def written(write, obj) -> str:

@@ -110,6 +110,24 @@ class TestExportPly:
         export_ply(clean_scene.model, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_vertex_rows_equal_a_per_row_writer(self, tmp_path, clean_scene):
+        def fmt(x):
+            return f"{x + 0.0:.9g}"
+
+        positions = np.concatenate([
+            [[-0.0, 1e-12, 123456789.123], [-1e-12, -123456789.123, 0.0]],
+            clean_scene.model.positions[:50]])
+        colors = np.concatenate([[[0, 255, 0], [255, 0, 255]],
+                                 clean_scene.model.colors[:50]]).astype(np.uint8)
+        path = tmp_path / "m.ply"
+        export_ply(tiny_model(positions, colors), path)
+        rows = "".join(f"{fmt(p[0])} {fmt(p[1])} {fmt(p[2])} "
+                       f"{int(c[0])} {int(c[1])} {int(c[2])}\n"
+                       for p, c in zip(positions, colors))
+        text = path.read_bytes().decode("ascii")
+        assert text.split("end_header\n")[1] == rows
+        assert text.splitlines()[-52] == "0 1e-12 123456789 0 255 0"
+
 
 class TestExportMlp:
     def test_identity_pose_translation(self, tmp_path):
