@@ -4,17 +4,20 @@ Two solvers are provided: a three-point solver for cameras with known
 focal length (parametrization of Kneip, Scaramuzza and Siegwart, CVPR
 2011) and a four-point solver that additionally recovers the focal
 length (Groebner-basis solver of Bujnak, Kukelova and Pajdla, CVPR
-2008).  Everything downstream works in one internal frame: the camera
-looks along +Z, +X points to the right and +Y to the top of the image,
-and image coordinates are centered at the principal point.
+2008).  Each solves a batch of samples as one array computation: the
+problems come stacked along a first axis, and every pose candidate of
+the batch comes back in one Candidates stack that names the row it
+solves.  A degenerate row (collinear or coincident points, coincident
+or coplanar rays) or one without a physically valid root gives no
+candidate and leaves the other rows unchanged.  Everything downstream
+works in one internal frame: the camera looks along +Z, +X points to
+the right and +Y to the top of the image, and image coordinates are
+centered at the principal point.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DegenerateConfiguration, NoRealSolution
 
 # Rotation taking bundler's camera frame (looking along -Z) to the
 # internal one (looking along +Z): a half turn about the camera X axis.
@@ -40,12 +43,31 @@ class Pose:
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
-    def with_focal(self, focal_px: float) -> "Pose":
-        return Pose(self.rotation, self.center, focal_px)
-
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         """Map world points (..., 3) into the camera frame."""
         return (np.asarray(points, dtype=float) - self.center) @ self.rotation.T
+
+
+@dataclass(frozen=True)
+class Candidates:
+    """Pose candidates of a batch of samples, stacked along a first axis.
+
+    Candidate k solves batch row sample[k]; rows come in ascending order
+    and, within a row, in the solver's order.  rotation (K, 3, 3),
+    center (K, 3) and focal_px (K,) are those of Pose; focal_px is NaN
+    where the solver does not determine it (P3P).
+    """
+
+    sample: np.ndarray
+    rotation: np.ndarray
+    center: np.ndarray
+    focal_px: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sample)
+
+    def pose(self, k: int) -> Pose:
+        return Pose(self.rotation[k], self.center[k], float(self.focal_px[k]))
 
 
 def normalize_points(points, width: float, height: float) -> np.ndarray:
@@ -72,10 +94,10 @@ def denormalize_points(points, width: float, height: float) -> np.ndarray:
 
 
 def bearing_vectors(centered_xy: np.ndarray, focal_px: float) -> np.ndarray:
-    """Unit rays through centered image points for a known focal length."""
+    """Unit rays (..., 3) through centered image points (..., 2) for a known focal length."""
     pts = np.atleast_2d(np.asarray(centered_xy, dtype=float))
-    rays = np.column_stack([pts[:, 0], pts[:, 1], np.full(len(pts), focal_px)])
-    return rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    rays = np.concatenate([pts, np.full(pts.shape[:-1] + (1,), focal_px)], axis=-1)
+    return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
 
 
 def bundler_to_internal(record) -> Pose:
@@ -98,94 +120,115 @@ def internal_to_bundler(pose: Pose) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cross(u, v) -> np.ndarray:
-    """np.cross of two 3-vectors, bit for bit, without its axis handling."""
-    (u0, u1, u2), (v0, v1, v2) = u.tolist(), v.tolist()
-    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+    """np.cross of 3-vectors along the last axis, bit for bit, without its axis handling."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=-1)
 
 
-def _check_not_collinear(world: np.ndarray, rel_tol: float = 1e-9) -> None:
-    for i, j, k in ((0, 1, 2),) if len(world) == 3 else (
-            (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        u = world[j] - world[i]
-        v = world[k] - world[i]
-        scale = np.linalg.norm(u) * np.linalg.norm(v)
-        if scale == 0.0 or np.linalg.norm(_cross(u, v)) < rel_tol * scale:
-            raise DegenerateConfiguration(
-                f"world points {i},{j},{k} are collinear or coincident")
+def _dot(u, v) -> np.ndarray:
+    """Dot products along the last axis, each rounded as the 1-D u @ v.
 
-
-def _real_roots(coeffs: np.ndarray) -> np.ndarray:
-    roots = np.roots(coeffs)
-    keep = np.abs(roots.imag) <= _REAL_ROOT_TOL * np.maximum(1.0, np.abs(roots.real))
-    return np.unique(roots[keep].real)
-
-
-def solve_p3p(bearings, world) -> list[Pose]:
-    """Pose candidates from three ray/point correspondences.
-
-    bearings are unit vectors in the internal camera frame, world the
-    matching 3D points.  Up to four poses are returned; each reprojects
-    the three correspondences exactly (up to numerical precision).
+    Stacked np.matmul makes one BLAS call a matrix, so it rounds a row
+    as the unbatched product does, whatever the batch around it; so do
+    elementwise operations, and np.float_power(x, 2) rounds as a numpy
+    scalar's x**2 (libm pow).  The solvers keep to these three.
     """
-    f = np.asarray(bearings, dtype=float).reshape(3, 3).copy()
-    P = np.asarray(world, dtype=float).reshape(3, 3).copy()
-    _check_not_collinear(P)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(f[i] @ f[j]) > 1.0 - 1e-12:
-                raise DegenerateConfiguration("coincident bearing vectors")
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+
+
+def _norm(u) -> np.ndarray:
+    """np.linalg.norm of each vector along the last axis, as for a 1-D array."""
+    return np.sqrt(_dot(u, u))
+
+
+def _mv(a, v) -> np.ndarray:
+    """a @ v for stacks of matrices a and vectors v."""
+    return np.matmul(a, v[..., None])[..., 0]
+
+
+def _sq(x) -> np.ndarray:
+    """x**2, rounded as a numpy scalar's square (libm pow), not as x * x."""
+    return np.float_power(x, 2.0)
+
+
+def _well_posed(world: np.ndarray, triples, rel_tol: float = 1e-9) -> np.ndarray:
+    """Rows of world (B, n, 3) in which no listed triple of points is
+    collinear or coincident."""
+    ok = np.ones(len(world), dtype=bool)
+    for i, j, k in triples:
+        u = world[:, j] - world[:, i]
+        v = world[:, k] - world[:, i]
+        scale = _norm(u) * _norm(v)
+        ok &= (scale != 0.0) & (_norm(_cross(u, v)) >= rel_tol * scale)
+    return ok
+
+
+def _camera_frame(f: np.ndarray) -> np.ndarray:
+    """Rows e1, e2, e3 of the frame on each row's first two rays (B, 3, 3)."""
+    e3 = _cross(f[:, 0], f[:, 1])
+    e3 = e3 / _norm(e3)[:, None]
+    return np.stack([f[:, 0], _cross(e3, f[:, 0]), e3], axis=1)
+
+
+def solve_p3p(bearings, world) -> Candidates:
+    """Pose candidates of a batch of three-point problems.
+
+    bearings (B, 3, 3) are unit rays in the internal camera frame, world
+    (B, 3, 3) the matching 3D points.  A row gives up to four poses,
+    each reprojecting its three correspondences exactly (up to
+    numerical precision); focal_px is NaN.
+    """
+    f = np.asarray(bearings, dtype=float).reshape(-1, 3, 3)
+    P = np.asarray(world, dtype=float).reshape(-1, 3, 3)
+    ok = _well_posed(P, ((0, 1, 2),))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        ok &= np.abs(_dot(f[:, i], f[:, j])) <= 1.0 - 1e-12  # else coincident rays
+    rows = np.flatnonzero(ok)
+    f, P = f[rows], P[rows]
 
     # Intermediate camera frame built on the first two rays; points are
-    # relabeled if needed so the third ray has negative z in it (keeps
+    # relabeled where needed so the third ray has negative z in it (keeps
     # theta inside [0, pi]).
-    def camera_frame(f1, f2):
-        e1 = f1
-        e3 = _cross(f1, f2)
-        e3 = e3 / np.linalg.norm(e3)
-        e2 = _cross(e3, e1)
-        return np.vstack([e1, e2, e3])
-
-    T = camera_frame(f[0], f[1])
-    if (T @ f[2])[2] > 0.0:
-        f[[0, 1]] = f[[1, 0]]
-        P[[0, 1]] = P[[1, 0]]
-        T = camera_frame(f[0], f[1])
-    f3 = T @ f[2]
-    if abs(f3[2]) < 1e-12:  # f_1 and f_2 below would overflow
-        raise DegenerateConfiguration("coplanar bearing vectors")
+    T = _camera_frame(f)
+    swap = _mv(T, f[:, 2])[:, 2] > 0.0
+    f[swap] = f[swap][:, [1, 0, 2]]
+    P[swap] = P[swap][:, [1, 0, 2]]
+    T[swap] = _camera_frame(f[swap])
+    f3 = _mv(T, f[:, 2])
+    # coplanar rays would overflow f_1 and f_2 below, and f_2 divides
+    ok = (np.abs(f3[:, 2]) >= 1e-12) & (f3[:, 1] != 0.0)
+    rows, f, P, T, f3 = rows[ok], f[ok], P[ok], T[ok], f3[ok]
 
     # Intermediate world frame spanned by the three points.
-    n1 = P[1] - P[0]
-    n1 = n1 / np.linalg.norm(n1)
-    n3 = _cross(n1, P[2] - P[0])
-    n3 = n3 / np.linalg.norm(n3)
-    n2 = _cross(n3, n1)
-    N = np.vstack([n1, n2, n3])
+    n1 = P[:, 1] - P[:, 0]
+    d_12 = _norm(n1)
+    n1 = n1 / d_12[:, None]
+    n3 = _cross(n1, P[:, 2] - P[:, 0])
+    n3 = n3 / _norm(n3)[:, None]
+    N = np.stack([n1, _cross(n3, n1), n3], axis=1)
 
-    P3 = N @ (P[2] - P[0])
-    d_12 = np.linalg.norm(P[1] - P[0])
-    f_1 = f3[0] / f3[2]
-    f_2 = f3[1] / f3[2]
-    p_1, p_2 = P3[0], P3[1]
+    P3 = _mv(N, P[:, 2] - P[:, 0])
+    f_1 = f3[:, 0] / f3[:, 2]
+    f_2 = f3[:, 1] / f3[:, 2]
+    p_1, p_2 = P3[:, 0], P3[:, 1]
 
-    cos_beta = f[0] @ f[1]
-    b = 1.0 / (1.0 - cos_beta**2) - 1.0
-    b = np.sqrt(max(b, 0.0))
-    if cos_beta < 0.0:
-        b = -b
+    cos_beta = _dot(f[:, 0], f[:, 1])
+    b = np.sqrt(np.maximum(1.0 / (1.0 - _sq(cos_beta)) - 1.0, 0.0))
+    b = np.where(cos_beta < 0.0, -b, b)
 
-    f_1_pw2 = f_1**2
-    f_2_pw2 = f_2**2
-    p_1_pw2 = p_1**2
+    f_1_pw2 = _sq(f_1)
+    f_2_pw2 = _sq(f_2)
+    p_1_pw2 = _sq(p_1)
     p_1_pw3 = p_1_pw2 * p_1
     p_1_pw4 = p_1_pw3 * p_1
-    p_2_pw2 = p_2**2
+    p_2_pw2 = _sq(p_2)
     p_2_pw3 = p_2_pw2 * p_2
     p_2_pw4 = p_2_pw3 * p_2
-    d_12_pw2 = d_12**2
-    b_pw2 = b**2
+    d_12_pw2 = _sq(d_12)
+    b_pw2 = _sq(b)
 
-    # Quartic in cos(theta).
+    # Quartic in cos(theta), highest power first.
     factors = np.array([
         -f_2_pw2 * p_2_pw4 - p_2_pw4 * f_1_pw2 - p_2_pw4,
 
@@ -221,160 +264,237 @@ def solve_p3p(bearings, world) -> list[Pose]:
         + f_2_pw2 * p_2_pw2 * d_12_pw2 * b_pw2,
     ])
 
-    candidates = []
-    for cos_theta in _real_roots(factors):
-        cos_theta = min(1.0, max(-1.0, cos_theta))
-        denom = -f_1 * cos_theta * p_2 / f_2 + p_1 - d_12
-        if denom == 0.0:
-            continue
-        cot_alpha = (-f_1 * p_1 / f_2 - cos_theta * p_2 + d_12 * b) / denom
-        sin_theta = np.sqrt(max(0.0, 1.0 - cos_theta**2))
-        sin_alpha = np.sqrt(1.0 / (cot_alpha**2 + 1.0))
-        cos_alpha = np.sqrt(max(0.0, 1.0 - sin_alpha**2))
-        if cot_alpha < 0.0:
-            cos_alpha = -cos_alpha
+    # Roots as np.roots finds them: eigenvalues of the companion matrix.
+    # The leading factor is at most -p_2^4 < 0 for non-collinear points.
+    companion = np.zeros((len(rows), 4, 4))
+    companion[:, 0] = (-factors[1:] / factors[0]).T
+    companion[:, (1, 2, 3), (0, 1, 2)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    real = np.where(
+        np.abs(roots.imag) <= _REAL_ROOT_TOL * np.maximum(1.0, np.abs(roots.real)),
+        roots.real, np.inf)
+    real.sort(axis=1)
+    real[:, 1:][real[:, 1:] == real[:, :-1]] = np.inf  # a repeated root counts once
+    r, c = np.nonzero(np.isfinite(real))
 
-        C_eta = d_12 * (sin_alpha * b + cos_alpha) * np.array([
-            cos_alpha, cos_theta * sin_alpha, sin_theta * sin_alpha])
-        center = P[0] + N.T @ C_eta
+    cos_theta = np.clip(real[r, c], -1.0, 1.0)
+    f_1, f_2, p_1, p_2, d_12, b = (a[r] for a in (f_1, f_2, p_1, p_2, d_12, b))
+    denom = -f_1 * cos_theta * p_2 / f_2 + p_1 - d_12
+    denom[denom == 0.0] = np.nan  # no pose: NaN fails the depth test below
+    cot_alpha = (-f_1 * p_1 / f_2 - cos_theta * p_2 + d_12 * b) / denom
+    sin_theta = np.sqrt(np.maximum(0.0, 1.0 - _sq(cos_theta)))
+    sin_alpha = np.sqrt(1.0 / (_sq(cot_alpha) + 1.0))
+    cos_alpha = np.sqrt(np.maximum(0.0, 1.0 - _sq(sin_alpha)))
+    cos_alpha = np.where(cot_alpha < 0.0, -cos_alpha, cos_alpha)
 
-        R_eta = np.array([
-            [-cos_alpha, -sin_alpha * cos_theta, -sin_alpha * sin_theta],
-            [sin_alpha, -cos_alpha * cos_theta, -cos_alpha * sin_theta],
-            [0.0, -sin_theta, cos_theta],
-        ])
-        # camera-to-world orientation; the pose wants world-to-camera
-        R_cw = N.T @ R_eta.T @ T
-        rotation = R_cw.T
+    scale = d_12 * (sin_alpha * b + cos_alpha)
+    C_eta = np.stack([scale * cos_alpha, scale * (cos_theta * sin_alpha),
+                      scale * (sin_theta * sin_alpha)], axis=-1)
+    Nt = np.swapaxes(N[r], 1, 2)
+    center = P[r, 0] + _mv(Nt, C_eta)
 
-        depths = (P - center) @ rotation[2]
-        if np.any(depths <= 0.0):
-            continue
-        candidates.append(Pose(rotation, center))
+    zero = np.zeros(len(r))
+    R_eta = np.stack([
+        np.stack([-cos_alpha, -sin_alpha * cos_theta, -sin_alpha * sin_theta], axis=-1),
+        np.stack([sin_alpha, -cos_alpha * cos_theta, -cos_alpha * sin_theta], axis=-1),
+        np.stack([zero, -sin_theta, cos_theta], axis=-1),
+    ], axis=1)
+    # camera-to-world orientation; the pose wants world-to-camera
+    R_cw = np.matmul(np.matmul(Nt, np.swapaxes(R_eta, 1, 2)), T[r])
+    rotation = np.swapaxes(R_cw, 1, 2)
 
-    if not candidates:
-        raise NoRealSolution("p3p: no physically valid real root")
-    return candidates
+    keep = (_mv(P[r] - center[:, None], rotation[:, 2]) > 0.0).all(axis=1)
+    return Candidates(rows[r[keep]], rotation[keep], center[keep],
+                      np.full(int(keep.sum()), np.nan))
 
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PI, _PJ = np.array(_PAIRS).T
+# Polished roots of one row that agree to this relative tolerance in focal
+# and depths are one root.  Gauss-Newton converges only linearly at a double
+# root, and leaves its two copies up to about 1e-7 apart; at 1e-6, close
+# but distinct roots would merge.
+_P4PF_DUPLICATE_TOL = 1e-7
 
 
-def solve_p4pf(image_pts, world) -> list[Pose]:
-    """Pose and focal-length candidates from four correspondences.
+def solve_p4pf(image_pts, world) -> Candidates:
+    """Pose and focal-length candidates of a batch of four-point problems.
 
-    image_pts are centered pixel coordinates, world the matching 3D
-    points.  Up to ten (pose, focal) candidates with positive focal
-    length and positive depths are returned.
+    image_pts (B, 4, 2) are centered pixel coordinates, world (B, 4, 3)
+    the matching 3D points.  A row gives up to ten candidates with
+    positive focal length and positive depths; polished roots of a row
+    that agree to _P4PF_DUPLICATE_TOL give one candidate, the first.
     """
-    m2d = np.asarray(image_pts, dtype=float).reshape(4, 2).T.copy()
-    world = np.asarray(world, dtype=float).reshape(4, 3)
-    _check_not_collinear(world)
-    i, j = np.array(_PAIRS).T
-    if np.any(np.linalg.norm(m2d[:, i] - m2d[:, j], axis=0) < 1e-12):
-        raise DegenerateConfiguration("coincident image points")
-
-    M3d = world.T.copy()
+    m2d = np.asarray(image_pts, dtype=float).reshape(-1, 4, 2).transpose(0, 2, 1)
+    world = np.asarray(world, dtype=float).reshape(-1, 4, 3)
+    ok = _well_posed(world, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+    ok &= (np.linalg.norm(m2d[:, :, _PI] - m2d[:, :, _PJ], axis=1) >= 1e-12).all(axis=1)
+    rows = np.flatnonzero(ok)
+    m2d, world = m2d[rows], world[rows]
 
     # Condition the data: zero-mean unit-spread 3D, unit-spread 2D.
-    mean3d = M3d.mean(axis=1)
-    M3d = M3d - mean3d[:, None]
-    var = np.linalg.norm(M3d, axis=0).sum() / 4.0
-    M3d = M3d / var
-    var2d = np.linalg.norm(m2d, axis=0).sum() / 4.0
-    m2d = m2d / var2d
+    M3d = world.transpose(0, 2, 1)
+    mean3d = M3d.mean(axis=2)
+    M3d = M3d - mean3d[:, :, None]
+    var = np.linalg.norm(M3d, axis=1).sum(axis=1) / 4.0
+    M3d = M3d / var[:, None, None]
+    var2d = np.linalg.norm(m2d, axis=1).sum(axis=1) / 4.0
+    m2d = m2d / var2d[:, None, None]
 
-    gl = ((M3d[:, i] - M3d[:, j]) ** 2).sum(axis=0)
-    if np.prod(gl) < 1e-15:
-        raise DegenerateConfiguration("coincident world points")
+    gl = ((M3d[:, :, _PI] - M3d[:, :, _PJ]) ** 2).sum(axis=1)
+    good = np.prod(gl, axis=1) >= 1e-15  # else coincident world points
+    rows, world, m2d, M3d, mean3d, var, var2d, gl = (
+        a[good] for a in (rows, world, m2d, M3d, mean3d, var, var2d, gl))
 
-    sols = [_polish_depths(m2d, gl, *sol)
-            for sol in _p4pf_depths_and_focal(*gl, *m2d.T.ravel())]
+    roots, found = _p4pf_roots(gl, m2d)
+    r, c = np.nonzero(found)
+    x = roots[r, c]
+    f = np.sqrt(x[:, 3])
+    x[:, 3] = f * f
+    x = _polish_depths(m2d[r], gl[r], x)
+    sols = np.column_stack([np.sqrt(x[:, 3]), x[:, :3]])  # f, zb, zc, zd
+    keep = (sols[:, 1:] > 0.0).all(axis=1)
 
-    candidates = []
-    for f, zb, zc, zd in sols:
-        if zb <= 0.0 or zc <= 0.0 or zd <= 0.0:
-            continue
-        # Points in the camera frame from the recovered relative depths,
-        # scaled by the mean ratio of the six pairwise distances.
-        p3dc = np.vstack([m2d, np.full(4, f)]) * [1.0, zb, zc, zd]
-        dd = ((p3dc[:, i] - p3dc[:, j]) ** 2).sum(axis=0)
-        if np.any(dd <= 0.0):
-            continue
-        p3dc = p3dc * np.sqrt(gl / dd).mean()
+    # a repeated root gives one candidate: keep the first of each row
+    table = np.full(found.shape + (4,), np.nan)
+    table[r[keep], c[keep]] = sols[keep]
+    a, b = table[:, :, None], table[:, None]
+    same = (np.abs(a - b) <= _P4PF_DUPLICATE_TOL * np.maximum(np.abs(a), np.abs(b))).all(axis=-1)
+    keep &= ~np.tril(same, -1).any(axis=2)[r, c]
+    r, (f, zb, zc, zd) = r[keep], sols[keep].T
 
-        rot, trans = _rigid_transform(M3d, p3dc)
-        center = -rot.T @ (var * trans - rot @ mean3d)
-        if not np.any((world - center) @ rot[2] <= 0.0):  # positive depths
-            candidates.append(Pose(rot, center, float(var2d * f)))
+    # Points in the camera frame from the recovered relative depths,
+    # scaled by the mean ratio of the six pairwise distances.
+    z = np.column_stack([np.ones(len(r)), zb, zc, zd])
+    p3dc = np.concatenate([m2d[r], np.broadcast_to(f[:, None, None], (len(r), 1, 4))],
+                          axis=1) * z[:, None]
+    dd = ((p3dc[:, :, _PI] - p3dc[:, :, _PJ]) ** 2).sum(axis=1)
+    keep = (dd > 0.0).all(axis=1)
+    r, f, p3dc, dd = r[keep], f[keep], p3dc[keep], dd[keep]
+    p3dc = p3dc * np.sqrt(gl[r] / dd).mean(axis=1)[:, None, None]
 
-    if not candidates:
-        raise NoRealSolution("p4pf: no physically valid real root")
-    return candidates
+    rot, trans = _rigid_transform(M3d[r], p3dc)
+    center = _mv(-np.swapaxes(rot, 1, 2), var[r, None] * trans - _mv(rot, mean3d[r]))
+    keep = (_mv(world[r] - center[:, None], rot[:, 2]) > 0.0).all(axis=1)
+    return Candidates(rows[r[keep]], rot[keep], center[keep], var2d[r[keep]] * f[keep])
 
 
-def _polish_depths(m2d, gl, f, zb, zc, zd):
-    """Gauss-Newton refinement of a raw (focal, depth-ratio) root.
+def _depth_residuals(m2d, gl, x):
+    """Residuals (K, 5) and Jacobians (K, 5, 4) of _polish_depths' unknowns."""
+    u, v = m2d[:, 0], m2d[:, 1]
+    z = np.column_stack([np.ones(len(x)), x[:, :3]])
+    w = x[:, 3:]
+    du = z[:, _PI] * u[:, _PI] - z[:, _PJ] * u[:, _PJ]
+    dv = z[:, _PI] * v[:, _PI] - z[:, _PJ] * v[:, _PJ]
+    dz = z[:, _PI] - z[:, _PJ]
+    q = du * du + dv * dv + w * dz * dz  # squared distances of _PAIRS
+    Jq = np.zeros((len(x), 6, 4))
+    Jq[:, :, 3] = dz * dz
+    di = 2.0 * (u[:, _PI] * du + v[:, _PI] * dv) + 2.0 * w * dz
+    Jq[:, np.arange(3, 6), _PI[3:] - 1] = di[:, 3:]  # pairs whose first depth is not fixed
+    Jq[:, range(6), _PJ - 1] = -2.0 * (u[:, _PJ] * du + v[:, _PJ] * dv) - 2.0 * w * dz
+    rows = [0, 1, 3, 4, 5]  # every pair but (0, 3)
+    r = gl[:, 2:3] * q[:, rows] - gl[:, rows] * q[:, 2:3]
+    J = gl[:, 2, None, None] * Jq[:, rows] - gl[:, rows, None] * Jq[:, 2:3]
+    return r, J
+
+
+def _lstsq(J, b):
+    """Minimum-norm least-squares solutions of the stacked systems J x = b,
+    with np.linalg.lstsq's default cut of small singular values."""
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    kept = s > np.finfo(float).eps * max(J.shape[1:]) * s[:, :1]
+    coef = np.matmul(np.swapaxes(U, 1, 2), b[..., None])[..., 0]
+    coef = np.where(kept, coef / np.where(kept, s, 1.0), 0.0)
+    return np.matmul(np.swapaxes(Vt, 1, 2), coef[..., None])[..., 0]
+
+
+def _polish_depths(m2d, gl, x):
+    """Gauss-Newton refinement of raw (focal, depth-ratio) roots, all at once.
 
     The elimination template can lose several digits; a few iterations
     on the exact pairwise-distance ratios restore close to machine
     precision.  The depth of the first point is fixed to one, so the
     squared distances are only determined up to a common scale; the
     residuals cross-multiply each pair against the (0, 3) pair to stay
-    scale-free.  Unknowns are (zb, zc, zd, w) with w = f^2, as Python
-    floats.  It stops after ten steps, at w <= 0, at a residual norm
-    below 1e-16, or once a step moves no unknown by more than 1e-12 of
-    its value (converged: with noisy points the norm stays above 1e-16),
-    and returns the best-norm iterate.
+    scale-free.  Row k of x (K, 4) holds the unknowns (zb, zc, zd, w),
+    w = f^2, of the problem with image points m2d[k] (2, 4) and squared
+    world distances gl[k] (6,).  A root stops after ten steps, at w <= 0,
+    at a residual norm below 1e-16, or once a step moves no unknown by
+    more than 1e-12 of its value (converged: with noisy points the norm
+    stays above 1e-16); its best-norm iterate is returned.
     """
-    (u, v), g = m2d.tolist(), gl.tolist()
-    rows = (0, 1, 3, 4, 5)  # every pair but (0, 3)
-
-    def residuals(x):
-        z, w = (1.0, *x[:3]), x[3]
-        q, Jq = [], []
-        for i, j in _PAIRS:
-            du, dv, dz = z[i] * u[i] - z[j] * u[j], z[i] * v[i] - z[j] * v[j], z[i] - z[j]
-            q.append(du * du + dv * dv + w * dz * dz)
-            Jq.append([0.0, 0.0, 0.0, dz * dz])
-            if i > 0:
-                Jq[-1][i - 1] = 2.0 * (u[i] * du + v[i] * dv) + 2.0 * w * dz
-            if j > 0:
-                Jq[-1][j - 1] = -2.0 * (u[j] * du + v[j] * dv) - 2.0 * w * dz
-        return ([g[2] * q[n] - g[n] * q[2] for n in rows],
-                [[g[2] * a - g[n] * b for a, b in zip(Jq[n], Jq[2])] for n in rows])
-
-    x = [zb, zc, zd, f * f]
-    r, J = residuals(x)
-    best_x, best_norm = x, math.hypot(*r)
+    best = x.copy()
+    r, J = _depth_residuals(m2d, gl, x)
+    best_norm = np.linalg.norm(r, axis=1)
+    live = np.arange(len(x))
     for _ in range(10):
-        step = np.linalg.lstsq(np.array(J), np.negative(r), rcond=None)[0].tolist()
-        x = [a + b for a, b in zip(x, step)]
-        if x[3] <= 0.0:
+        if not len(live):
             break
-        r, J = residuals(x)
-        norm = math.hypot(*r)
-        if norm < best_norm:
-            best_x, best_norm = x, norm
-        if norm < 1e-16 or all(abs(b) <= 1e-12 * abs(a) for a, b in zip(x, step)):
-            break
-    zb, zc, zd, w = best_x
-    return math.sqrt(w), zb, zc, zd
+        step = _lstsq(J, -r)
+        x = x + step
+        go = x[:, 3] > 0.0
+        live, x, step = live[go], x[go], step[go]
+        r, J = _depth_residuals(m2d[live], gl[live], x)
+        norm = np.linalg.norm(r, axis=1)
+        better = norm < best_norm[live]
+        best[live[better]] = x[better]
+        best_norm[live[better]] = norm[better]
+        go = (norm >= 1e-16) & (np.abs(step) > 1e-12 * np.abs(x)).any(axis=1)
+        live, x, r, J = live[go], x[go], r[go], J[go]
+    return best
 
 
 def _rigid_transform(p_from: np.ndarray, p_to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation and translation with p_to = R @ p_from + t (3xN columns)."""
-    mean_from = p_from.mean(axis=1)
-    mean_to = p_to.mean(axis=1)
-    a = p_from - mean_from[:, None]
-    b = p_to - mean_to[:, None]
-    a = a / np.linalg.norm(a, axis=0)
-    b = b / np.linalg.norm(b, axis=0)
-    U, _, Vt = np.linalg.svd(b @ a.T)
-    s = np.ones(3)
-    s[2] = np.sign(np.linalg.det(U @ Vt))
-    rot = U @ np.diag(s) @ Vt
-    return rot, mean_to - rot @ mean_from
+    """Rotations and translations with p_to = R @ p_from + t, over stacks of 3 x N columns."""
+    mean_from = p_from.mean(axis=2)
+    mean_to = p_to.mean(axis=2)
+    a = p_from - mean_from[:, :, None]
+    b = p_to - mean_to[:, :, None]
+    a = a / np.linalg.norm(a, axis=1, keepdims=True)
+    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    U, _, Vt = np.linalg.svd(np.matmul(b, np.swapaxes(a, 1, 2)))
+    s = np.ones((len(U), 1, 3))
+    s[:, 0, 2] = np.sign(np.linalg.det(np.matmul(U, Vt)))
+    rot = np.matmul(U * s, Vt)
+    return rot, mean_to - _mv(rot, mean_from)
+
+
+def _p4pf_roots(gl, m2d):
+    """Raw roots of conditioned four-point problems, in eigenvector order.
+
+    Returns a (B, 10, 4) table of (zb, zc, zd, f^2) and the (B, 10) mask
+    of the entries that are real, finite and have f^2 > 0.  A row whose
+    elimination template is singular has none.
+    """
+    M = _p4pf_template(gl, m2d).transpose(0, 2, 1)
+    lhs, rhs = M[:, :, :78], M[:, :, 78:]
+    try:
+        Mr = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:  # some template is singular: find which
+        Mr = np.full(rhs.shape, np.nan)
+        for k in range(len(M)):
+            try:
+                Mr[k] = np.linalg.solve(lhs[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+    solved = np.isfinite(Mr).all(axis=(1, 2))
+
+    # Action matrix of the quotient ring; eigenvectors encode the
+    # monomial vector (1, zd, zc, zb, f^2, ...).
+    A = np.zeros((len(M), 10, 10))
+    A[:, range(5), (1, 5, 6, 7, 8)] = 1.0
+    A[:, 5:] = np.where(solved[:, None, None], -Mr[:, 74:69:-1, ::-1], 0.0)
+    V = np.linalg.eig(A)[1]
+
+    lead = V[:, 0]
+    found = solved[:, None] & (np.abs(lead) >= 1e-14)
+    vals = V[:, 1:5] / np.where(found, lead, 1.0)[:, None]
+    found &= (np.abs(vals.imag)
+              <= _REAL_ROOT_TOL * np.maximum(1.0, np.abs(vals.real))).all(axis=1)
+    zd, zc, zb, fsq = vals.real.transpose(1, 0, 2)
+    found &= (fsq > 0.0) & np.isfinite(vals.real).all(axis=1)
+    return np.stack([zb, zc, zd, fsq], axis=-1), found
 
 
 # Flat indices of the 88 x 78 P4Pf elimination template's nonzero entries, one
@@ -427,84 +547,59 @@ _P4PF_FLAT = np.concatenate(_P4PF_BLOCKS)
 _P4PF_COUNTS = [len(block) for block in _P4PF_BLOCKS]
 
 
-def _p4pf_depths_and_focal(glab, glac, glad, glbc, glbd, glcd,
-                           a1, a2, b1, b2, c1, c2, d1, d2):
-    """Solve the four-point depth/focal polynomial system.
+def _p4pf_template(gl, m2d) -> np.ndarray:
+    """The (B, 88, 78) elimination templates of conditioned four-point problems.
 
-    Returns a list of (focal, zb, zc, zd) tuples in conditioned units.
-    The hidden-variable elimination template is the published one;
-    _P4PF_BLOCKS holds where each of its coefficients goes.
+    gl (B, 6) holds the squared world distances of _PAIRS and m2d
+    (B, 2, 4) the image points.  The hidden-variable template is the
+    published one; _P4PF_BLOCKS holds where each coefficient goes.
     """
-    M = np.zeros((88, 78))
-    M.flat[_P4PF_FLAT] = np.repeat([
+    glab, glac, glad, glbc, glbd, glcd = gl.T
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = m2d.transpose(1, 2, 0)
+    coefficients = np.broadcast_arrays(
         1,
         1 / 2 / glad * glbc - 1 / 2 * glab / glad - 1 / 2 * glac / glad,
         -1,
         -1,
         c2 * b2 + c1 * b1,
         glac / glad - 1 / glad * glbc + glab / glad,
-        1 / 2 / glad * glbc * d2**2 - 1 / 2 * glab / glad * d2**2 - 1 / 2 * glac / glad * d2**2 - 1 / 2 * glac / glad * d1**2 + 1 / 2 / glad * glbc * d1**2 - 1 / 2 * glab / glad * d1**2,
+        1 / 2 / glad * glbc * _sq(d2) - 1 / 2 * glab / glad * _sq(d2) - 1 / 2 * glac / glad * _sq(d2) - 1 / 2 * glac / glad * _sq(d1) + 1 / 2 / glad * glbc * _sq(d1) - 1 / 2 * glab / glad * _sq(d1),
         1 - 1 / 2 * glac / glad - 1 / 2 * glab / glad + 1 / 2 / glad * glbc,
         -b1 * a1 - a2 * b2,
         -c2 * a2 - c1 * a1,
         -a1 / glad * glbc * d1 + a1 * glac / glad * d1 + glac / glad * a2 * d2 + a1 * glab / glad * d1 - 1 / glad * glbc * a2 * d2 + glab / glad * a2 * d2,
-        a2**2 + a1**2 - 1 / 2 * glac / glad * a2**2 - 1 / 2 * a1**2 * glac / glad + 1 / 2 / glad * glbc * a2**2 - 1 / 2 * a1**2 * glab / glad + 1 / 2 * a1**2 / glad * glbc - 1 / 2 * glab / glad * a2**2,
+        _sq(a2) + _sq(a1) - 1 / 2 * glac / glad * _sq(a2) - 1 / 2 * _sq(a1) * glac / glad + 1 / 2 / glad * glbc * _sq(a2) - 1 / 2 * _sq(a1) * glab / glad + 1 / 2 * _sq(a1) / glad * glbc - 1 / 2 * glab / glad * _sq(a2),
         1,
         -glac / glad,
         -2,
-        c1**2 + c2**2,
+        _sq(c1) + _sq(c2),
         2 * glac / glad,
-        -glac / glad * d1**2 - glac / glad * d2**2,
+        -glac / glad * _sq(d1) - glac / glad * _sq(d2),
         -glac / glad + 1,
         -2 * c2 * a2 - 2 * c1 * a1,
         2 * a1 * glac / glad * d1 + 2 * glac / glad * a2 * d2,
-        -glac / glad * a2**2 + a2**2 + a1**2 - a1**2 * glac / glad,
+        -glac / glad * _sq(a2) + _sq(a2) + _sq(a1) - _sq(a1) * glac / glad,
         1,
         1 / 2 / glad * glbd - 1 / 2 - 1 / 2 * glab / glad,
         -1,
         glab / glad - 1 / glad * glbd,
         d2 * b2 + b1 * d1,
-        -1 / 2 * glab / glad * d2**2 - 1 / 2 * glab / glad * d1**2 + 1 / 2 / glad * glbd * d2**2 + 1 / 2 / glad * glbd * d1**2 - 1 / 2 * d2**2 - 1 / 2 * d1**2,
+        -1 / 2 * glab / glad * _sq(d2) - 1 / 2 * glab / glad * _sq(d1) + 1 / 2 / glad * glbd * _sq(d2) + 1 / 2 / glad * glbd * _sq(d1) - 1 / 2 * _sq(d2) - 1 / 2 * _sq(d1),
         -1 / 2 * glab / glad + 1 / 2 / glad * glbd + 1 / 2,
         -a2 * b2 - b1 * a1,
         -a1 / glad * glbd * d1 + a1 * glab / glad * d1 + glab / glad * a2 * d2 - 1 / glad * glbd * a2 * d2,
-        1 / 2 / glad * glbd * a2**2 + 1 / 2 * a1**2 / glad * glbd - 1 / 2 * glab / glad * a2**2 - 1 / 2 * a1**2 * glab / glad + 1 / 2 * a1**2 + 1 / 2 * a2**2,
+        1 / 2 / glad * glbd * _sq(a2) + 1 / 2 * _sq(a1) / glad * glbd - 1 / 2 * glab / glad * _sq(a2) - 1 / 2 * _sq(a1) * glab / glad + 1 / 2 * _sq(a1) + 1 / 2 * _sq(a2),
         1,
         -1 / 2 * glac / glad + 1 / 2 * glcd / glad - 1 / 2,
         -1,
         glac / glad - glcd / glad,
         c1 * d1 + c2 * d2,
-        1 / 2 * glcd / glad * d1**2 - 1 / 2 * glac / glad * d2**2 - 1 / 2 * glac / glad * d1**2 - 1 / 2 * d1**2 - 1 / 2 * d2**2 + 1 / 2 * glcd / glad * d2**2,
+        1 / 2 * glcd / glad * _sq(d1) - 1 / 2 * glac / glad * _sq(d2) - 1 / 2 * glac / glad * _sq(d1) - 1 / 2 * _sq(d1) - 1 / 2 * _sq(d2) + 1 / 2 * glcd / glad * _sq(d2),
         -1 / 2 * glac / glad + 1 / 2 + 1 / 2 * glcd / glad,
         -c1 * a1 - c2 * a2,
         glac / glad * a2 * d2 + a1 * glac / glad * d1 - glcd / glad * a2 * d2 - glcd * a1 / glad * d1,
-        1 / 2 * a1**2 + 1 / 2 * a2**2 - 1 / 2 * glac / glad * a2**2 + 1 / 2 * glcd * a1**2 / glad - 1 / 2 * a1**2 * glac / glad + 1 / 2 * glcd / glad * a2**2,
-    ], _P4PF_COUNTS)
-
-    M = M.T
-    try:
-        Mr = np.linalg.solve(M[:, 0:78], M[:, 78:])
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateConfiguration("p4pf elimination template is singular") from exc
-
-    # Action matrix of the quotient ring; eigenvectors encode the
-    # monomial vector (1, zd, zc, zb, f^2, ...).
-    A = np.zeros((10, 10))
-    A[range(5), (1, 5, 6, 7, 8)] = 1.0
-    A[5:] = -Mr[74:69:-1, ::-1]
-
-    _, V = np.linalg.eig(A)
-
-    sols = []
-    for col in range(10):
-        lead = V[0, col]
-        if abs(lead) < 1e-14:
-            continue
-        vals = V[1:5, col] / lead
-        if np.any(np.abs(vals.imag) > _REAL_ROOT_TOL * np.maximum(1.0, np.abs(vals.real))):
-            continue
-        zd, zc, zb, fsq = vals.real
-        if fsq <= 0.0 or not np.all(np.isfinite(vals.real)):
-            continue
-        sols.append((float(np.sqrt(fsq)), float(zb), float(zc), float(zd)))
-    return sols
+        1 / 2 * _sq(a1) + 1 / 2 * _sq(a2) - 1 / 2 * glac / glad * _sq(a2) + 1 / 2 * glcd * _sq(a1) / glad - 1 / 2 * _sq(a1) * glac / glad + 1 / 2 * glcd / glad * _sq(a2),
+    )
+    M = np.zeros((len(gl), 88 * 78))
+    M[:, _P4PF_FLAT] = np.repeat(np.array(coefficients), _P4PF_COUNTS, axis=0).T
+    return M.reshape(-1, 88, 78)

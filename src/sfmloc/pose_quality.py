@@ -1,5 +1,8 @@
 """Fitted-match (inlier) testing and the image-coverage quality score.
 
+The fitted-match test runs in the camera frame and takes a whole stack
+of candidate poses at once, one mask row per candidate.
+
 A candidate pose is judged not by how many matches it fits but by how
 much of the image area its fitted matches cover relative to the area
 covered by all good matches.  Each match stamps a (2c+1) x (2c+1) pixel
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minimal_solvers import Pose
+from .minimal_solvers import Candidates, Pose
 
 
 @dataclass(frozen=True)
@@ -25,33 +28,51 @@ class CoverageStats:
     q: float
 
 
-def fitted_mask(pose: Pose, centered_xy: np.ndarray, positions: np.ndarray,
-                threshold: float, metric: str = "ray") -> np.ndarray:
-    """Boolean inlier mask over match arrays for one candidate pose.
+# Elements of fitted_mask's largest temporary, (chunk, 3, N) float64: 2 MB,
+# below the 4 MB from which numpy advises huge pages (and peak RSS grows).
+_CHUNK_ELEMENTS = 1 << 18
 
-    metric "ray" measures the world-space distance from each 3D point
-    to the viewing ray of its feature (threshold in world units);
-    "pixel" measures reprojection error (threshold in pixels).  Points
-    behind the camera are never inliers.
+
+def fitted_mask(poses: Pose | Candidates, centered_xy: np.ndarray,
+                positions: np.ndarray, threshold: float,
+                metric: str = "ray") -> np.ndarray:
+    """Boolean inlier masks over match arrays, one row per candidate pose.
+
+    poses is a Pose, giving an (N,) mask, or a Candidates stack of K
+    poses, giving (K, N).  Each point P is tested in the camera frame,
+    pc = R (P - C), against the ray d = (x, y, f) of its feature.
+    Metric "ray" bounds the world-space distance from the point to the
+    ray (threshold in world units): |pc|^2 |d|^2 - (pc . d)^2 <
+    threshold^2 |d|^2, with pc . d > 0; "pixel" bounds the reprojection
+    error (threshold in pixels).  Points behind the camera are never
+    inliers.  Candidates are tested a chunk at a time.
     """
-    if metric == "ray":
-        d_cam = np.column_stack([
-            centered_xy, np.full(len(centered_xy), pose.focal_px)])
-        d_world = d_cam @ pose.rotation  # rows: R^T @ d_cam
-        d_world /= np.linalg.norm(d_world, axis=1, keepdims=True)
-        v = positions - pose.center
-        along = np.einsum("ij,ij->i", v, d_world)
-        perp = v - along[:, None] * d_world
-        dist = np.linalg.norm(perp, axis=1)
-        return (along > 0.0) & (dist < threshold)
-    if metric == "pixel":
-        pc = pose.world_to_camera(positions)
-        depth = pc[:, 2]
-        safe = np.where(depth > 0.0, depth, 1.0)
-        proj = pose.focal_px * pc[:, :2] / safe[:, None]
-        err = np.linalg.norm(proj - centered_xy, axis=1)
-        return (depth > 0.0) & (err < threshold)
-    raise ValueError(f"unknown inlier metric {metric!r}")
+    if metric not in ("ray", "pixel"):
+        raise ValueError(f"unknown inlier metric {metric!r}")
+    rotation = np.asarray(poses.rotation, dtype=float)
+    shape = rotation.shape[:-2] + (len(positions),)
+    rotation = rotation.reshape(-1, 3, 3)
+    focal = np.asarray(poses.focal_px, dtype=float).reshape(-1, 1)
+    offset = np.matmul(rotation, np.reshape(poses.center, (-1, 3, 1)))  # R C
+    x, y = centered_xy[:, 0], centered_xy[:, 1]
+    world = np.ascontiguousarray(np.asarray(positions, dtype=float).T)
+    out = np.empty((len(rotation), len(positions)), dtype=bool)
+    step = max(1, _CHUNK_ELEMENTS // max(1, 3 * len(positions)))
+    for lo in range(0, len(rotation), step):
+        sl = slice(lo, lo + step)
+        pc = np.matmul(rotation[sl], world) - offset[sl]
+        pcx, pcy, pcz = pc[:, 0], pc[:, 1], pc[:, 2]
+        f = focal[sl]
+        if metric == "ray":
+            along = pcx * x + pcy * y + pcz * f  # pc . d
+            d2 = x * x + y * y + f * f
+            perp2 = (pc * pc).sum(axis=1) * d2 - along * along
+            out[sl] = (along > 0.0) & (perp2 < threshold * threshold * d2)
+        else:
+            safe = np.where(pcz > 0.0, pcz, 1.0)
+            err = np.sqrt((f * pcx / safe - x) ** 2 + (f * pcy / safe - y) ** 2)
+            out[sl] = (pcz > 0.0) & (err < threshold)
+    return out.reshape(shape)
 
 
 def coverage_window(width: int) -> int:

@@ -5,8 +5,10 @@ driven by the size of the intersection of the candidates' camera
 visibility sets, so points that were reconstructed from the same views
 end up in the same sample.  Each phase runs the shared RANSAC loop,
 ransac_basic.search, with this sampler and no early stop, so it always
-runs its full iteration count.  A phase builds the sampler's seed list
-(the matches a sample may start from) once; a draw only draws.  If the
+runs its full iteration count and draws exactly that many samples (in
+batches), and the second phase draws on from where the first left the
+generator.  A phase builds the sampler's seed list (the matches a
+sample may start from) once; a draw only draws.  If the
 first phase does not fit enough matches, additional correspondences are
 recovered by matching 3D points back into the query image through a
 view-prioritized queue, and a second phase runs on the augmented match
@@ -242,7 +244,8 @@ def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,
                                adv.inlier_metric, adv.min_fitted)
             # re-score the phase-1 best on the augmented set: both phases compete alike
             if best is not None:
-                count, stats, mask = ctx.evaluate(best[1])
+                mask = ctx.fitted(best[1])
+                count, stats = ctx.evaluate(mask)
                 best = None if stats is None else (stats.q, best[1], count, stats, mask)
         best, phase2 = phase(ctx, best)
         iterations += phase2

@@ -5,21 +5,28 @@ solver dispatch to P3P/P4Pf, candidate validation by the fitted-match
 test and coverage-quality ranking.  Stops early once the best estimate
 fits enough matches, otherwise runs to the iteration cap.  The advanced
 estimator runs the same loop, search, with its own sampler.
+
+search draws its samples in batches, in the sampler's order, and solves
+and masks each batch at once: one P3P and one P4Pf call over all its
+samples, one stacked fitted-mask computation over all its candidates.
+It then walks the candidates in sample order, so it picks the winner a
+one-sample-at-a-time loop would.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .descriptor_index import Matches
-from .errors import (
-    DegenerateConfiguration,
-    InsufficientMatches,
-    NoRealSolution,
-    NoSolution,
-    SamplingExhausted,
+from .errors import InsufficientMatches, NoSolution, SamplingExhausted
+from .minimal_solvers import (
+    Candidates,
+    Pose,
+    bearing_vectors,
+    normalize_points,
+    solve_p3p,
+    solve_p4pf,
 )
-from .minimal_solvers import Pose, bearing_vectors, normalize_points, solve_p3p, solve_p4pf
 from .pose_quality import (
     CoverageStats,
     coverage_area_xy,
@@ -75,9 +82,9 @@ def _sample_unique_idx(point_ids: np.ndarray, n: int, rng) -> np.ndarray:
 class MatchContext:
     """Per-query arrays shared by every candidate evaluation.
 
-    The one scoring path: a candidate's fitted mask comes from
-    fitted_mask and its quality from the coverage of the masked
-    matches against that of all matches.
+    The one scoring path: candidates' fitted masks come from fitted_mask
+    (fitted), and a candidate's quality from the coverage of its masked
+    matches against that of all matches (evaluate).
     """
 
     def __init__(self, query: QueryImage, matches: Matches, threshold: float,
@@ -92,22 +99,25 @@ class MatchContext:
         self.c = coverage_window(query.width)
         self.area_good = coverage_area_xy(self.raw_xy, query.width, query.height, self.c)
 
-    def evaluate(self, pose: Pose, beat: float = -np.inf):
-        """Fitted count, coverage stats and mask for one candidate pose.
+    def fitted(self, poses: Pose | Candidates) -> np.ndarray:
+        """Fitted masks of a pose (N,) or of a stack of candidates (K, N)."""
+        return fitted_mask(poses, self.centered_xy, self.matches.positions,
+                           self.threshold, self.metric)
+
+    def evaluate(self, mask: np.ndarray, beat: float = -np.inf):
+        """Fitted count and coverage stats of one candidate's fitted mask.
 
         Stats are None when fewer than min_fitted matches fit, or when
         the candidate's q cannot exceed beat: count windows cover at
         most count * (2c+1)^2 pixels, so q is at most that area (capped
         at area_good) over area_good, and the coverage is not computed.
         """
-        mask = fitted_mask(pose, self.centered_xy, self.matches.positions,
-                           self.threshold, self.metric)
         count = int(mask.sum())
         bound = min(count * (2 * self.c + 1) ** 2, self.area_good)
         if count < self.min_fitted or (
                 bound / self.area_good if self.area_good > 0 else 0.0) <= beat:
-            return count, None, mask
-        return count, self.score(mask), mask
+            return count, None
+        return count, self.score(mask)
 
     def score(self, mask) -> CoverageStats:
         """Coverage ratio q of the masked matches (0 when nothing is covered)."""
@@ -139,22 +149,33 @@ def sample_size(matches: Matches, focal_px: float | None, solver: str) -> int:
     return size
 
 
-def solve_candidates(ctx: MatchContext, sample_idx, focal_px: float | None,
-                     solver: str = "auto"):
-    """Run the minimal solver(s) on one sample; empty list if unsolvable."""
-    world = ctx.matches.positions[sample_idx]
-    centered = ctx.centered_xy[sample_idx]
-    candidates = []
+def solve_candidates(ctx: MatchContext, samples, focal_px: float | None,
+                     solver: str = "auto") -> Candidates:
+    """Run the minimal solver(s) on a batch of samples (B, n) at once.
+
+    Each row of samples indexes ctx.matches.  The candidates come in row
+    order and, within a row, P3P's before P4Pf's; a row the solvers
+    cannot solve has none.
+    """
+    world = ctx.matches.positions[samples]
+    centered = ctx.centered_xy[samples]
     want_p3p, want_p4pf = _solvers(focal_px, solver)
-    try:
-        if want_p3p:
-            out = solve_p3p(bearing_vectors(centered[:3], focal_px), world[:3])
-            candidates.extend(p.with_focal(focal_px) for p in out)
-        if want_p4pf:
-            candidates.extend(solve_p4pf(centered[:4], world[:4]))
-    except (DegenerateConfiguration, NoRealSolution):
-        pass
-    return candidates
+    parts = []
+    if want_p3p:
+        found = solve_p3p(bearing_vectors(centered[:, :3], focal_px), world[:, :3])
+        parts.append(replace(found, focal_px=np.full(len(found), float(focal_px))))
+    if want_p4pf:
+        parts.append(solve_p4pf(centered[:, :4], world[:, :4]))
+    if len(parts) == 1:
+        return parts[0]
+    stacked = [np.concatenate([getattr(c, name) for c in parts])
+               for name in ("sample", "rotation", "center", "focal_px")]
+    order = np.argsort(stacked[0], kind="stable")
+    return Candidates(*(a[order] for a in stacked))
+
+
+# Samples in the largest batch search solves at once.
+_BATCH_CAP = 32
 
 
 def search(ctx: MatchContext, draw, iterations: int, focal_px: float | None,
@@ -168,18 +189,39 @@ def search(ctx: MatchContext, draw, iterations: int, focal_px: float | None,
     (q, pose, fitted count, stats, mask), gives way only to a strictly
     higher q, so a candidate is scored only if it may beat that q (see
     MatchContext.evaluate).  The loop ends early once best fits stop_at.
+
+    Samples are drawn and solved in batches of 1, 2, 4, ... up to
+    _BATCH_CAP, never past `iterations`, and their candidates walked in
+    sample order, so the result is that of solving one sample at a time.
+    Without an early stop exactly `iterations` samples are drawn; with
+    one, fewer than twice the iterations run.
     """
-    for it in range(iterations):
-        try:
-            candidates = solve_candidates(ctx, np.asarray(draw()), focal_px, solver)
-        except SamplingExhausted:
-            candidates = []
-        for pose in candidates:
-            count, stats, mask = ctx.evaluate(pose, -np.inf if best is None else best[0])
-            if stats is not None and (best is None or stats.q > best[0]):
-                best = (stats.q, pose, count, stats, mask)
-        if stop_at is not None and best is not None and best[2] >= stop_at:
-            return best, it + 1
+    done, size = 0, 1
+    while done < iterations:
+        size = min(size, iterations - done)
+        drawn, samples = [], []
+        for i in range(size):
+            try:
+                samples.append(draw())
+                drawn.append(i)
+            except SamplingExhausted:
+                pass
+        owner = []  # the batch position of each candidate's sample
+        if samples:
+            candidates = solve_candidates(ctx, np.array(samples), focal_px, solver)
+            owner = np.array(drawn)[candidates.sample]
+            masks = ctx.fitted(candidates)
+        k = 0
+        for i in range(size):
+            while k < len(owner) and owner[k] == i:
+                count, stats = ctx.evaluate(masks[k], -np.inf if best is None else best[0])
+                if stats is not None and (best is None or stats.q > best[0]):
+                    best = (stats.q, candidates.pose(k), count, stats, masks[k])
+                k += 1
+            if stop_at is not None and best is not None and best[2] >= stop_at:
+                return best, done + i + 1
+        done += size
+        size = min(2 * size, _BATCH_CAP)
     return best, iterations
 
 

@@ -1,4 +1,5 @@
-"""Minimal solvers and frame conventions, checked against forward projection."""
+"""Minimal solvers and frame conventions, checked against forward projection
+and against the scalar solvers in oracle_solvers."""
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from sfmloc import (
 )
 from sfmloc import minimal_solvers
 from sfmloc.errors import DegenerateConfiguration, NoRealSolution
-from sfmloc.minimal_solvers import _PAIRS
 from sfmloc.sfm_data import CameraRecord
 
+import oracle_solvers
 from conftest import random_rotation, rotation_angle
 
 
@@ -58,13 +59,61 @@ class TestNormalizePoints:
         assert np.allclose(back, pts, atol=1e-12)
 
 
+def p3p_poses(bearings, world):
+    """solve_p3p's poses for one problem, as a list."""
+    found = solve_p3p(np.asarray(bearings)[None], np.asarray(world)[None])
+    return [found.pose(k) for k in range(len(found))]
+
+
+def p4pf_poses(image_pts, world):
+    """solve_p4pf's poses for one problem, as a list."""
+    found = solve_p4pf(np.asarray(image_pts)[None], np.asarray(world)[None])
+    return [found.pose(k) for k in range(len(found))]
+
+
+def oracle_poses(solve, *problem):
+    """The scalar oracle's poses, an empty list where it raises."""
+    try:
+        return solve(*problem)
+    except (DegenerateConfiguration, NoRealSolution):
+        return []
+
+
+def rows_of(found, n):
+    """Candidates of a batch of n rows as n lists of Pose."""
+    return [[found.pose(k) for k in np.flatnonzero(found.sample == i)] for i in range(n)]
+
+
+def well_posed_problems(seed, n, noise_px=0.0):
+    """n random (pose, image points, world points) with four points each."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(n):
+        pose = random_pose(rng, focal=rng.uniform(300.0, 1500.0))
+        world, proj = forward_project(pose, 4, rng)
+        problems.append((pose, proj + rng.normal(0.0, noise_px, proj.shape), world))
+    return problems
+
+
+def close_poses(a, b, tol):
+    """Rotation entries, centre and focal of a and b agree within tol (relative)."""
+    return (np.abs(a.rotation - b.rotation).max() <= tol
+            and np.linalg.norm(a.center - b.center) <= tol * max(1.0, np.linalg.norm(b.center))
+            and (a.focal_px is None or abs(a.focal_px - b.focal_px) <= tol * b.focal_px))
+
+
+def reprojects(pose, proj, world):
+    pc = pose.world_to_camera(world)
+    return np.abs(pose.focal_px * pc[:, :2] / pc[:, 2:] - proj).max() < 1e-6
+
+
 class TestSolveP3P:
     def test_forward_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             pose = random_pose(rng)
             world, proj = forward_project(pose, 3, rng)
-            out = solve_p3p(bearing_vectors(proj, pose.focal_px), world)
+            out = p3p_poses(bearing_vectors(proj, pose.focal_px), world)
             best = best_candidate(out, pose)
             assert rotation_angle(best.rotation, pose.rotation) < 1e-6
             assert np.linalg.norm(best.center - pose.center) < 1e-6
@@ -74,7 +123,7 @@ class TestSolveP3P:
         pose = random_pose(rng)
         world, proj = forward_project(pose, 3, rng)
         bearings = bearing_vectors(proj, pose.focal_px)
-        for cand in solve_p3p(bearings, world):
+        for cand in p3p_poses(bearings, world):
             pc = cand.world_to_camera(world)
             rays = pc / np.linalg.norm(pc, axis=1, keepdims=True)
             assert np.linalg.norm(rays - bearings) < 1e-9
@@ -83,27 +132,30 @@ class TestSolveP3P:
         bearings = bearing_vectors([(0, 0), (10, 0), (0, 10)], 100.0)
         world = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]], dtype=float)
         with pytest.raises(DegenerateConfiguration):
-            solve_p3p(bearings, world)
+            oracle_solvers.solve_p3p(bearings, world)
+        assert p3p_poses(bearings, world) == []
 
     def test_coincident_bearings_raise(self):
         bearings = np.array([[0, 0, 1], [0, 0, 1], [0.1, 0, 1]])
         bearings = bearings / np.linalg.norm(bearings, axis=1, keepdims=True)
         world = np.array([[0, 0, 5], [1, 0, 5], [0, 1, 5]], dtype=float)
         with pytest.raises(DegenerateConfiguration):
-            solve_p3p(bearings, world)
+            oracle_solvers.solve_p3p(bearings, world)
+        assert p3p_poses(bearings, world) == []
 
     def test_coplanar_bearings_raise(self):
         # a subnormal focal puts all three rays in the image plane
         bearings = bearing_vectors([(10, 0), (0, 10), (-10, -5)], 1e-320)
         world = np.array([[0, 0, 5], [1, 0, 5], [0, 1, 5]], dtype=float)
         with pytest.raises(DegenerateConfiguration):
-            solve_p3p(bearings, world)
+            oracle_solvers.solve_p3p(bearings, world)
+        assert p3p_poses(bearings, world) == []
 
     def test_identity_pose_recovered(self):
         pose = Pose(np.eye(3), np.zeros(3), 100.0)
         world = np.array([[1.0, 0.3, 5.0], [-0.8, 0.5, 6.0], [0.2, -1.0, 4.0]])
         proj = pose.focal_px * world[:, :2] / world[:, 2:]
-        out = solve_p3p(bearing_vectors(proj, 100.0), world)
+        out = p3p_poses(bearing_vectors(proj, 100.0), world)
         best = best_candidate(out, pose)
         assert rotation_angle(best.rotation, np.eye(3)) < 1e-6
         assert np.linalg.norm(best.center) < 1e-6
@@ -116,21 +168,38 @@ class TestSolveP3P:
         q = random_rotation(rng)
         shift = rng.uniform(-3, 3, 3)
         moved = world @ q.T + shift
-        out = solve_p3p(bearings, world)
-        out_moved = solve_p3p(bearings, moved)
+        out = p3p_poses(bearings, world)
+        out_moved = p3p_poses(bearings, moved)
         for cand in out:
             expected_center = q @ cand.center + shift
             match = min(np.linalg.norm(c.center - expected_center)
                         for c in out_moved)
             assert match < 1e-8
 
+    def test_batch_equals_the_scalar_oracle_bit_for_bit(self):
+        problems = well_posed_problems(41, 2000)
+        bearings = np.array([bearing_vectors(proj[:3], pose.focal_px)
+                             for pose, proj, _ in problems])
+        world = np.array([w[:3] for _, _, w in problems])
+        got = rows_of(solve_p3p(bearings, world), len(problems))
+        total = 0
+        for b, w, cands in zip(bearings, world, got):
+            oracle = oracle_poses(oracle_solvers.solve_p3p, b, w)
+            assert len(cands) == len(oracle)
+            for c, o in zip(cands, oracle):
+                assert c.rotation.tobytes() == o.rotation.tobytes()
+                assert c.center.tobytes() == o.center.tobytes()
+                assert np.isnan(c.focal_px)
+            total += len(cands)
+        assert total >= 3000
+
 
 def test_cross_is_numpy_cross_bit_for_bit():
     rng = np.random.default_rng(31)
     n = 200_000
     u, v = rng.normal(size=(2, n, 3)) * 10.0 ** rng.uniform(-8, 8, (2, n, 1))
-    got = np.array([minimal_solvers._cross(a, b) for a, b in zip(u, v)])
-    assert got.tobytes() == np.cross(u, v).tobytes()
+    assert minimal_solvers._cross(u, v).tobytes() == np.cross(u, v).tobytes()
+    assert minimal_solvers._cross(u[0], v[0]).tobytes() == np.cross(u[0], v[0]).tobytes()
 
 
 class TestSolveP4Pf:
@@ -139,7 +208,7 @@ class TestSolveP4Pf:
         for _ in range(200):
             pose = random_pose(rng)
             world, proj = forward_project(pose, 4, rng)
-            out = solve_p4pf(proj, world)
+            out = p4pf_poses(proj, world)
             best = best_candidate(out, pose)
             assert rotation_angle(best.rotation, pose.rotation) < 1e-6
             assert np.linalg.norm(best.center - pose.center) < 1e-6
@@ -149,7 +218,7 @@ class TestSolveP4Pf:
         rng = np.random.default_rng(18)
         pose = random_pose(rng)
         world, proj = forward_project(pose, 4, rng)
-        best = best_candidate(solve_p4pf(proj, world), pose)
+        best = best_candidate(p4pf_poses(proj, world), pose)
         pc = best.world_to_camera(world)
         reproj = best.focal_px * pc[:, :2] / pc[:, 2:]
         assert np.abs(reproj - proj).max() < 1e-6
@@ -159,7 +228,7 @@ class TestSolveP4Pf:
         for _ in range(50):
             pose = random_pose(rng)
             world, proj = forward_project(pose, 4, rng)
-            for cand in solve_p4pf(proj, world):
+            for cand in p4pf_poses(proj, world):
                 assert cand.focal_px > 0
 
     def test_coplanar_points_solvable(self):
@@ -174,7 +243,7 @@ class TestSolveP4Pf:
             if not np.all(pc[:, 2] > 1.0):
                 continue
             proj = pose.focal_px * pc[:, :2] / pc[:, 2:]
-            best = best_candidate(solve_p4pf(proj, world), pose)
+            best = best_candidate(p4pf_poses(proj, world), pose)
             assert np.linalg.norm(best.center - pose.center) < 1e-5
             solved += 1
         assert solved >= 10
@@ -184,109 +253,123 @@ class TestSolveP4Pf:
                          dtype=float)
         proj = np.array([[0, 0], [10, 0], [20, 0], [0, 10]], dtype=float)
         with pytest.raises(DegenerateConfiguration):
-            solve_p4pf(proj, world)
+            oracle_solvers.solve_p4pf(proj, world)
+        assert p4pf_poses(proj, world) == []
+
+    def test_true_pose_once_per_problem(self):
+        """A double root polishes to two candidates up to about 1e-7 apart;
+        they are merged, and the true pose stays."""
+        for pose, proj, world in well_posed_problems(23, 200):
+            true = [c for c in p4pf_poses(proj, world)
+                    if rotation_angle(c.rotation, pose.rotation) < 1e-6
+                    and np.linalg.norm(c.center - pose.center) < 1e-6
+                    and abs(c.focal_px - pose.focal_px) / pose.focal_px < 1e-4]
+            assert len(true) == 1
 
 
-def oracle_polish_depths(m2d, gl, f, zb, zc, zd):
-    """Gauss-Newton refinement of a raw (focal, depth-ratio) root.
-
-    The elimination template can lose several digits; a few iterations
-    on the exact pairwise-distance ratios restore close to machine
-    precision.  The depth of the first point is fixed to one, so the
-    squared distances are only determined up to a common scale; the
-    residuals cross-multiply each pair against the (0, 3) pair to stay
-    scale-free.  Unknowns are (zb, zc, zd, w) with w = f^2.
-    """
-    x = np.array([zb, zc, zd, f * f])
-    ref = 2  # index of pair (0, 3) in _PAIRS
-
-    def distances(x):
-        z = np.array([1.0, x[0], x[1], x[2]])
-        w = x[3]
-        q = np.empty(6)
-        Jq = np.zeros((6, 4))
-        for n, (i, j) in enumerate(_PAIRS):
-            du = z[i] * m2d[:, i] - z[j] * m2d[:, j]
-            dz = z[i] - z[j]
-            q[n] = du @ du + w * dz * dz
-            if i > 0:
-                Jq[n, i - 1] = 2.0 * (m2d[:, i] @ du) + 2.0 * w * dz
-            if j > 0:
-                Jq[n, j - 1] = -2.0 * (m2d[:, j] @ du) - 2.0 * w * dz
-            Jq[n, 3] = dz * dz
-        return q, Jq
-
-    def residuals(x):
-        q, Jq = distances(x)
-        rows = [n for n in range(6) if n != ref]
-        r = gl[ref] * q[rows] - gl[rows] * q[ref]
-        J = gl[ref] * Jq[rows] - np.outer(gl[rows], Jq[ref])
-        return r, J
-
-    r, J = residuals(x)
-    best_x, best_norm = x, np.linalg.norm(r)
-    for _ in range(10):
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        x = x + step
-        if x[3] <= 0.0:
-            break
-        r, J = residuals(x)
-        norm = np.linalg.norm(r)
-        if norm < best_norm:
-            best_x, best_norm = x, norm
-        if norm < 1e-16:
-            break
-    zb, zc, zd, w = best_x
-    return float(np.sqrt(w)), float(zb), float(zc), float(zd)
-
-
-def close_poses(a, b, tol):
-    """Rotation entries, centre and focal of a and b agree within tol (relative)."""
-    return (np.abs(a.rotation - b.rotation).max() <= tol
-            and np.linalg.norm(a.center - b.center) <= tol * max(1.0, np.linalg.norm(b.center))
-            and abs(a.focal_px - b.focal_px) <= tol * b.focal_px)
+def assert_merges_the_oracle(cands, oracle, proj, world, exact_tol, tol):
+    """cands are the oracle's candidates in order, each within tol (within
+    exact_tol when it reprojects the points exactly), less repeats: an
+    oracle candidate left out is within tol of an earlier one."""
+    kept = 0
+    for i, o in enumerate(oracle):
+        if kept < len(cands) and close_poses(cands[kept], o, tol):
+            if reprojects(o, proj, world):
+                assert close_poses(cands[kept], o, exact_tol)
+            kept += 1
+        else:
+            assert any(close_poses(o, p, 1e-6) for p in oracle[:i])
+    assert kept == len(cands)
 
 
 @pytest.mark.parametrize("noise_px", [0.0, 0.5, 3.0])
-def test_p4pf_polish_matches_the_oracle(monkeypatch, noise_px):
-    """The float polish gives the oracle's candidates, in the same order.
+def test_p4pf_polish_matches_the_oracle(noise_px):
+    """The batch gives the scalar oracle's candidates, in the same order.
 
-    numpy's two-element dot products round differently from Python
-    floats (fused multiply-add), and Gauss-Newton on an ill-conditioned
-    root carries a one-ulp difference to about 1e-7; a candidate that
+    The batch polishes every root at once, with an SVD least-squares
+    step where the oracle calls np.linalg.lstsq and a norm where it
+    calls math.hypot; Gauss-Newton on an ill-conditioned root carries
+    that last-digit difference to about 1e-7.  A candidate that
     reprojects noise-free points exactly matches to 1e-9.
     """
-    rng = np.random.default_rng(23)
-    problems = []
-    for _ in range(200):
-        pose = random_pose(rng, focal=rng.uniform(300.0, 1500.0))
-        world, proj = forward_project(pose, 4, rng)
-        problems.append((pose, proj + rng.normal(0.0, noise_px, proj.shape), world))
+    problems = well_posed_problems(23, 200, noise_px)
+    proj = np.array([p for _, p, _ in problems])
+    world = np.array([w for _, _, w in problems])
+    got = rows_of(solve_p4pf(proj, world), len(problems))
+    total = 0
+    for (_, p, w), cands in zip(problems, got):
+        oracle = oracle_poses(oracle_solvers.solve_p4pf, p, w)
+        assert_merges_the_oracle(cands, oracle, p, w, 1e-9, 1e-6)
+        total += len(cands)
+    assert total >= 300
 
-    def solve_all():
-        out = []
-        for _, proj, world in problems:
-            try:
-                out.append(solve_p4pf(proj, world))
-            except NoRealSolution:
-                out.append([])
-        return out
 
-    got = solve_all()
-    monkeypatch.setattr(minimal_solvers, "_polish_depths", oracle_polish_depths)
-    want = solve_all()
-    assert sum(map(len, want)) >= 300
+def test_p4pf_batch_equals_the_oracle_on_2000_problems():
+    problems = well_posed_problems(43, 2000)
+    proj = np.array([p for _, p, _ in problems])
+    world = np.array([w for _, _, w in problems])
+    got = rows_of(solve_p4pf(proj, world), len(problems))
     exact = 0
-    for (_, proj, world), cands, oracle in zip(problems, got, want):
-        assert len(cands) == len(oracle)
-        for c, o in zip(cands, oracle):
-            pc = o.world_to_camera(world)
-            if noise_px == 0.0 and np.abs(o.focal_px * pc[:, :2] / pc[:, 2:] - proj).max() < 1e-6:
-                assert close_poses(c, o, 1e-9)
-                exact += 1
-            else:
-                assert close_poses(c, o, 1e-6)
-    assert noise_px > 0.0 or exact >= 200
+    for (pose, p, w), cands in zip(problems, got):
+        oracle = oracle_poses(oracle_solvers.solve_p4pf, p, w)
+        assert_merges_the_oracle(cands, oracle, p, w, 1e-9, 1e-6)
+        exact += sum(reprojects(c, p, w) for c in cands)
+    assert exact >= 2000
+
+
+def test_degenerate_rows_leave_the_others_unchanged():
+    """Rows the oracle rejects give no candidate in a mixed batch, and each
+    other row gives exactly what it gives alone."""
+    problems = well_posed_problems(47, 12)
+    proj = np.array([p for _, p, _ in problems])
+    world = np.array([w for _, _, w in problems])
+    bearings = np.array([bearing_vectors(p, pose.focal_px) for pose, p, _ in problems])
+    bad = [1, 4, 5, 9]
+    world[1, 2] = (world[1, 0] + world[1, 1]) / 2.0  # collinear (P3P and P4Pf)
+    world[4, 1] = world[4, 0]                          # coincident points
+    proj[5, 3] = proj[5, 0]                            # coincident image points
+    bearings[5, 1] = bearings[5, 0]                    # coincident rays
+    bearings[9] = bearing_vectors([(10, 0), (0, 10), (-10, -5), (3, 3)], 1e-320)  # coplanar
+    world[9, 3] = world[9, 0] + 2.0 * (world[9, 2] - world[9, 0])  # collinear (P4Pf)
+    for solve, oracle_solve, args, n in (
+            (solve_p3p, oracle_solvers.solve_p3p, (bearings[:, :3], world[:, :3]), 3),
+            (solve_p4pf, oracle_solvers.solve_p4pf, (proj, world), 4)):
+        got = rows_of(solve(*args), len(problems))
+        for i, cands in enumerate(got):
+            alone = rows_of(solve(*(a[i:i + 1] for a in args)), 1)[0]
+            if i in bad:
+                with pytest.raises(DegenerateConfiguration):
+                    oracle_solve(*(a[i] for a in args))
+                assert cands == alone == []
+                continue
+            assert len(cands) == len(alone) > 0
+            for c, a in zip(cands, alone):
+                assert c.rotation.tobytes() == a.rotation.tobytes()
+                assert c.center.tobytes() == a.center.tobytes()
+                assert np.array_equal(c.focal_px, a.focal_px, equal_nan=True)
+
+
+def test_singular_template_fails_only_its_row(monkeypatch):
+    problems = well_posed_problems(53, 5)
+    proj = np.array([p for _, p, _ in problems])
+    world = np.array([w for _, _, w in problems])
+    want = rows_of(solve_p4pf(proj, world), 5)
+    template = minimal_solvers._p4pf_template
+
+    def singular_third_row(gl, m2d):
+        M = template(gl, m2d)
+        M[2] = 0.0
+        return M
+    monkeypatch.setattr(minimal_solvers, "_p4pf_template", singular_third_row)
+    got = rows_of(solve_p4pf(proj, world), 5)
+    assert got[2] == [] and want[2] != []
+    for i in (0, 1, 3, 4):
+        assert [c.center.tobytes() for c in got[i]] == [c.center.tobytes() for c in want[i]]
+
+
+def test_empty_batches_give_no_candidates():
+    assert len(solve_p3p(np.zeros((0, 3, 3)), np.zeros((0, 3, 3)))) == 0
+    assert len(solve_p4pf(np.zeros((0, 4, 2)), np.zeros((0, 4, 3)))) == 0
 
 
 class TestBundlerConversion:

@@ -8,9 +8,15 @@ from sfmloc import (
     MatchContext,
     Matches,
     Pose,
+    build_index,
     coverage_area_xy,
     coverage_window,
+    find_good_matches,
+    fitted_mask,
+    normalize_points,
+    pose_quality,
 )
+from sfmloc.minimal_solvers import Candidates
 from sfmloc.sfm_data import QueryImage, keyfile_records
 
 
@@ -30,7 +36,36 @@ def make_context(query, threshold=0.5, metric="ray"):
 
 def fitted_count(pose, good, query, threshold, metric="ray"):
     ctx = MatchContext(query, good, threshold, metric, min_fitted=1)
-    return ctx.evaluate(pose)[0]
+    return ctx.evaluate(ctx.fitted(pose))[0]
+
+
+def small_rotation(rng, angle):
+    """Rotation by `angle` radians about a random axis (Rodrigues)."""
+    axis = rng.normal(size=3)
+    x, y, z = axis / np.linalg.norm(axis)
+    k =np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * k @ k
+
+
+def oracle_fitted_mask(pose, centered_xy, positions, threshold, metric):
+    """The world-frame fitted-match test of one pose, with its distances.
+
+    "ray": distance from each point to its feature's viewing ray;
+    "pixel": reprojection error.  Points behind the camera never fit.
+    """
+    if metric == "ray":
+        d_cam = np.column_stack([centered_xy, np.full(len(centered_xy), pose.focal_px)])
+        d_world = d_cam @ pose.rotation  # rows: R^T @ d_cam
+        d_world /= np.linalg.norm(d_world, axis=1, keepdims=True)
+        v = positions - pose.center
+        along = np.einsum("ij,ij->i", v, d_world)
+        dist = np.linalg.norm(v - along[:, None] * d_world, axis=1)
+        return (along > 0.0) & (dist < threshold), dist
+    pc = pose.world_to_camera(positions)
+    depth = pc[:, 2]
+    safe = np.where(depth > 0.0, depth, 1.0)
+    dist = np.linalg.norm(pose.focal_px * pc[:, :2] / safe[:, None] - centered_xy, axis=1)
+    return (depth > 0.0) & (dist < threshold), dist
 
 
 def first(n, k):
@@ -100,6 +135,41 @@ class TestFittedMatches:
     def test_pixel_metric(self, scene_matches):
         query, golden, good = scene_matches
         assert fitted_count(golden, good, query, 2.0, "pixel") == len(good)
+
+    @pytest.mark.parametrize("metric, threshold", [("ray", 0.5), ("pixel", 4.0)])
+    def test_stacked_masks_equal_the_oracle(self, noisy_scene, monkeypatch,
+                                            metric, threshold):
+        """Each row of a stacked camera-frame mask is the world-frame test's
+        mask, but for distances within 1e-9 of the threshold; chunking
+        and stacking change no entry."""
+        model = noisy_scene.model
+        query, golden = noisy_scene.queries[0]
+        index = build_index(model.mean_descriptors.astype(float))
+        good = find_good_matches(index, query, 0.9, model.visibilities,
+                                 model.positions)
+        xy = normalize_points(query.features.xy[good.feature_idx],
+                              query.width, query.height)
+        rng = np.random.default_rng(12)
+        poses = [Pose(small_rotation(rng, 0.02) @ golden.rotation,
+                      golden.center + rng.normal(0.0, 0.5, 3),
+                      golden.focal_px * rng.uniform(0.97, 1.03))
+                 for _ in range(40)]
+        stack = Candidates(np.arange(40), np.array([p.rotation for p in poses]),
+                           np.array([p.center for p in poses]),
+                           np.array([p.focal_px for p in poses]))
+        got = fitted_mask(stack, xy, good.positions, threshold, metric)
+        assert got.shape == (40, len(good))
+        near = 0
+        for pose, row in zip(poses, got):
+            want, dist = oracle_fitted_mask(pose, xy, good.positions, threshold, metric)
+            differ = row != want
+            assert np.all(np.abs(dist[differ] - threshold) <= 1e-9 * threshold)
+            near += int(differ.sum())
+            assert np.array_equal(fitted_mask(pose, xy, good.positions, threshold, metric), row)
+        assert near == 0
+        assert 0 < got.sum() < got.size  # the poses fit some matches, not all
+        monkeypatch.setattr(pose_quality, "_CHUNK_ELEMENTS", 3 * len(good))
+        assert np.array_equal(fitted_mask(stack, xy, good.positions, threshold, metric), got)
 
 
 class TestCoverageArea:

@@ -19,7 +19,6 @@ from sfmloc import (
     scene_diameter,
 )
 from sfmloc.errors import InsufficientMatches, NoSolution, SamplingExhausted
-from sfmloc.minimal_solvers import Pose
 from sfmloc.ransac_advanced import _draw_cooccurrence_idx, _seed_matches
 from sfmloc.ransac_basic import _sample_unique_idx, solve_candidates
 from sfmloc.sfm_data import QueryImage, keyfile_records
@@ -151,7 +150,7 @@ def test_p3p_without_focal_fails_before_sampling(monkeypatch, scene_matches,
 
 def oracle_search(ctx, draw, iterations: int, focal_px: float | None,
                   solver: str, best=None, stop_at: int | None = None):
-    """The RANSAC loop: (best, iterations run) after at most `iterations`.
+    """The RANSAC loop, one sample at a time: (best, iterations run).
 
     draw() gives one minimal sample as indices into ctx.matches.  The
     caller has run sample_size on ctx.matches or on a subset of them, so
@@ -162,11 +161,13 @@ def oracle_search(ctx, draw, iterations: int, focal_px: float | None,
     """
     for it in range(iterations):
         try:
-            candidates = solve_candidates(ctx, np.asarray(draw()), focal_px, solver)
+            found = solve_candidates(ctx, np.asarray(draw())[None], focal_px, solver)
+            poses = [found.pose(k) for k in range(len(found))]
         except SamplingExhausted:
-            candidates = []
-        for pose in candidates:
-            count, stats, mask = ctx.evaluate(pose)
+            poses = []
+        for pose in poses:
+            mask = ctx.fitted(pose)
+            count, stats = ctx.evaluate(mask)
             if stats is not None and (best is None or stats.q > best[0]):
                 best = (stats.q, pose, count, stats, mask)
         if stop_at is not None and best is not None and best[2] >= stop_at:
@@ -184,39 +185,66 @@ def noisy_context(noisy_scene, qi):
     return query, ransac_basic.MatchContext(query, good, 0.5, "ray", 6)
 
 
-def sampler(kind, matches, size, seed):
-    rng = np.random.default_rng(seed)
-    if kind == "basic":
-        return lambda: _sample_unique_idx(matches.point_idx, size, rng)
+def sampler(kind, matches, size, rng, calls=None):
+    """draw() of one sampler kind, appending to calls on every call.
+
+    "exhausting" is the co-occurrence sampler with every third draw
+    raising SamplingExhausted instead.
+    """
+    calls = [] if calls is None else calls
     params = AdvancedParams()
     seeds = _seed_matches(matches.visibility, params.min_seed_cameras)
-    return lambda: _draw_cooccurrence_idx(matches.point_idx, matches.visibility,
-                                          seeds, size, params, rng)
+
+    def draw():
+        calls.append(None)
+        if kind == "basic":
+            return _sample_unique_idx(matches.point_idx, size, rng)
+        if kind == "exhausting" and len(calls) % 3 == 0:
+            raise SamplingExhausted("every third draw")
+        return _draw_cooccurrence_idx(matches.point_idx, matches.visibility,
+                                      seeds, size, params, rng)
+    return draw
 
 
 class TestSkipBound:
-    @pytest.mark.parametrize("kind", ["basic", "advanced"])
+    @pytest.mark.parametrize("kind", ["basic", "advanced", "exhausting"])
     @pytest.mark.parametrize("solver", ["p3p", "p4pf"])
     @pytest.mark.parametrize("stop_at", [None, 12])
     def test_search_matches_the_oracle(self, noisy_scene, monkeypatch, kind,
                                        solver, stop_at):
+        """Batched search picks the one-at-a-time loop's winner, bit for bit.
+
+        Without an early stop it draws exactly its iterations, so the
+        generator ends where the loop leaves it (an advanced phase's
+        state for the next phase); with one, it draws fewer than twice
+        the iterations it runs.
+        """
         skipped = []
         evaluate = ransac_basic.MatchContext.evaluate
 
-        def counting(ctx, pose, beat=-np.inf):
-            count, stats, mask = evaluate(ctx, pose, beat)
+        def counting(ctx, mask, beat=-np.inf):
+            count, stats = evaluate(ctx, mask, beat)
             skipped.append(stats is None and count >= ctx.min_fitted)
-            return count, stats, mask
+            return count, stats
         monkeypatch.setattr(ransac_basic.MatchContext, "evaluate", counting)
         for qi in (0, 1):
             query, ctx = noisy_context(noisy_scene, qi)
             focal = query.exif_focal_px
             size = ransac_basic.sample_size(ctx.matches, focal, solver)
-            want, want_its = oracle_search(ctx, sampler(kind, ctx.matches, size, qi),
-                                           60, focal, solver, stop_at=stop_at)
-            got, got_its = ransac_basic.search(ctx, sampler(kind, ctx.matches, size, qi),
-                                               60, focal, solver, stop_at=stop_at)
+            rngs = np.random.default_rng(qi), np.random.default_rng(qi)
+            want_draws, got_draws = [], []
+            want, want_its = oracle_search(
+                ctx, sampler(kind, ctx.matches, size, rngs[0], want_draws),
+                60, focal, solver, stop_at=stop_at)
+            got, got_its = ransac_basic.search(
+                ctx, sampler(kind, ctx.matches, size, rngs[1], got_draws),
+                60, focal, solver, stop_at=stop_at)
             assert got_its == want_its
+            if stop_at is None:
+                assert len(got_draws) == len(want_draws) == 60
+                assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
+            else:
+                assert got_its <= len(got_draws) < 2 * got_its
             assert got[0] == want[0] and got[2] == want[2] and got[3] == want[3]
             assert np.array_equal(got[1].rotation, want[1].rotation)
             assert np.array_equal(got[1].center, want[1].center)
@@ -225,7 +253,7 @@ class TestSkipBound:
         # without an early stop, the bound does skip candidates
         assert stop_at is not None or any(skipped)
 
-    def test_bound_is_tight_for_disjoint_interior_windows(self, monkeypatch):
+    def test_bound_is_tight_for_disjoint_interior_windows(self):
         # ten windows of 21 x 21 pixels, apart and inside a 400 x 300 image:
         # fitting k of them covers exactly the bound's k * 21^2 pixels
         xy = [(30.0 + 35.0 * i, 40.0 + 20.0 * (i % 3)) for i in range(10)]
@@ -235,31 +263,30 @@ class TestSkipBound:
                           [frozenset({0})] * 10, np.zeros((10, 3)))
         ctx = ransac_basic.MatchContext(query, matches, 0.5, "ray", 1)
         assert ctx.area_good == 10 * 21 ** 2
-        monkeypatch.setattr(ransac_basic, "fitted_mask",
-                            lambda *args: np.arange(10) < 4)
-        pose = Pose(np.eye(3), np.zeros(3), 400.0)
-        q = ctx.evaluate(pose)[1].q
+        mask = np.arange(10) < 4
+        q = ctx.evaluate(mask)[1].q
         assert q == 0.4
-        assert ctx.evaluate(pose, q)[1] is None
-        assert ctx.evaluate(pose, np.nextafter(q, -np.inf))[1].q == q
+        assert ctx.evaluate(mask, q)[1] is None
+        assert ctx.evaluate(mask, np.nextafter(q, -np.inf))[1].q == q
 
     def test_no_stats_only_when_q_cannot_beat(self, noisy_scene):
         query, ctx = noisy_context(noisy_scene, 2)
-        draw = sampler("basic", ctx.matches, 3, 0)
+        draw = sampler("basic", ctx.matches, 3, np.random.default_rng(0))
+        samples = np.array([draw() for _ in range(60)])
+        found = ransac_basic.solve_candidates(ctx, samples, query.exif_focal_px)
         checked = 0
-        for _ in range(60):
-            for pose in ransac_basic.solve_candidates(ctx, draw(), query.exif_focal_px):
-                count, stats, _ = ctx.evaluate(pose)
-                if stats is None:
-                    continue
-                below = np.nextafter(stats.q, -np.inf)
-                for beat in (0.0, below, stats.q, 0.5, 1.0):
-                    bounded = ctx.evaluate(pose, beat)[1]
-                    if bounded is None:
-                        assert stats.q <= beat
-                    else:
-                        assert bounded == stats
-                # a beat just below q leaves the candidate scored
-                assert ctx.evaluate(pose, below)[1] == stats
-                checked += 1
+        for mask in ctx.fitted(found):
+            count, stats = ctx.evaluate(mask)
+            if stats is None:
+                continue
+            below = np.nextafter(stats.q, -np.inf)
+            for beat in (0.0, below, stats.q, 0.5, 1.0):
+                bounded = ctx.evaluate(mask, beat)[1]
+                if bounded is None:
+                    assert stats.q <= beat
+                else:
+                    assert bounded == stats
+            # a beat just below q leaves the candidate scored
+            assert ctx.evaluate(mask, below)[1] == stats
+            checked += 1
         assert checked > 20
