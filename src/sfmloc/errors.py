@@ -41,16 +41,6 @@ class EmptyInput(LocalizationError):
     """An operation that needs at least one element got none."""
 
 
-# --- minimal solvers -------------------------------------------------------
-
-class DegenerateConfiguration(LocalizationError):
-    """Input geometry is degenerate (collinear points, coincident rays)."""
-
-
-class NoRealSolution(LocalizationError):
-    """The solver polynomial has no physically valid real root."""
-
-
 # --- robust estimation -----------------------------------------------------
 
 class InsufficientMatches(LocalizationError):

@@ -28,11 +28,6 @@ class CoverageStats:
     q: float
 
 
-# Elements of fitted_mask's largest temporary, (chunk, 3, N) float64: 2 MB,
-# below the 4 MB from which numpy advises huge pages (and peak RSS grows).
-_CHUNK_ELEMENTS = 1 << 18
-
-
 def fitted_mask(poses: Pose | Candidates, centered_xy: np.ndarray,
                 positions: np.ndarray, threshold: float,
                 metric: str = "ray") -> np.ndarray:
@@ -45,7 +40,7 @@ def fitted_mask(poses: Pose | Candidates, centered_xy: np.ndarray,
     ray (threshold in world units): |pc|^2 |d|^2 - (pc . d)^2 <
     threshold^2 |d|^2, with pc . d > 0; "pixel" bounds the reprojection
     error (threshold in pixels).  Points behind the camera are never
-    inliers.  Candidates are tested a chunk at a time.
+    inliers.
     """
     if metric not in ("ray", "pixel"):
         raise ValueError(f"unknown inlier metric {metric!r}")
@@ -56,22 +51,17 @@ def fitted_mask(poses: Pose | Candidates, centered_xy: np.ndarray,
     offset = np.matmul(rotation, np.reshape(poses.center, (-1, 3, 1)))  # R C
     x, y = centered_xy[:, 0], centered_xy[:, 1]
     world = np.ascontiguousarray(np.asarray(positions, dtype=float).T)
-    out = np.empty((len(rotation), len(positions)), dtype=bool)
-    step = max(1, _CHUNK_ELEMENTS // max(1, 3 * len(positions)))
-    for lo in range(0, len(rotation), step):
-        sl = slice(lo, lo + step)
-        pc = np.matmul(rotation[sl], world) - offset[sl]
-        pcx, pcy, pcz = pc[:, 0], pc[:, 1], pc[:, 2]
-        f = focal[sl]
-        if metric == "ray":
-            along = pcx * x + pcy * y + pcz * f  # pc . d
-            d2 = x * x + y * y + f * f
-            perp2 = (pc * pc).sum(axis=1) * d2 - along * along
-            out[sl] = (along > 0.0) & (perp2 < threshold * threshold * d2)
-        else:
-            safe = np.where(pcz > 0.0, pcz, 1.0)
-            err = np.sqrt((f * pcx / safe - x) ** 2 + (f * pcy / safe - y) ** 2)
-            out[sl] = (pcz > 0.0) & (err < threshold)
+    pc = np.matmul(rotation, world) - offset  # (K, 3, N)
+    pcx, pcy, pcz = pc[:, 0], pc[:, 1], pc[:, 2]
+    if metric == "ray":
+        along = pcx * x + pcy * y + pcz * focal  # pc . d
+        d2 = x * x + y * y + focal * focal
+        perp2 = (pc * pc).sum(axis=1) * d2 - along * along
+        out = (along > 0.0) & (perp2 < threshold * threshold * d2)
+    else:
+        safe = np.where(pcz > 0.0, pcz, 1.0)
+        err = np.sqrt((focal * pcx / safe - x) ** 2 + (focal * pcy / safe - y) ** 2)
+        out = (pcz > 0.0) & (err < threshold)
     return out.reshape(shape)
 
 

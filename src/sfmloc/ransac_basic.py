@@ -10,7 +10,9 @@ search draws its samples in batches, in the sampler's order, and solves
 and masks each batch at once: one P3P and one P4Pf call over all its
 samples, one stacked fitted-mask computation over all its candidates.
 It then walks the candidates in sample order, so it picks the winner a
-one-sample-at-a-time loop would.
+one-sample-at-a-time loop would.  A search that may stop early, as the
+baseline's does, takes one sample a batch, so it draws no sample that
+it does not solve.
 """
 
 from dataclasses import dataclass, replace
@@ -174,7 +176,7 @@ def solve_candidates(ctx: MatchContext, samples, focal_px: float | None,
     return Candidates(*(a[order] for a in stacked))
 
 
-# Samples in the largest batch search solves at once.
+# Samples in a batch of a search without an early stop.
 _BATCH_CAP = 32
 
 
@@ -190,15 +192,14 @@ def search(ctx: MatchContext, draw, iterations: int, focal_px: float | None,
     higher q, so a candidate is scored only if it may beat that q (see
     MatchContext.evaluate).  The loop ends early once best fits stop_at.
 
-    Samples are drawn and solved in batches of 1, 2, 4, ... up to
-    _BATCH_CAP, never past `iterations`, and their candidates walked in
-    sample order, so the result is that of solving one sample at a time.
-    Without an early stop exactly `iterations` samples are drawn; with
-    one, fewer than twice the iterations run.
+    Samples are drawn and solved in batches of _BATCH_CAP, one when
+    stop_at is set, and their candidates walked in sample order, so the
+    result, the draws and the generator state are those of solving one
+    sample at a time.
     """
-    done, size = 0, 1
-    while done < iterations:
-        size = min(size, iterations - done)
+    batch = _BATCH_CAP if stop_at is None else 1
+    for done in range(0, iterations, batch):
+        size = min(batch, iterations - done)
         drawn, samples = [], []
         for i in range(size):
             try:
@@ -220,8 +221,6 @@ def search(ctx: MatchContext, draw, iterations: int, focal_px: float | None,
                 k += 1
             if stop_at is not None and best is not None and best[2] >= stop_at:
                 return best, done + i + 1
-        done += size
-        size = min(2 * size, _BATCH_CAP)
     return best, iterations
 
 

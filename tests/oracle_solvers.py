@@ -13,8 +13,16 @@ import math
 
 import numpy as np
 
-from sfmloc.errors import DegenerateConfiguration, NoRealSolution
+from sfmloc.errors import LocalizationError
 from sfmloc.minimal_solvers import _REAL_ROOT_TOL, Pose, _p4pf_template
+
+
+class DegenerateConfiguration(LocalizationError):
+    """Input geometry is degenerate (collinear points, coincident rays)."""
+
+
+class NoRealSolution(LocalizationError):
+    """The solver polynomial has no physically valid real root."""
 
 
 def _cross(u, v) -> np.ndarray:
@@ -187,6 +195,16 @@ def solve_p4pf(image_pts, world) -> list[Pose]:
     points.  Up to ten (pose, focal) candidates with positive focal
     length and positive depths are returned.
     """
+    candidates = [pose for _, pose in p4pf_roots(image_pts, world)]
+    if not candidates:
+        raise NoRealSolution("p4pf: no physically valid real root")
+    return candidates
+
+
+def p4pf_roots(image_pts, world) -> list[tuple[np.ndarray, Pose]]:
+    """solve_p4pf's candidates, each after its polished root (f, zb, zc,
+    zd) in conditioned units, the values the batched solver merges on;
+    an empty list where solve_p4pf raises NoRealSolution."""
     m2d = np.asarray(image_pts, dtype=float).reshape(4, 2).T.copy()
     world = np.asarray(world, dtype=float).reshape(4, 3)
     _check_not_collinear(world)
@@ -226,10 +244,8 @@ def solve_p4pf(image_pts, world) -> list[Pose]:
         rot, trans = _rigid_transform(M3d, p3dc)
         center = -rot.T @ (var * trans - rot @ mean3d)
         if not np.any((world - center) @ rot[2] <= 0.0):  # positive depths
-            candidates.append(Pose(rot, center, float(var2d * f)))
-
-    if not candidates:
-        raise NoRealSolution("p4pf: no physically valid real root")
+            candidates.append((np.array([f, zb, zc, zd]),
+                               Pose(rot, center, float(var2d * f))))
     return candidates
 
 

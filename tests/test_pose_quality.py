@@ -14,7 +14,6 @@ from sfmloc import (
     find_good_matches,
     fitted_mask,
     normalize_points,
-    pose_quality,
 )
 from sfmloc.minimal_solvers import Candidates
 from sfmloc.sfm_data import QueryImage, keyfile_records
@@ -137,11 +136,10 @@ class TestFittedMatches:
         assert fitted_count(golden, good, query, 2.0, "pixel") == len(good)
 
     @pytest.mark.parametrize("metric, threshold", [("ray", 0.5), ("pixel", 4.0)])
-    def test_stacked_masks_equal_the_oracle(self, noisy_scene, monkeypatch,
-                                            metric, threshold):
+    def test_stacked_masks_equal_the_oracle(self, noisy_scene, metric, threshold):
         """Each row of a stacked camera-frame mask is the world-frame test's
-        mask, but for distances within 1e-9 of the threshold; chunking
-        and stacking change no entry."""
+        mask, but for distances within 1e-9 of the threshold; stacking
+        changes no entry."""
         model = noisy_scene.model
         query, golden = noisy_scene.queries[0]
         index = build_index(model.mean_descriptors.astype(float))
@@ -168,8 +166,6 @@ class TestFittedMatches:
             assert np.array_equal(fitted_mask(pose, xy, good.positions, threshold, metric), row)
         assert near == 0
         assert 0 < got.sum() < got.size  # the poses fit some matches, not all
-        monkeypatch.setattr(pose_quality, "_CHUNK_ELEMENTS", 3 * len(good))
-        assert np.array_equal(fitted_mask(stack, xy, good.positions, threshold, metric), got)
 
 
 class TestCoverageArea:

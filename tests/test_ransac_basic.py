@@ -214,10 +214,9 @@ class TestSkipBound:
                                        solver, stop_at):
         """Batched search picks the one-at-a-time loop's winner, bit for bit.
 
-        Without an early stop it draws exactly its iterations, so the
-        generator ends where the loop leaves it (an advanced phase's
-        state for the next phase); with one, it draws fewer than twice
-        the iterations it runs.
+        It draws what the loop draws, so the generator ends where the
+        loop leaves it (an advanced phase's state for the next phase),
+        and with an early stop it draws only the iterations it runs.
         """
         skipped = []
         evaluate = ransac_basic.MatchContext.evaluate
@@ -240,11 +239,8 @@ class TestSkipBound:
                 ctx, sampler(kind, ctx.matches, size, rngs[1], got_draws),
                 60, focal, solver, stop_at=stop_at)
             assert got_its == want_its
-            if stop_at is None:
-                assert len(got_draws) == len(want_draws) == 60
-                assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
-            else:
-                assert got_its <= len(got_draws) < 2 * got_its
+            assert len(got_draws) == len(want_draws) == got_its
+            assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
             assert got[0] == want[0] and got[2] == want[2] and got[3] == want[3]
             assert np.array_equal(got[1].rotation, want[1].rotation)
             assert np.array_equal(got[1].center, want[1].center)
