@@ -101,6 +101,8 @@ def _checked(convert, ok, requirement: str):
 _FINITE = _checked(float, np.isfinite, "a finite number")
 _NON_NEGATIVE = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _POSITIVE = _checked(float, lambda k: 0 < k < np.inf, "a finite number > 0")
+# above 1 a feature whose two nearest points tie would pass the ratio test
+_RATIO = _checked(float, lambda r: 0 < r <= 1, "a number in (0, 1]")
 
 
 def _field(flag: str) -> str:
@@ -164,12 +166,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmark", action="store_true",
                    help="also write benchmark CSVs against golden poses")
     p.add_argument("--cache-index", help="descriptor cache file (npz)")
-    p.add_argument("--ratio", type=_FINITE, default=RunConfig.ratio,
+    p.add_argument("--ratio", type=_RATIO, default=RunConfig.ratio,
                    help=f"good-match ratio (default {GOOD_RATIO_BASIC} basic "
                         f"/ {GOOD_RATIO_ADVANCED} advanced)")
     for flag, classes, help_text in _PARAM_FLAGS:
         default = getattr(classes[0], _field(flag))
         kind = (_POSITIVE if flag == "k-sigmoid" else
+                _RATIO if flag == "backmatch-ratio" else
                 _FINITE if isinstance(default, float) else
                 _NON_NEGATIVE if isinstance(default, int) else type(default))
         p.add_argument(f"--{flag}", type=kind, default=default,

@@ -170,7 +170,7 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
 
     matched_features = set(good.feature_idx.tolist())
     processed = set()
-    new = []  # (feature_idx, point_idx, d1, d2)
+    new = []  # (feature_idx, point_idx)
     pops = 0
     pop_cap = params.pop_cap_factor * params.target_backmatches
 
@@ -196,14 +196,13 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
         fi = int(idx[0, 0])
         if fi in matched_features:
             continue
-        new.append((fi, pi, d1, d2))
+        new.append((fi, pi))
         matched_features.add(fi)
 
     if not new:
         return good
-    fi, pi, d1, d2 = (np.array(col) for col in zip(*new))
-    return good + Matches(fi, pi, d1, d2, visibilities[pi],
-                          model.positions[pi])
+    fi, pi = (np.array(col) for col in zip(*new))
+    return good + Matches(fi, pi, visibilities[pi], model.positions[pi])
 
 
 def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,

@@ -333,6 +333,13 @@ def test_later_flag_overrides_the_settings_file(tmp_path):
     assert (args.seed, args.ratio) == (5, 0.8)
 
 
+def test_ratio_one_is_accepted(tmp_path):
+    args = cli.build_arg_parser().parse_args(
+        [*required_flags(tmp_path, tmp_path), "--ratio", "1.0",
+         "--backmatch-ratio", "1.0"])
+    assert (args.ratio, args.backmatch_ratio) == (1.0, 1.0)
+
+
 @pytest.mark.parametrize("line, message", [
     ("--solver p5p", "invalid choice: 'p5p'"),
     ("--inlier-metric manhattan", "invalid choice: 'manhattan'"),
@@ -353,6 +360,16 @@ def test_later_flag_overrides_the_settings_file(tmp_path):
     ("--stop-fraction inf", "argument --stop-fraction: 'inf' is not a finite number"),
     ("--skip-fraction nan", "argument --skip-fraction: 'nan' is not a finite number"),
     ("--skip-fraction=-inf", "argument --skip-fraction: '-inf' is not a finite number"),
+    ("--ratio 0", "argument --ratio: '0' is not a number in (0, 1]"),
+    ("--ratio -0.5", "argument --ratio: '-0.5' is not a number in (0, 1]"),
+    ("--ratio 1.5", "argument --ratio: '1.5' is not a number in (0, 1]"),
+    ("--ratio nan", "argument --ratio: 'nan' is not a number in (0, 1]"),
+    ("--backmatch-ratio 0",
+     "argument --backmatch-ratio: '0' is not a number in (0, 1]"),
+    ("--backmatch-ratio -0.5",
+     "argument --backmatch-ratio: '-0.5' is not a number in (0, 1]"),
+    ("--backmatch-ratio 1.5",
+     "argument --backmatch-ratio: '1.5' is not a number in (0, 1]"),
 ])
 def test_bad_settings_file_exits_2(tmp_path, capsys, line, message):
     settings = tmp_path / "settings.txt"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.spatial import cKDTree
 
 from sfmloc import Matches, build_index, find_good_matches, ratio_test
 from sfmloc.descriptor_index import load_index_cache, save_index_cache
@@ -13,6 +14,36 @@ from sfmloc.sfm_data import QueryImage, keyfile_records
 def brute_force_top1(descs, query):
     d = np.linalg.norm(descs - query, axis=1)
     return int(np.argmin(d))
+
+
+def oracle_two_nn(descs, queries):
+    """Exact 2-NN by integer squared distances, square-rooted in float64.
+
+    Returns (dists, idx, untied): each row's two smallest distances, the
+    points holding them (lowest index first among equals), and whether
+    the row's three smallest squared distances are strictly increasing,
+    so that the two nearest points and their order are unique.
+    """
+    d = descs.astype(np.int64)
+    q = queries.astype(np.int64)
+    sq = (q * q).sum(1)[:, None] + (d * d).sum(1)[None, :] - 2 * q @ d.T
+    idx = np.argsort(sq, axis=1, kind="stable")[:, :3]
+    top = np.take_along_axis(sq, idx, axis=1)
+    untied = (top[:, 0] < top[:, 1]) & (top[:, 1] < top[:, 2])
+    return np.sqrt(top[:, :2].astype(np.float64)), idx[:, :2], untied
+
+
+def tied_database(high, seed):
+    """uint8 descriptors in [0, high) with every fifth row duplicated,
+    and queries that copy or perturb database rows."""
+    rng = np.random.default_rng(seed)
+    descs = rng.integers(0, high, (300, 128)).astype(np.uint8)
+    descs = np.vstack([descs, descs[::5]])
+    near = descs[rng.integers(0, len(descs), 150)].astype(int)
+    near += rng.integers(-2, 3, near.shape)
+    queries = np.vstack([descs[:50], np.clip(near, 0, 255),
+                         rng.integers(0, high, (100, 128))]).astype(np.uint8)
+    return descs, queries
 
 
 class TestBuildIndexKnn:
@@ -82,6 +113,31 @@ class TestBuildIndexKnn:
         assert agree >= 950
 
 
+@pytest.mark.parametrize("high, seed", [(256, 11), (4, 12)])
+class TestExactOracle:
+    """The index against an integer oracle on data with exact ties."""
+
+    def test_index_equals_the_oracle(self, high, seed):
+        descs, queries = tied_database(high, seed)
+        want_d, want_i, untied = oracle_two_nn(descs, queries)
+        assert untied.any() and not untied.all()
+        index = build_index(descs)
+        rows = [index.query(q, 2) for q in queries]  # as backmatching asks
+        for dists, idx in (index.query(queries, 2),
+                           (np.vstack([d for d, _ in rows]),
+                            np.vstack([i for _, i in rows]))):
+            assert np.array_equal(dists, want_d)  # bit for bit
+            assert np.array_equal(idx[untied], want_i[untied])
+
+    def test_default_leaf_tree_equals_the_oracle(self, high, seed):
+        descs, queries = tied_database(high, seed)
+        want_d, want_i, untied = oracle_two_nn(descs, queries)
+        dists, idx = cKDTree(descs.astype(np.float64)).query(
+            queries.astype(np.float64), k=2)
+        assert np.array_equal(dists, want_d)
+        assert np.array_equal(idx[untied], want_i[untied])
+
+
 class TestRatioTest:
     def test_accepts_clear_winner(self):
         assert ratio_test(0.4, 1.0, 0.7)
@@ -131,7 +187,8 @@ class TestFindGoodMatches:
                                 self.visibilities, self.positions)
         assert len(got) == 10
         assert list(got.feature_idx) == list(got.point_idx) == list(range(10))
-        assert np.all(got.d1 == 0.0)
+        dists, _ = self.index.query(self.descs[:10], 2)
+        assert np.all(dists[:, 0] == 0.0)
         for vis, pi in zip(got.visibility, got.point_idx):
             assert vis is self.visibilities[pi]
         assert np.array_equal(got.positions, self.positions[:10])
@@ -156,7 +213,8 @@ class TestFindGoodMatches:
         got = find_good_matches(self.index, query, 0.9,
                                 self.visibilities, self.positions)
         assert len(got) <= 30
-        assert np.all(got.d1 <= got.d2)
+        dists, _ = self.index.query(query.features.descriptor, 2)
+        assert np.all(dists[:, 0] <= dists[:, 1])
         for vis in got.visibility:
             assert vis
             assert all(0 <= c < 4 for c in vis)
@@ -165,8 +223,8 @@ class TestFindGoodMatches:
 class TestMatches:
     def make(self, n):
         vis = [frozenset({i}) for i in range(n)]
-        return Matches(np.arange(n), np.arange(n) + 10, np.zeros(n),
-                       np.ones(n), vis, np.arange(3 * n).reshape(n, 3))
+        return Matches(np.arange(n), np.arange(n) + 10, vis,
+                       np.arange(3 * n).reshape(n, 3))
 
     def test_take_by_index_and_mask(self):
         m = self.make(4)

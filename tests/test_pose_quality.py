@@ -28,8 +28,8 @@ def make_query(xy, width=400, height=300):
 def make_context(query, threshold=0.5, metric="ray"):
     """Scoring context over one match per query feature."""
     n = len(query.features)
-    matches = Matches(np.arange(n), np.arange(n), np.zeros(n), np.ones(n),
-                      [frozenset({0})] * n, np.tile([0.0, 0.0, 1.0], (n, 1)))
+    matches = Matches(np.arange(n), np.arange(n), [frozenset({0})] * n,
+                      np.tile([0.0, 0.0, 1.0], (n, 1)))
     return MatchContext(query, matches, threshold, metric, min_fitted=1)
 
 

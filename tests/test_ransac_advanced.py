@@ -258,7 +258,7 @@ def micro_scene():
                             [descs[1], descs[4], *far])
     query = QueryImage(name="micro", width=200, height=100, features=feats,
                        exif_focal_px=100.0)
-    good = Matches([0], [1], [0.0], [900.0], [points_vis[1]], [positions[1]])
+    good = Matches([0], [1], [points_vis[1]], [positions[1]])
     return model, query, good
 
 
@@ -335,8 +335,8 @@ class TestEstimatePoseAdvanced:
     def test_insufficient_distinct_points(self, scene_matches):
         query, _, good = scene_matches
         five = good.take(np.arange(5))
-        collapsed = Matches(five.feature_idx, np.zeros(5), five.d1, five.d2,
-                            five.visibility, five.positions)
+        collapsed = Matches(five.feature_idx, np.zeros(5), five.visibility,
+                            five.positions)
         with pytest.raises(InsufficientMatches):
             estimate_pose_advanced(query, collapsed, None,
                                    AdvancedParams(rng_seed=0),

@@ -34,8 +34,8 @@ class TestSampleUnique:
     def test_duplicate_points_counted_once(self):
         # three matches of two points: sample_size, the samplers' only
         # check, counts each point once
-        matches = Matches(np.arange(3), [5, 5, 6], np.zeros(3), np.ones(3),
-                          [frozenset({0})] * 3, np.zeros((3, 3)))
+        matches = Matches(np.arange(3), [5, 5, 6], [frozenset({0})] * 3,
+                          np.zeros((3, 3)))
         with pytest.raises(InsufficientMatches):
             ransac_basic.sample_size(matches, 400.0, "p3p")
         distinct = replace(matches, point_idx=np.array([5, 6, 7]))
@@ -124,8 +124,8 @@ class TestEstimatePoseBasic:
         rng = np.random.default_rng(0)
         # random correspondences with no consistent pose
         positions = np.array([rng.uniform(-50, 50, 3) for _ in range(30)])
-        matches = Matches(np.arange(30), np.arange(30), np.zeros(30),
-                          np.ones(30), [frozenset({0})] * 30, positions)
+        matches = Matches(np.arange(30), np.arange(30), [frozenset({0})] * 30,
+                          positions)
         from sfmloc.sfm_data import QueryImage, keyfile_records
         xy = [(rng.uniform(0, 400), rng.uniform(0, 300)) for _ in range(30)]
         feats = keyfile_records(xy, np.zeros((30, 128), dtype=np.uint8))
@@ -255,8 +255,8 @@ class TestSkipBound:
         xy = [(30.0 + 35.0 * i, 40.0 + 20.0 * (i % 3)) for i in range(10)]
         feats = keyfile_records(xy, np.zeros((10, 128), dtype=np.uint8))
         query = QueryImage(name="q", width=400, height=300, features=feats)
-        matches = Matches(np.arange(10), np.arange(10), np.zeros(10), np.ones(10),
-                          [frozenset({0})] * 10, np.zeros((10, 3)))
+        matches = Matches(np.arange(10), np.arange(10), [frozenset({0})] * 10,
+                          np.zeros((10, 3)))
         ctx = ransac_basic.MatchContext(query, matches, 0.5, "ray", 1)
         assert ctx.area_good == 10 * 21 ** 2
         mask = np.arange(10) < 4
