@@ -367,8 +367,7 @@ def localize(query: QueryImage, golden: Pose, index, model: SfmModel,
         ratio = GOOD_RATIO_BASIC if mode == "basic" else GOOD_RATIO_ADVANCED
     start = time.perf_counter()
     try:
-        good = find_good_matches(index, query, ratio, model.visibilities,
-                                 model.positions)
+        good = find_good_matches(index, query, ratio)
         if mode == "basic":
             est = estimate_pose_basic(query, good, model,
                                       replace(basic, rng_seed=seed),

@@ -16,7 +16,7 @@ import hashlib
 import tokenize
 import zipfile
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,51 +34,35 @@ _UNREADABLE_CACHE = (OSError, KeyError, ValueError, EOFError, RuntimeError,
 
 @dataclass(frozen=True, eq=False)
 class Matches:
-    """2D-feature-to-3D-point correspondences as parallel arrays.
+    """2D-feature-to-3D-point correspondences as two index arrays.
 
     Entry i matches query feature feature_idx[i] to model point
-    point_idx[i]; visibility[i] is the set of model cameras observing
-    the point (the model's own frozenset, not a copy) and positions[i]
-    its world coordinates.
+    point_idx[i].  A match's position and camera views are the model's,
+    read through point_idx where they are used.
     """
 
     feature_idx: np.ndarray
     point_idx: np.ndarray
-    visibility: np.ndarray
-    positions: np.ndarray
 
     def __post_init__(self):
         for name in ("feature_idx", "point_idx"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=np.intp))
-        object.__setattr__(self, "visibility", _objects(self.visibility))
-        object.__setattr__(self, "positions", np.asarray(
-            self.positions, dtype=float).reshape(-1, 3))
 
     @classmethod
     def empty(cls) -> "Matches":
-        return cls([], [], [], [])
+        return cls([], [])
 
     def __len__(self) -> int:
         return len(self.feature_idx)
 
     def take(self, index) -> "Matches":
         """The entries selected by an index array or a boolean mask."""
-        return Matches(*(getattr(self, f.name)[index] for f in fields(self)))
+        return Matches(self.feature_idx[index], self.point_idx[index])
 
     def __add__(self, other: "Matches") -> "Matches":
-        return Matches(*(np.concatenate([getattr(self, f.name),
-                                         getattr(other, f.name)])
-                         for f in fields(self)))
-
-
-def _objects(items) -> np.ndarray:
-    """items as a 1-D object array, without copying its elements."""
-    if isinstance(items, np.ndarray) and items.dtype == object:
-        return items
-    out = np.empty(len(items), dtype=object)
-    out[:] = list(items)
-    return out
+        return Matches(np.concatenate([self.feature_idx, other.feature_idx]),
+                       np.concatenate([self.point_idx, other.point_idx]))
 
 
 class DescriptorIndex:
@@ -122,21 +106,18 @@ def ratio_test(d1, d2, ratio: float):
     return (d2 != 0) & (d1 < ratio * d2)
 
 
-def find_good_matches(index: DescriptorIndex, query: QueryImage,
-                      ratio: float, visibilities, positions) -> Matches:
+def find_good_matches(index: DescriptorIndex, query: QueryImage, ratio: float,
+                      visibilities=None, positions=None) -> Matches:
     """Ratio-test filter of each query feature's 2-NN result.
 
-    visibilities and positions are indexed by model point; each
-    accepted feature's entry carries its point's visibility set and
-    world position.
+    visibilities and positions are not read: perfbench/pipeline.py still
+    passes the model's (ROADMAP item 1), and they go with that call.
     """
     if len(query.features) == 0 or len(index) < 2:
         return Matches.empty()  # a single-point index has no second neighbor
     dists, idx = index.query(query.features.descriptor, k=2)
     feature_idx = np.flatnonzero(ratio_test(dists[:, 0], dists[:, 1], ratio))
-    point_idx = idx[feature_idx, 0]
-    return Matches(feature_idx, point_idx, _objects(visibilities)[point_idx],
-                   np.asarray(positions, dtype=float)[point_idx])
+    return Matches(feature_idx, idx[feature_idx, 0])
 
 
 def descriptor_source_key(model, keyfile_paths) -> str:

@@ -75,18 +75,20 @@ def accept_probability(inter: int, prev_inter: int, candidate_size: int,
     return float(min(1.0, max(0.0, f_scaling * f_ratio)))
 
 
-def _seed_matches(vis_sets, min_cameras: int) -> np.ndarray:
+def _seed_matches(bits, min_cameras: int) -> np.ndarray:
     """Matches a co-occurrence sample may start from: those seen by at
     least min_cameras cameras, else those seen by the most."""
-    sizes = np.fromiter(map(len, vis_sets), dtype=np.intp)
+    sizes = np.fromiter(map(int.bit_count, bits), dtype=np.intp, count=len(bits))
     seeds = np.flatnonzero(sizes >= min_cameras)
     return seeds if len(seeds) else np.flatnonzero(sizes == sizes.max())
 
 
-def _draw_cooccurrence_idx(point_ids, vis_sets, seeds, n: int,
+def _draw_cooccurrence_idx(point_ids, bits, seeds, n: int,
                            params: AdvancedParams, rng) -> list:
     """Indices of n matches drawn sequentially under the co-occurrence prior.
 
+    bits[i] is match i's camera bitmask (SfmModel.view_bits), so a
+    visibility intersection is an and, and its size a bit count.
     The first match is drawn from seeds (see _seed_matches); subsequent
     uniform candidates are accepted with accept_probability.  A run of
     more than dead_end_limit consecutive zero intersections discards the
@@ -99,25 +101,25 @@ def _draw_cooccurrence_idx(point_ids, vis_sets, seeds, n: int,
     for _ in range(params.max_restarts):
         first = int(seeds[rng.integers(len(seeds))])
         chosen = [first]
-        running = frozenset(vis_sets[first])
+        running = bits[first]
         zero_streak = 0
         pool = np.flatnonzero(point_ids != point_ids[first])
         dead_end = False
         while len(chosen) < n and not dead_end:
             cand = int(pool[rng.integers(len(pool))])
-            inter = len(running & vis_sets[cand])
+            inter = (running & bits[cand]).bit_count()
             if inter == 0:
                 zero_streak += 1
                 if zero_streak > params.dead_end_limit:
                     dead_end = True
                 continue
             zero_streak = 0
-            p = accept_probability(inter, len(running),
-                                   len(vis_sets[cand]), params.k_sigmoid)
+            p = accept_probability(inter, running.bit_count(),
+                                   bits[cand].bit_count(), params.k_sigmoid)
             if rng.random() < p:
                 chosen.append(cand)
                 pool = pool[point_ids[pool] != point_ids[cand]]
-                running = running & vis_sets[cand]
+                running &= bits[cand]
         if not dead_end:
             return chosen
     raise SamplingExhausted(
@@ -131,11 +133,11 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
     Builds a fresh NN index over the query features, then processes a
     priority queue of candidate model points.  Points of existing good
     matches are boosted to the top; every accepted backmatch raises the
-    priority of all points co-visible with it, so the search spreads
-    along the view graph.  Returns the input matches followed by newly
-    accepted ones; a query feature that is already matched is not
-    matched again, so when every feature is matched, good is returned
-    before any index is built.
+    priority of all pool points co-visible with it (from the model's
+    camera_points), so the search spreads along the view graph.  Returns
+    the input matches followed by newly accepted ones; a query feature
+    that is already matched is not matched again, so when every feature
+    is matched, good is returned before any index is built.
     """
     if not len(good) or model.num_points == 0 or len(query.features) == 0:
         return good
@@ -146,24 +148,15 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
 
     feat_index = DescriptorIndex(query.features.descriptor)
 
-    visibilities = model.visibilities
     if params.pool == "all":
         pool = np.arange(model.num_points)
     else:  # points sharing a camera with a good match
-        cams = np.fromiter(set().union(*good.visibility), dtype=np.int32)
+        cams = model.track_cams[np.isin(model.track_points, good.point_idx)]
         pool = np.unique(model.track_points[np.isin(model.track_cams, cams)])
-    pool_set = set(int(p) for p in pool)
-    pool_set.update(good.point_idx.tolist())
-
-    # camera -> pool points seen by it, for the priority updates
-    cam_to_points = {}
-    for pi in pool_set:
-        for cam in visibilities[pi]:
-            cam_to_points.setdefault(cam, []).append(pi)
-
-    priority = dict.fromkeys(pool_set, 0)
+    priority = dict.fromkeys(pool.tolist(), 0)
     priority.update(dict.fromkeys(good.point_idx.tolist(),
                                   params.priority_booster))
+    cam_offsets, cam_points = model.camera_points
 
     heap = [(-prio, pi) for pi, prio in priority.items()]
     heapq.heapify(heap)
@@ -187,9 +180,9 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
             continue
 
         # spread priority along the accepted point's views
-        for cam in visibilities[pi]:
-            for pj in cam_to_points.get(cam, ()):
-                if pj not in processed:
+        for cam in set(model.track_cams[model.track_slice(pi)].tolist()):
+            for pj in cam_points[cam_offsets[cam]:cam_offsets[cam + 1]].tolist():
+                if pj in priority and pj not in processed:
                     priority[pj] += 1
                     heapq.heappush(heap, (-priority[pj], pj))
 
@@ -201,8 +194,7 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
 
     if not new:
         return good
-    fi, pi = (np.array(col) for col in zip(*new))
-    return good + Matches(fi, pi, visibilities[pi], model.positions[pi])
+    return good + Matches(*zip(*new))
 
 
 def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,
@@ -224,13 +216,14 @@ def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,
 
     def phase(ctx: MatchContext, best=None):
         m = ctx.matches
-        seeds = _seed_matches(m.visibility, adv.min_seed_cameras)
+        bits = model.view_bits(m.point_idx)
+        seeds = _seed_matches(bits, adv.min_seed_cameras)
         return search(
-            ctx, lambda: _draw_cooccurrence_idx(m.point_idx, m.visibility,
-                                                seeds, size, adv, rng),
+            ctx, lambda: _draw_cooccurrence_idx(m.point_idx, bits, seeds,
+                                                size, adv, rng),
             adv.iterations_per_phase, focal, solver, best)
 
-    ctx = MatchContext(query, matches, adv.inlier_threshold,
+    ctx = MatchContext(query, matches, model, adv.inlier_threshold,
                        adv.inlier_metric, adv.min_fitted)
     best, iterations = phase(ctx)
     phase1_count = 0 if best is None else best[2]
@@ -239,7 +232,7 @@ def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,
     if used_backmatching:
         augmented = backmatch(query, model, matches, back)
         if augmented is not matches:
-            ctx = MatchContext(query, augmented, adv.inlier_threshold,
+            ctx = MatchContext(query, augmented, model, adv.inlier_threshold,
                                adv.inlier_metric, adv.min_fitted)
             # re-score the phase-1 best on the augmented set: both phases compete alike
             if best is not None:

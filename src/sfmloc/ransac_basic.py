@@ -35,7 +35,7 @@ from .pose_quality import (
     coverage_window,
     fitted_mask,
 )
-from .sfm_data import QueryImage
+from .sfm_data import QueryImage, SfmModel
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,16 @@ class MatchContext:
     """Per-query arrays shared by every candidate evaluation.
 
     The one scoring path: candidates' fitted masks come from fitted_mask
-    (fitted), and a candidate's quality from the coverage of its masked
-    matches against that of all matches (evaluate).
+    (fitted) on the matches' model positions, gathered once into world,
+    and a candidate's quality from the coverage of its masked matches
+    against that of all matches (evaluate).
     """
 
-    def __init__(self, query: QueryImage, matches: Matches, threshold: float,
-                 metric: str, min_fitted: int):
+    def __init__(self, query: QueryImage, matches: Matches, model: SfmModel,
+                 threshold: float, metric: str, min_fitted: int):
         self.query = query
         self.matches = matches
+        self.world = model.positions[matches.point_idx]
         self.threshold = threshold
         self.metric = metric
         self.min_fitted = min_fitted
@@ -103,7 +105,7 @@ class MatchContext:
 
     def fitted(self, poses: Pose | Candidates) -> np.ndarray:
         """Fitted masks of a pose (N,) or of a stack of candidates (K, N)."""
-        return fitted_mask(poses, self.centered_xy, self.matches.positions,
+        return fitted_mask(poses, self.centered_xy, self.world,
                            self.threshold, self.metric)
 
     def evaluate(self, mask: np.ndarray, beat: float = -np.inf):
@@ -159,7 +161,7 @@ def solve_candidates(ctx: MatchContext, samples, focal_px: float | None,
     order and, within a row, P3P's before P4Pf's; a row the solvers
     cannot solve has none.
     """
-    world = ctx.matches.positions[samples]
+    world = ctx.world[samples]
     centered = ctx.centered_xy[samples]
     want_p3p, want_p4pf = _solvers(focal_px, solver)
     parts = []
@@ -234,7 +236,7 @@ def best_estimate(ctx: MatchContext, best, iterations: int, **flags) -> PoseEsti
                         quality=stats, iterations_used=iterations, **flags)
 
 
-def estimate_pose_basic(query: QueryImage, matches: Matches, model=None,
+def estimate_pose_basic(query: QueryImage, matches: Matches, model: SfmModel,
                         params: BasicParams = BasicParams(),
                         solver: str = "auto") -> PoseEstimate:
     """Localize one query with the baseline RANSAC scheme.
@@ -248,7 +250,7 @@ def estimate_pose_basic(query: QueryImage, matches: Matches, model=None,
     """
     focal = query.exif_focal_px
     size = sample_size(matches, focal, solver)
-    ctx = MatchContext(query, matches, params.inlier_threshold,
+    ctx = MatchContext(query, matches, model, params.inlier_threshold,
                        params.inlier_metric, params.min_fitted)
     rng = np.random.default_rng(params.rng_seed)
     stop_at = min(params.stop_count,

@@ -79,10 +79,11 @@ class SfmModel:
 
     Point attributes live in flat arrays (positions, colors, view-list
     segments indexed by ``track_offsets``) instead of per-point objects.
-    The view lists are decoded here and nowhere else, each once on first
-    use: ``track_points`` gives the point of every view-list entry and
-    ``visibilities`` every point's camera set.  Instances are immutable
-    after construction.
+    The view lists are decoded here and nowhere else: ``track_points``
+    (each entry's point) and ``camera_points`` (each camera's points) once
+    on first use, ``view_bits`` (chosen points' cameras) on each call.
+    Only perfbench/pipeline.py reads ``visibilities`` (ROADMAP item 1).
+    Instances are immutable after construction.
     """
 
     def __init__(self, cameras, positions, colors, track_offsets,
@@ -113,6 +114,27 @@ class SfmModel:
     def track_points(self) -> np.ndarray:
         """Point index of every view-list entry."""
         return np.repeat(np.arange(self.num_points), np.diff(self.track_offsets))
+
+    @cached_property
+    def camera_points(self) -> tuple:
+        """(offsets, points): camera c sees points[offsets[c]:offsets[c + 1]],
+        ascending, each once however often its view list names c."""
+        pairs = np.unique(self.track_cams * np.int64(self.num_points)
+                          + self.track_points)
+        cams, points = np.divmod(pairs, max(self.num_points, 1))
+        return np.searchsorted(cams, np.arange(self.num_cameras + 1)), points
+
+    def view_bits(self, points) -> list:
+        """Per entry of points, an int whose bit c is set when camera c sees
+        that point; a camera its view list names twice sets one bit."""
+        starts = self.track_offsets[points]
+        lens = self.track_offsets[np.asarray(points) + 1] - starts
+        rows = np.repeat(np.arange(len(lens)), lens)
+        entries = np.arange(len(rows)) + (starts - np.cumsum(lens) + lens)[rows]
+        marks = np.zeros((len(lens), self.num_cameras), dtype=bool)
+        marks[rows, self.track_cams[entries]] = True
+        return [int.from_bytes(row.tobytes(), "little")
+                for row in np.packbits(marks, axis=1, bitorder="little")]
 
     @cached_property
     def visibilities(self) -> np.ndarray:

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from sfmloc import build_index, find_good_matches, generate_synthetic_scene
+from sfmloc import (
+    CameraRecord,
+    SfmModel,
+    build_index,
+    find_good_matches,
+    generate_synthetic_scene,
+)
 
 
 def rotation_angle(r1, r2) -> float:
@@ -43,6 +49,18 @@ def scene_matches(clean_scene):
     model = clean_scene.model
     index = build_index(model.mean_descriptors.astype(float))
     query, golden = clean_scene.queries[0]
-    good = find_good_matches(index, query, 0.7, model.visibilities,
-                             model.positions)
+    good = find_good_matches(index, query, 0.7)
     return query, golden, good
+
+
+def points_model(positions, views=None) -> SfmModel:
+    """A model of the given point positions; views[i] lists point i's
+    cameras (default: camera 0 alone), with as many cameras as they name."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    views = [[0]] * len(positions) if views is None else views
+    cams = [c for v in views for c in v]
+    camera = CameraRecord(500.0, 0.0, 0.0, np.eye(3), np.zeros(3))
+    return SfmModel([camera] * (max(cams, default=-1) + 1), positions,
+                    np.zeros((len(positions), 3), np.uint8),
+                    np.cumsum([0] + [len(v) for v in views]), cams,
+                    np.zeros(len(cams), np.int32), np.zeros((len(cams), 2)))

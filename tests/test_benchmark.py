@@ -81,8 +81,7 @@ class TestSyntheticScene:
         model = clean_scene.model
         index = build_index(model.mean_descriptors.astype(float))
         query, golden = clean_scene.queries[2]
-        good = find_good_matches(index, query, 0.7, model.visibilities,
-                                 model.positions)
+        good = find_good_matches(index, query, 0.7)
         est = estimate_pose_basic(query, good, model, BasicParams(rng_seed=0))
         err = pose_error(est.pose, golden)
         assert err.rotation_deg < 1e-6

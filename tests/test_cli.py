@@ -18,6 +18,7 @@ from sfmloc import (
     AdvancedParams,
     BackmatchParams,
     BasicParams,
+    SfmModel,
     cli,
     generate_synthetic_scene,
     parse_bundle,
@@ -72,6 +73,25 @@ def test_localizes_every_query(scene_dir, tmp_path, mode):
         assert row["failure"] == ""
         assert float(row["translation"]) < 1e-3
         assert (tmp_path / row["name"].replace(".jpg", "") / "camera.mlp").is_file()
+
+
+def test_advanced_run_builds_no_camera_sets(noisy_scene, tmp_path, monkeypatch):
+    """Sampling and backmatching read the model's view lists: a run with
+    SfmModel.visibilities raising writes the rows of a run without.  Phase
+    one cannot fit every match of a scene with outliers, so with these
+    flags every query backmatches."""
+    scene = tmp_path / "scene"
+    write_scene_dir(noisy_scene, scene)
+    flags = ("--skip-count", "1000000000", "--skip-fraction", "1")
+    code = run_cli(scene, tmp_path / "plain", "advanced", *flags)
+
+    def refuse(model):
+        raise AssertionError("SfmModel.visibilities was read")
+    monkeypatch.setattr(SfmModel, "visibilities", property(refuse))
+    assert run_cli(scene, tmp_path / "patched", "advanced", *flags) == code
+    got = without_seconds(tmp_path / "patched")
+    assert got == without_seconds(tmp_path / "plain")
+    assert [r["used_backmatching"] for r in got] == ["True"] * len(noisy_scene.queries)
 
 
 @pytest.mark.parametrize("line", ["query_000.jpg 800",

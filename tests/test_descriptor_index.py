@@ -1,5 +1,7 @@
 """Nearest-neighbor index, ratio test and good-match extraction."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -176,55 +178,45 @@ class TestFindGoodMatches:
     def setup_method(self):
         rng = np.random.default_rng(5)
         self.descs = rng.integers(0, 256, (60, 128)).astype(float)
-        self.visibilities = [frozenset({i % 4, (i + 1) % 4})
-                             for i in range(60)]
-        self.positions = rng.uniform(-1, 1, (60, 3))
         self.index = build_index(self.descs)
 
     def test_exact_copies_all_match(self):
         query = _query_from_descriptors(self.descs[:10])
-        got = find_good_matches(self.index, query, 0.7,
-                                self.visibilities, self.positions)
+        got = find_good_matches(self.index, query, 0.7)
         assert len(got) == 10
         assert list(got.feature_idx) == list(got.point_idx) == list(range(10))
         dists, _ = self.index.query(self.descs[:10], 2)
         assert np.all(dists[:, 0] == 0.0)
-        for vis, pi in zip(got.visibility, got.point_idx):
-            assert vis is self.visibilities[pi]
-        assert np.array_equal(got.positions, self.positions[:10])
+        # a match is two indices; position and views are the model's
+        assert [f.name for f in fields(got)] == ["feature_idx", "point_idx"]
+        assert got.feature_idx.dtype == got.point_idx.dtype == np.intp
 
     def test_no_features_empty(self):
         query = _query_from_descriptors([])
-        assert len(find_good_matches(self.index, query, 0.7,
-                                     self.visibilities, self.positions)) == 0
+        assert len(find_good_matches(self.index, query, 0.7)) == 0
 
     def test_duplicate_indexed_descriptor_rejected(self):
         descs = np.vstack([self.descs, self.descs[0]])
         index = build_index(descs)
         query = _query_from_descriptors(descs[:1])
-        got = find_good_matches(index, query, 0.9,
-                                self.visibilities + [self.visibilities[0]],
-                                np.vstack([self.positions, self.positions[:1]]))
+        got = find_good_matches(index, query, 0.9)
         assert len(got) == 0
 
     def test_output_within_bounds(self):
         rng = np.random.default_rng(6)
         query = _query_from_descriptors(rng.uniform(0, 255, (30, 128)))
-        got = find_good_matches(self.index, query, 0.9,
-                                self.visibilities, self.positions)
+        got = find_good_matches(self.index, query, 0.9)
         assert len(got) <= 30
         dists, _ = self.index.query(query.features.descriptor, 2)
         assert np.all(dists[:, 0] <= dists[:, 1])
-        for vis in got.visibility:
-            assert vis
-            assert all(0 <= c < 4 for c in vis)
+        assert np.all(np.diff(got.feature_idx) > 0)
+        assert np.all((got.feature_idx >= 0) & (got.feature_idx < 30))
+        assert np.all((got.point_idx >= 0) & (got.point_idx < len(self.descs)))
 
 
 class TestMatches:
     def make(self, n):
-        vis = [frozenset({i}) for i in range(n)]
-        return Matches(np.arange(n), np.arange(n) + 10, vis,
-                       np.arange(3 * n).reshape(n, 3))
+        return Matches(np.arange(n), np.arange(n) + 10)
 
     def test_take_by_index_and_mask(self):
         m = self.make(4)
@@ -232,15 +224,16 @@ class TestMatches:
         by_mask = m.take(np.array([True, False, True, False]))
         assert list(by_idx.point_idx) == [12, 10]
         assert list(by_mask.point_idx) == [10, 12]
-        assert by_idx.visibility[0] is m.visibility[2]
-        assert np.array_equal(by_mask.positions, m.positions[[0, 2]])
+        assert list(by_idx.feature_idx) == [2, 0]
+        assert list(by_mask.feature_idx) == [0, 2]
 
     def test_add_concatenates_in_order(self):
         a, b = self.make(2), self.make(3)
         both = a + b
         assert len(both) == 5
         assert list(both.feature_idx) == [0, 1, 0, 1, 2]
-        assert both.positions.shape == (5, 3)
+        assert list(both.point_idx) == [10, 11, 10, 11, 12]
+        assert both.point_idx.dtype == np.intp
         assert len(Matches.empty() + a) == 2
 
 

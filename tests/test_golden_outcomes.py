@@ -45,8 +45,7 @@ def _run(scene, qi, mode, seed, focal="exif", params=None, n_features=None,
         query = replace(query, features=feats,
                         exif_focal_px=query.exif_focal_px if focal == "exif" else focal)
     ratio = 0.7 if mode == "basic" else 0.9
-    good = find_good_matches(index, query, ratio, model.visibilities,
-                             model.positions)
+    good = find_good_matches(index, query, ratio)
     if suppress:
         # the suppressed-match case of test_ransac_advanced: 11 true
         # matches plus every outlier, so phase one cannot skip backmatching

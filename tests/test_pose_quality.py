@@ -18,6 +18,8 @@ from sfmloc import (
 from sfmloc.minimal_solvers import Candidates
 from sfmloc.sfm_data import QueryImage, keyfile_records
 
+from conftest import points_model
+
 
 def make_query(xy, width=400, height=300):
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
@@ -28,13 +30,13 @@ def make_query(xy, width=400, height=300):
 def make_context(query, threshold=0.5, metric="ray"):
     """Scoring context over one match per query feature."""
     n = len(query.features)
-    matches = Matches(np.arange(n), np.arange(n), [frozenset({0})] * n,
-                      np.tile([0.0, 0.0, 1.0], (n, 1)))
-    return MatchContext(query, matches, threshold, metric, min_fitted=1)
+    matches = Matches(np.arange(n), np.arange(n))
+    return MatchContext(query, matches, points_model(np.tile([0.0, 0.0, 1.0], (n, 1))),
+                        threshold, metric, min_fitted=1)
 
 
-def fitted_count(pose, good, query, threshold, metric="ray"):
-    ctx = MatchContext(query, good, threshold, metric, min_fitted=1)
+def fitted_count(pose, good, query, model, threshold, metric="ray"):
+    ctx = MatchContext(query, good, model, threshold, metric, min_fitted=1)
     return ctx.evaluate(ctx.fitted(pose))[0]
 
 
@@ -116,24 +118,25 @@ def window_sets(draw):
 
 
 class TestFittedMatches:
-    def test_true_pose_fits_all(self, scene_matches):
+    def test_true_pose_fits_all(self, scene_matches, clean_scene):
         query, golden, good = scene_matches
-        assert fitted_count(golden, good, query, 0.5) == len(good)
+        assert fitted_count(golden, good, query, clean_scene.model, 0.5) == len(good)
 
-    def test_reversed_pose_fits_none(self, scene_matches):
+    def test_reversed_pose_fits_none(self, scene_matches, clean_scene):
         query, golden, good = scene_matches
         half_turn = np.diag([-1.0, 1.0, -1.0])  # about the up axis
         wrong = Pose(half_turn @ golden.rotation, golden.center,
                      golden.focal_px)
-        assert fitted_count(wrong, good, query, 0.5) == 0
+        assert fitted_count(wrong, good, query, clean_scene.model, 0.5) == 0
 
-    def test_empty_matches(self, scene_matches):
+    def test_empty_matches(self, scene_matches, clean_scene):
         query, golden, _ = scene_matches
-        assert fitted_count(golden, Matches.empty(), query, 0.5) == 0
+        assert fitted_count(golden, Matches.empty(), query, clean_scene.model, 0.5) == 0
 
-    def test_pixel_metric(self, scene_matches):
+    def test_pixel_metric(self, scene_matches, clean_scene):
         query, golden, good = scene_matches
-        assert fitted_count(golden, good, query, 2.0, "pixel") == len(good)
+        assert fitted_count(golden, good, query, clean_scene.model, 2.0,
+                            "pixel") == len(good)
 
     @pytest.mark.parametrize("metric, threshold", [("ray", 0.5), ("pixel", 4.0)])
     def test_stacked_masks_equal_the_oracle(self, noisy_scene, metric, threshold):
@@ -143,8 +146,7 @@ class TestFittedMatches:
         model = noisy_scene.model
         query, golden = noisy_scene.queries[0]
         index = build_index(model.mean_descriptors.astype(float))
-        good = find_good_matches(index, query, 0.9, model.visibilities,
-                                 model.positions)
+        good = find_good_matches(index, query, 0.9)
         xy = normalize_points(query.features.xy[good.feature_idx],
                               query.width, query.height)
         rng = np.random.default_rng(12)
@@ -155,15 +157,16 @@ class TestFittedMatches:
         stack = Candidates(np.arange(40), np.array([p.rotation for p in poses]),
                            np.array([p.center for p in poses]),
                            np.array([p.focal_px for p in poses]))
-        got = fitted_mask(stack, xy, good.positions, threshold, metric)
+        world = model.positions[good.point_idx]
+        got = fitted_mask(stack, xy, world, threshold, metric)
         assert got.shape == (40, len(good))
         near = 0
         for pose, row in zip(poses, got):
-            want, dist = oracle_fitted_mask(pose, xy, good.positions, threshold, metric)
+            want, dist = oracle_fitted_mask(pose, xy, world, threshold, metric)
             differ = row != want
             assert np.all(np.abs(dist[differ] - threshold) <= 1e-9 * threshold)
             near += int(differ.sum())
-            assert np.array_equal(fitted_mask(pose, xy, good.positions, threshold, metric), row)
+            assert np.array_equal(fitted_mask(pose, xy, world, threshold, metric), row)
         assert near == 0
         assert 0 < got.sum() < got.size  # the poses fit some matches, not all
 

@@ -23,11 +23,20 @@ from sfmloc.errors import InsufficientMatches, SamplingExhausted
 from sfmloc.ransac_advanced import _draw_cooccurrence_idx, _seed_matches
 from sfmloc.sfm_data import QueryImage, SfmModel, keyfile_records
 
+import oracle_visibility
+from conftest import points_model
+
+
+def as_bits(vis_sets) -> list:
+    """Each camera set as the sampler's bitmask: bit c for camera c."""
+    return [sum(1 << c for c in v) for v in vis_sets]
+
 
 def draw_idx(point_ids, vis_sets, n, params, rng):
     """One co-occurrence sample with the seed list a phase would build."""
-    seeds = _seed_matches(vis_sets, params.min_seed_cameras)
-    return _draw_cooccurrence_idx(point_ids, vis_sets, seeds, n, params, rng)
+    bits = as_bits(vis_sets)
+    seeds = _seed_matches(bits, params.min_seed_cameras)
+    return _draw_cooccurrence_idx(point_ids, bits, seeds, n, params, rng)
 
 
 def draw(point_ids, vis_sets, n, rng):
@@ -205,9 +214,10 @@ class TestDrawCooccurrenceOracle:
         return results
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_scene_matches(self, scene_matches, n):
+    def test_scene_matches(self, scene_matches, clean_scene, n):
         _, _, good = scene_matches
-        self.check(good.point_idx, good.visibility, n, AdvancedParams())
+        vis = clean_scene.model.visibilities[good.point_idx]
+        self.check(good.point_idx, vis, n, AdvancedParams())
 
     def test_repeated_point_ids(self):
         point_ids, vis, n, params = repeated_points()
@@ -236,6 +246,83 @@ class TestDrawCooccurrenceOracle:
         assert set(results) == {SamplingExhausted}
 
 
+def with_repeated_views(model):
+    """model with each point's first view-list entry listed again at its end."""
+    bounds = model.track_offsets.tolist()
+    entries = [e for a, b in zip(bounds, bounds[1:]) for e in [*range(a, b), a]]
+    return SfmModel(model.cameras, model.positions, model.colors,
+                    model.track_offsets + np.arange(len(bounds)),
+                    model.track_cams[entries], model.track_keys[entries],
+                    model.track_xy[entries], model.mean_descriptors)
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["views", "repeated"])
+def noisy_model(request, noisy_scene):
+    """The noisy scene's model, and the same with a camera listed twice in
+    every view list; camera sets, and so sampling and backmatching, agree."""
+    model = noisy_scene.model
+    return with_repeated_views(model) if request.param else model
+
+
+def noisy_good(noisy_scene, model, qi):
+    index = build_index(model.mean_descriptors.astype(float))
+    query, _ = noisy_scene.queries[qi]
+    return query, find_good_matches(index, query, 0.9)
+
+
+class TestBitmaskSamplerOracle:
+    """The bitmask sampler on the model's view lists draws what the
+    frozenset sampler draws, and leaves the generator where it does."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("params", [
+        AdvancedParams(), AdvancedParams(dead_end_limit=1, max_restarts=3)],
+        ids=["default", "restarting"])
+    def test_same_draws(self, noisy_scene, noisy_model, n, params):
+        _, good = noisy_good(noisy_scene, noisy_model, 0)
+        bits = noisy_model.view_bits(good.point_idx)
+        vis = noisy_model.visibilities[good.point_idx]
+        assert bits == [sum(1 << c for c in v) for v in vis]
+        seeds = _seed_matches(bits, params.min_seed_cameras)
+        assert np.array_equal(
+            seeds, oracle_visibility.seed_matches(vis, params.min_seed_cameras))
+
+        def new(point_ids, _, n, params, rng):
+            return _draw_cooccurrence_idx(point_ids, bits, seeds, n, params, rng)
+
+        def old(point_ids, vis_sets, n, params, rng):
+            return oracle_visibility.draw_cooccurrence_idx(
+                point_ids, vis_sets, seeds, n, params, rng)
+        results = []
+        for seed in range(300):
+            got = outcome(new, good.point_idx, vis, n, params, seed)
+            assert got == outcome(old, good.point_idx, vis, n, params, seed), seed
+            results.append(got[0])
+        if params.max_restarts == 3:
+            assert SamplingExhausted in results
+        assert any(isinstance(r, list) for r in results)
+
+
+class TestBackmatchOracle:
+    """backmatch returns the frozenset oracle's matches, in its order."""
+
+    @pytest.mark.parametrize("pool", ["covisible", "all"])
+    @pytest.mark.parametrize("params", [
+        {}, {"target_backmatches": 5}, {"pop_cap_factor": 1, "priority_booster": 0}],
+        ids=["default", "few", "capped"])
+    def test_same_matches(self, noisy_scene, noisy_model, pool, params):
+        params = BackmatchParams(pool=pool, **params)
+        for qi in range(3):
+            query, good = noisy_good(noisy_scene, noisy_model, qi)
+            # every eighth match, so that most features are left to match
+            few = good.take(np.arange(0, len(good), 8))
+            got = backmatch(query, noisy_model, few, params)
+            want = oracle_visibility.backmatch(query, noisy_model, few, params)
+            assert len(got) > len(few)
+            assert np.array_equal(got.feature_idx, want.feature_idx), qi
+            assert np.array_equal(got.point_idx, want.point_idx), qi
+
+
 def micro_scene():
     """Five points, two cameras; point 4 is co-visible but unmatched."""
     rng = np.random.default_rng(9)
@@ -243,22 +330,15 @@ def micro_scene():
     positions = np.array([[0.0, 0.0, 10.0], [1.0, 0.0, 10.0],
                           [0.0, 1.0, 10.0], [1.0, 1.0, 10.0],
                           [0.5, 0.5, 10.0]])
-    points_vis = [frozenset({0}), frozenset({0, 1}), frozenset({0, 1}),
-                  frozenset({1}), frozenset({0, 1})]
-    lens = [len(v) for v in points_vis]
-    cams = [c for v in points_vis for c in sorted(v)]
-    offsets = np.concatenate([[0], np.cumsum(lens)])
-    model = SfmModel([], positions, np.zeros((5, 3), np.uint8), offsets,
-                     np.array(cams, np.int32),
-                     np.zeros(len(cams), np.int32),
-                     np.zeros((len(cams), 2)), descs)
+    model = points_model(positions, [[0], [0, 1], [0, 1], [1], [0, 1]])
+    model = model.with_mean_descriptors(descs)
 
     far = rng.integers(0, 256, (3, 128)).astype(np.uint8)
     feats = keyfile_records(np.outer(np.arange(5), [10.0, 5.0]),
                             [descs[1], descs[4], *far])
     query = QueryImage(name="micro", width=200, height=100, features=feats,
                        exif_focal_px=100.0)
-    good = Matches([0], [1], [points_vis[1]], [positions[1]])
+    good = Matches([0], [1])
     return model, query, good
 
 
@@ -298,8 +378,7 @@ class TestEstimatePoseAdvanced:
         diam = scene_diameter(model)
         index = build_index(model.mean_descriptors.astype(float))
         query, golden = clean_scene.queries[1]
-        good = find_good_matches(index, query, 0.9, model.visibilities,
-                                 model.positions)
+        good = find_good_matches(index, query, 0.9)
         est = estimate_pose_advanced(query, good, model,
                                      AdvancedParams(rng_seed=0),
                                      BackmatchParams())
@@ -313,8 +392,7 @@ class TestEstimatePoseAdvanced:
         model = noisy_scene.model
         index = build_index(model.mean_descriptors.astype(float))
         query, golden = noisy_scene.queries[0]
-        good = find_good_matches(index, query, 0.9, model.visibilities,
-                                 model.positions)
+        good = find_good_matches(index, query, 0.9)
         is_outlier = np.isin(good.feature_idx, noisy_scene.outlier_labels[0])
         true_i = np.flatnonzero(~is_outlier)
         rng = np.random.default_rng(0)
@@ -332,13 +410,12 @@ class TestEstimatePoseAdvanced:
         assert len(est.fitted) > est.phase1_fitted
         assert len(est.fitted) > 11
 
-    def test_insufficient_distinct_points(self, scene_matches):
+    def test_insufficient_distinct_points(self, scene_matches, clean_scene):
         query, _, good = scene_matches
         five = good.take(np.arange(5))
-        collapsed = Matches(five.feature_idx, np.zeros(5), five.visibility,
-                            five.positions)
+        collapsed = Matches(five.feature_idx, np.zeros(5))
         with pytest.raises(InsufficientMatches):
-            estimate_pose_advanced(query, collapsed, None,
+            estimate_pose_advanced(query, collapsed, clean_scene.model,
                                    AdvancedParams(rng_seed=0),
                                    BackmatchParams())
 
@@ -346,8 +423,7 @@ class TestEstimatePoseAdvanced:
         model = noisy_scene.model
         index = build_index(model.mean_descriptors.astype(float))
         query, _ = noisy_scene.queries[1]
-        good = find_good_matches(index, query, 0.9, model.visibilities,
-                                 model.positions)
+        good = find_good_matches(index, query, 0.9)
         a = estimate_pose_advanced(query, good, model,
                                    AdvancedParams(rng_seed=5), BackmatchParams())
         b = estimate_pose_advanced(query, good, model,
@@ -360,8 +436,7 @@ class TestEstimatePoseAdvanced:
         model = noisy_scene.model
         index = build_index(model.mean_descriptors.astype(float))
         for qi, (query, _) in enumerate(noisy_scene.queries[:3]):
-            good = find_good_matches(index, query, 0.9, model.visibilities,
-                                     model.positions)
+            good = find_good_matches(index, query, 0.9)
             est = estimate_pose_advanced(query, good, model,
                                          AdvancedParams(rng_seed=qi),
                                          BackmatchParams())
@@ -401,8 +476,7 @@ class TestBackmatchWithEveryFeatureMatched:
         model = clean_scene.model
         index = build_index(model.mean_descriptors.astype(float))
         query, _ = clean_scene.queries[0]
-        good = find_good_matches(index, query, 0.9, model.visibilities,
-                                 model.positions)
+        good = find_good_matches(index, query, 0.9)
         query = replace(query, features=query.features[good.feature_idx])
         return model, query, replace(good, feature_idx=np.arange(len(good)))
 

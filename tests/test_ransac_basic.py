@@ -23,6 +23,8 @@ from sfmloc.ransac_advanced import _draw_cooccurrence_idx, _seed_matches
 from sfmloc.ransac_basic import _sample_unique_idx, solve_candidates
 from sfmloc.sfm_data import QueryImage, keyfile_records
 
+from conftest import points_model
+
 
 class TestSampleUnique:
     def test_exactly_n_distinct_forced(self):
@@ -34,8 +36,7 @@ class TestSampleUnique:
     def test_duplicate_points_counted_once(self):
         # three matches of two points: sample_size, the samplers' only
         # check, counts each point once
-        matches = Matches(np.arange(3), [5, 5, 6], [frozenset({0})] * 3,
-                          np.zeros((3, 3)))
+        matches = Matches(np.arange(3), [5, 5, 6])
         with pytest.raises(InsufficientMatches):
             ransac_basic.sample_size(matches, 400.0, "p3p")
         distinct = replace(matches, point_idx=np.array([5, 6, 7]))
@@ -64,8 +65,7 @@ class TestEstimatePoseBasic:
         diam = scene_diameter(model)
         index = build_index(model.mean_descriptors.astype(float))
         for query, golden in clean_scene.queries[:3]:
-            good = find_good_matches(index, query, 0.7, model.visibilities,
-                                     model.positions)
+            good = find_good_matches(index, query, 0.7)
             est = estimate_pose_basic(query, good, model,
                                       BasicParams(rng_seed=0))
             err = pose_error(est.pose, golden)
@@ -79,8 +79,7 @@ class TestEstimatePoseBasic:
         index = build_index(model.mean_descriptors.astype(float))
         registered = 0
         for query, golden in noisy_scene.queries:
-            good = find_good_matches(index, query, 0.7, model.visibilities,
-                                     model.positions)
+            good = find_good_matches(index, query, 0.7)
             est = estimate_pose_basic(query, good, model,
                                       BasicParams(rng_seed=3))
             err = pose_error(est.pose, golden)
@@ -91,16 +90,17 @@ class TestEstimatePoseBasic:
                 assert len(est.fitted) >= stop_at
         assert registered >= len(noisy_scene.queries) - 1
 
-    def test_two_matches_insufficient(self, scene_matches):
+    def test_two_matches_insufficient(self, scene_matches, clean_scene):
         query, _, good = scene_matches
         with pytest.raises(InsufficientMatches):
-            estimate_pose_basic(query, good.take(np.arange(2)), None,
+            estimate_pose_basic(query, good.take(np.arange(2)), clean_scene.model,
                                 BasicParams(rng_seed=0))
 
-    def test_deterministic_under_seed(self, scene_matches):
+    def test_deterministic_under_seed(self, scene_matches, clean_scene):
         query, _, good = scene_matches
-        a = estimate_pose_basic(query, good, None, BasicParams(rng_seed=7))
-        b = estimate_pose_basic(query, good, None, BasicParams(rng_seed=7))
+        model = clean_scene.model
+        a = estimate_pose_basic(query, good, model, BasicParams(rng_seed=7))
+        b = estimate_pose_basic(query, good, model, BasicParams(rng_seed=7))
         assert np.array_equal(a.pose.rotation, b.pose.rotation)
         assert np.array_equal(a.pose.center, b.pose.center)
         assert a.iterations_used == b.iterations_used
@@ -110,8 +110,7 @@ class TestEstimatePoseBasic:
         model = clean_scene.model
         index = build_index(model.mean_descriptors.astype(float))
         query, golden = clean_scene.queries[0]
-        good = find_good_matches(index, query, 0.7, model.visibilities,
-                                 model.positions)
+        good = find_good_matches(index, query, 0.7)
         no_exif = type(query)(name=query.name, width=query.width,
                               height=query.height, features=query.features,
                               exif_focal_px=None)
@@ -124,28 +123,28 @@ class TestEstimatePoseBasic:
         rng = np.random.default_rng(0)
         # random correspondences with no consistent pose
         positions = np.array([rng.uniform(-50, 50, 3) for _ in range(30)])
-        matches = Matches(np.arange(30), np.arange(30), [frozenset({0})] * 30,
-                          positions)
+        matches = Matches(np.arange(30), np.arange(30))
         from sfmloc.sfm_data import QueryImage, keyfile_records
         xy = [(rng.uniform(0, 400), rng.uniform(0, 300)) for _ in range(30)]
         feats = keyfile_records(xy, np.zeros((30, 128), dtype=np.uint8))
         query = QueryImage(name="junk", width=400, height=300,
                            features=feats, exif_focal_px=400.0)
         with pytest.raises(NoSolution):
-            estimate_pose_basic(query, matches, None,
+            estimate_pose_basic(query, matches, points_model(positions),
                                 BasicParams(max_iterations=60, rng_seed=0))
 
 
 @pytest.mark.parametrize("estimate", [estimate_pose_basic, estimate_pose_advanced])
 def test_p3p_without_focal_fails_before_sampling(monkeypatch, scene_matches,
-                                                 estimate):
+                                                 clean_scene, estimate):
     def sampler(*args):
         raise AssertionError("sampler called")
     monkeypatch.setattr(ransac_basic, "_sample_unique_idx", sampler)
     monkeypatch.setattr(ransac_advanced, "_draw_cooccurrence_idx", sampler)
     query, _, good = scene_matches
     with pytest.raises(NoSolution):
-        estimate(replace(query, exif_focal_px=None), good, None, solver="p3p")
+        estimate(replace(query, exif_focal_px=None), good, clean_scene.model,
+                 solver="p3p")
 
 
 def oracle_search(ctx, draw, iterations: int, focal_px: float | None,
@@ -180,20 +179,21 @@ def noisy_context(noisy_scene, qi):
     model = noisy_scene.model
     index = build_index(model.mean_descriptors.astype(float))
     query, _ = noisy_scene.queries[qi]
-    good = find_good_matches(index, query, 0.9, model.visibilities,
-                             model.positions)
-    return query, ransac_basic.MatchContext(query, good, 0.5, "ray", 6)
+    good = find_good_matches(index, query, 0.9)
+    return query, ransac_basic.MatchContext(query, good, model, 0.5, "ray", 6)
 
 
-def sampler(kind, matches, size, rng, calls=None):
+def sampler(kind, matches, size, rng, calls=None, model=None):
     """draw() of one sampler kind, appending to calls on every call.
 
     "exhausting" is the co-occurrence sampler with every third draw
-    raising SamplingExhausted instead.
+    raising SamplingExhausted instead; the co-occurrence kinds read the
+    matches' views from model.
     """
     calls = [] if calls is None else calls
     params = AdvancedParams()
-    seeds = _seed_matches(matches.visibility, params.min_seed_cameras)
+    bits = None if kind == "basic" else model.view_bits(matches.point_idx)
+    seeds = None if kind == "basic" else _seed_matches(bits, params.min_seed_cameras)
 
     def draw():
         calls.append(None)
@@ -201,8 +201,8 @@ def sampler(kind, matches, size, rng, calls=None):
             return _sample_unique_idx(matches.point_idx, size, rng)
         if kind == "exhausting" and len(calls) % 3 == 0:
             raise SamplingExhausted("every third draw")
-        return _draw_cooccurrence_idx(matches.point_idx, matches.visibility,
-                                      seeds, size, params, rng)
+        return _draw_cooccurrence_idx(matches.point_idx, bits, seeds, size,
+                                      params, rng)
     return draw
 
 
@@ -233,10 +233,12 @@ class TestSkipBound:
             rngs = np.random.default_rng(qi), np.random.default_rng(qi)
             want_draws, got_draws = [], []
             want, want_its = oracle_search(
-                ctx, sampler(kind, ctx.matches, size, rngs[0], want_draws),
+                ctx, sampler(kind, ctx.matches, size, rngs[0], want_draws,
+                             noisy_scene.model),
                 60, focal, solver, stop_at=stop_at)
             got, got_its = ransac_basic.search(
-                ctx, sampler(kind, ctx.matches, size, rngs[1], got_draws),
+                ctx, sampler(kind, ctx.matches, size, rngs[1], got_draws,
+                             noisy_scene.model),
                 60, focal, solver, stop_at=stop_at)
             assert got_its == want_its
             assert len(got_draws) == len(want_draws) == got_its
@@ -255,9 +257,9 @@ class TestSkipBound:
         xy = [(30.0 + 35.0 * i, 40.0 + 20.0 * (i % 3)) for i in range(10)]
         feats = keyfile_records(xy, np.zeros((10, 128), dtype=np.uint8))
         query = QueryImage(name="q", width=400, height=300, features=feats)
-        matches = Matches(np.arange(10), np.arange(10), [frozenset({0})] * 10,
-                          np.zeros((10, 3)))
-        ctx = ransac_basic.MatchContext(query, matches, 0.5, "ray", 1)
+        matches = Matches(np.arange(10), np.arange(10))
+        ctx = ransac_basic.MatchContext(query, matches, points_model(np.zeros((10, 3))),
+                                        0.5, "ray", 1)
         assert ctx.area_good == 10 * 21 ** 2
         mask = np.arange(10) < 4
         q = ctx.evaluate(mask)[1].q

@@ -9,11 +9,14 @@ P4Pf must run for a query without a focal and never for one with it.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from sfmloc import (
+    build_index,
     estimate_pose_advanced,
     estimate_pose_basic,
+    find_good_matches,
     minimal_solvers,
     pose_quality,
     ransac_advanced,
@@ -62,11 +65,29 @@ def p4pf_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("estimate", [estimate_pose_basic, estimate_pose_advanced])
-def test_p4pf_runs_only_without_a_focal(scene_matches, p4pf_calls, estimate):
+def test_p4pf_runs_only_without_a_focal(scene_matches, clean_scene, p4pf_calls,
+                                        estimate):
     query, _, good = scene_matches
     assert query.exif_focal_px is not None
-    estimate(query, good, None)
+    estimate(query, good, clean_scene.model)
     assert p4pf_calls == []
     no_focal = dataclasses.replace(query, exif_focal_px=None)
-    estimate(no_focal, good, None)
+    estimate(no_focal, good, clean_scene.model)
     assert len(p4pf_calls) >= 1 and min(p4pf_calls) >= 1
+
+
+def test_pipeline_compatibility_points(clean_scene):
+    """perfbench/pipeline.py reads SfmModel.visibilities and passes it and
+    the positions to find_good_matches, which ignores them.  Both go when
+    that file stops using them (ROADMAP item 1)."""
+    model = clean_scene.model
+    vis = model.visibilities
+    assert len(vis) == model.num_points
+    assert all(vis[p] == frozenset(model.track_cams[model.track_slice(p)].tolist())
+               for p in range(model.num_points))
+    index = build_index(model.mean_descriptors.astype(float))
+    for query, _ in clean_scene.queries:
+        want = find_good_matches(index, query, 0.7)
+        got = find_good_matches(index, query, 0.7, vis, model.positions)
+        assert np.array_equal(got.feature_idx, want.feature_idx)
+        assert np.array_equal(got.point_idx, want.point_idx)

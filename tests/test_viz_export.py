@@ -31,8 +31,7 @@ def tiny_model(positions, colors=None):
 
 def make_fitted(model, k):
     """Matches of features 0..k-1 to model points 0..k-1."""
-    return Matches(np.arange(k), np.arange(k), [frozenset({0})] * k,
-                   model.positions[:k])
+    return Matches(np.arange(k), np.arange(k))
 
 
 def read_ply(path):
