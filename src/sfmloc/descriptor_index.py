@@ -10,6 +10,8 @@ leaf, with identical results.  The index is immutable.  A multi-row
 query is split over every CPU (rows are searched independently); a
 one-row query, as backmatching issues per popped point, runs on the
 calling thread, where starting threads would cost more than the search.
+A match is a pair of indices, a query feature and a model point; its
+position and camera views stay in the model.
 """
 
 import hashlib
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyInput
+from .errors import EmptyInput, InvalidParams
 from .sfm_data import DESCRIPTOR_DIM, QueryImage
 
 CACHE_VERSION = 1
@@ -102,7 +104,13 @@ def build_index(points) -> DescriptorIndex:
 
 
 def ratio_test(d1, d2, ratio: float):
-    """Lowe's test, elementwise: accept iff d2 != 0 and d1 < ratio * d2."""
+    """Lowe's test, elementwise: accept iff d2 != 0 and d1 < ratio * d2.
+
+    Raises InvalidParams unless 0 < ratio <= 1: above 1 a feature whose
+    two nearest points tie would pass.
+    """
+    if not 0 < ratio <= 1:
+        raise InvalidParams(f"ratio {ratio!r} is not in (0, 1]")
     return (d2 != 0) & (d1 < ratio * d2)
 
 
@@ -111,7 +119,7 @@ def find_good_matches(index: DescriptorIndex, query: QueryImage, ratio: float,
     """Ratio-test filter of each query feature's 2-NN result.
 
     visibilities and positions are not read: perfbench/pipeline.py still
-    passes the model's (ROADMAP item 1), and they go with that call.
+    passes the model's, and they go when it stops.
     """
     if len(query.features) == 0 or len(index) < 2:
         return Matches.empty()  # a single-point index has no second neighbor

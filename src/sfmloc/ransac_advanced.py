@@ -3,16 +3,19 @@
 Minimal samples are drawn sequentially with an acceptance probability
 driven by the size of the intersection of the candidates' camera
 visibility sets, so points that were reconstructed from the same views
-end up in the same sample.  Each phase runs the shared RANSAC loop,
+end up in the same sample.  A match's camera set is an int bitmask (bit
+c for camera c), so an intersection is an and and its size a bit
+count.  Each phase runs the shared RANSAC loop,
 ransac_basic.search, with this sampler and no early stop, so it always
 runs its full iteration count and draws exactly that many samples (in
 batches), and the second phase draws on from where the first left the
-generator.  A phase builds the sampler's seed list (the matches a
-sample may start from) once; a draw only draws.  If the
-first phase does not fit enough matches, additional correspondences are
-recovered by matching 3D points back into the query image through a
+generator.  A phase builds the matches' bitmasks and the sampler's seed
+list (the matches a sample may start from) once; a draw only draws.  If
+the first phase does not fit enough matches, additional correspondences
+are recovered by matching 3D points back into the query image through a
 view-prioritized queue, and a second phase runs on the augmented match
-set.
+set.  Backmatching reads each point's cameras from the model's view
+lists and each camera's points from the model's cached transpose.
 """
 
 import heapq
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor_index import DescriptorIndex, Matches, ratio_test
-from .errors import SamplingExhausted
+from .errors import InvalidParams, SamplingExhausted
 from .ransac_basic import (
     MatchContext,
     PoseEstimate,
@@ -48,6 +51,10 @@ class AdvancedParams:
     max_restarts: int = 100
     rng_seed: int | None = None
 
+    def __post_init__(self):
+        if not self.k_sigmoid > 0:  # accept_probability divides by it
+            raise InvalidParams(f"k_sigmoid {self.k_sigmoid!r} is not > 0")
+
 
 @dataclass(frozen=True)
 class BackmatchParams:
@@ -58,6 +65,12 @@ class BackmatchParams:
     priority_booster: int = 10
     pool: str = "covisible"  # or "all"
     pop_cap_factor: int = 50
+
+    def __post_init__(self):
+        if not 0 < self.ratio <= 1:
+            raise InvalidParams(f"ratio {self.ratio!r} is not in (0, 1]")
+        if self.pool not in ("covisible", "all"):
+            raise InvalidParams(f"pool {self.pool!r} is not 'covisible' or 'all'")
 
 
 def accept_probability(inter: int, prev_inter: int, candidate_size: int,

@@ -82,7 +82,7 @@ class SfmModel:
     The view lists are decoded here and nowhere else: ``track_points``
     (each entry's point) and ``camera_points`` (each camera's points) once
     on first use, ``view_bits`` (chosen points' cameras) on each call.
-    Only perfbench/pipeline.py reads ``visibilities`` (ROADMAP item 1).
+    Only perfbench/pipeline.py reads ``visibilities``, a set per point.
     Instances are immutable after construction.
     """
 
@@ -179,9 +179,10 @@ def _rows(values: array, *shape) -> np.ndarray:
 def parse_bundle(stream) -> SfmModel:
     """Parse bundler v0.3 text into an SfmModel.
 
-    Raises MalformedHeader when the magic line is wrong, TruncatedFile
-    when the input ends mid-record, a colour is outside 0..255 or a
-    camera value, position or view-list coordinate is not finite, and
+    Raises MalformedHeader when the magic line is wrong or a count is
+    negative, TruncatedFile when the input ends mid-record, a colour is
+    outside 0..255, a view-list key outside 0..2**31-1, or a camera
+    value, position or view-list coordinate is not finite, and
     IndexOutOfRange when a view list references a camera that does not
     exist.
     """
@@ -194,6 +195,8 @@ def parse_bundle(stream) -> SfmModel:
         num_cameras, num_points = int(counts[0]), int(counts[1])
     except (ValueError, IndexError) as exc:
         raise MalformedHeader(f"bad counts line: {counts!r}") from exc
+    if num_cameras < 0 or num_points < 0:
+        raise MalformedHeader(f"negative count in {counts!r}")
 
     # five lines of three numbers per camera: focal k1 k2, the three
     # rotation rows, the translation
@@ -240,6 +243,10 @@ def parse_bundle(stream) -> SfmModel:
         raise IndexOutOfRange(
             f"view list references camera {int(cams_arr.max())} "
             f"of {num_cameras}")
+    keys = _rows(track_keys)
+    bad_keys = keys[(keys < 0) | (keys >= 2**31)]  # SfmModel holds keys as int32
+    if len(bad_keys):
+        raise TruncatedFile(f"view-list key {int(bad_keys[0])} outside 0..2**31-1")
 
     camera_rows = _rows(cam_values, 15)
     finite = np.isfinite(camera_rows).all(axis=1)
@@ -262,7 +269,7 @@ def parse_bundle(stream) -> SfmModel:
     cameras = [CameraRecord(f, k1, k2, np.reshape(v[:9], (3, 3)), np.array(v[9:]))
                for f, k1, k2, *v in camera_rows.tolist()]
     return SfmModel(cameras, pos, rgb.astype(np.uint8), offsets, cams_arr,
-                    _rows(track_keys), xy)
+                    keys, xy)
 
 
 def _f(x) -> str:

@@ -112,6 +112,14 @@ def localized_rows(scene, queries, seed=0):
 class TestRunBenchmark:
     """The report of a benchmark run, aggregated from per-query rows."""
 
+    @pytest.mark.parametrize("ratio", [1.5, 0.0, float("nan")])
+    def test_ratio_outside_unit_interval_raises(self, clean_scene, ratio):
+        model = clean_scene.model
+        index = build_index(model.mean_descriptors.astype(float))
+        query, golden = clean_scene.queries[0]
+        with pytest.raises(InvalidParams):
+            localize(query, golden, index, model, "basic", seed=0, ratio=ratio)
+
     def test_empty_queries(self):
         report = report_from_rows([])
         assert report.per_query == []

@@ -260,7 +260,7 @@ _nul_in_camera_list = _with_byte("list.txt", b"\0")
 SETUP_ERROR = {_drop_meta: "FileNotFoundError",
                _missing_meta_flag: "FileNotFoundError",
                _empty_db_keyfile: "IndexOutOfRange",
-               _negative_view_key: "IndexOutOfRange",
+               _negative_view_key: "TruncatedFile",
                _ff_in_model: "TruncatedFile",
                _ff_in_camera_list: "TruncatedFile",
                _ff_in_meta: "MalformedMetadata",

@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 
 from sfmloc import Matches, build_index, find_good_matches, ratio_test
 from sfmloc.descriptor_index import load_index_cache, save_index_cache
-from sfmloc.errors import EmptyInput
+from sfmloc.errors import EmptyInput, InvalidParams
 from sfmloc.sfm_data import QueryImage, keyfile_records
 
 
@@ -190,6 +190,17 @@ class TestFindGoodMatches:
         # a match is two indices; position and views are the model's
         assert [f.name for f in fields(got)] == ["feature_idx", "point_idx"]
         assert got.feature_idx.dtype == got.point_idx.dtype == np.intp
+
+    @pytest.mark.parametrize("ratio", [1.5, 1.0 + 1e-12, 0.0, -0.5, float("nan")])
+    def test_ratio_outside_unit_interval_raises(self, ratio):
+        # above 1, tied nearest points pass: on a tied database most rows
+        # would match whichever point the index happens to list first
+        query = _query_from_descriptors(self.descs[:10])
+        with pytest.raises(InvalidParams):
+            find_good_matches(self.index, query, ratio)
+        with pytest.raises(InvalidParams):
+            ratio_test(1.0, 1.0, ratio)
+        assert len(find_good_matches(self.index, query, 1.0)) == 10
 
     def test_no_features_empty(self):
         query = _query_from_descriptors([])

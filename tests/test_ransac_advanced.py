@@ -19,7 +19,7 @@ from sfmloc import (
     ransac_advanced,
     scene_diameter,
 )
-from sfmloc.errors import InsufficientMatches, SamplingExhausted
+from sfmloc.errors import InsufficientMatches, InvalidParams, SamplingExhausted
 from sfmloc.ransac_advanced import _draw_cooccurrence_idx, _seed_matches
 from sfmloc.sfm_data import QueryImage, SfmModel, keyfile_records
 
@@ -72,6 +72,18 @@ class TestAcceptProbability:
         values = [accept_probability(i, prev, size, k)
                   for i in range(1, 21)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BackmatchParams(ratio=1.5),
+    lambda: BackmatchParams(ratio=0.0),
+    lambda: BackmatchParams(pool="covisble"),
+    lambda: AdvancedParams(k_sigmoid=0.0),
+    lambda: AdvancedParams(k_sigmoid=float("nan")),
+], ids=["ratio_above_1", "ratio_0", "misspelt_pool", "k_sigmoid_0", "k_sigmoid_nan"])
+def test_invalid_params_raise(make):
+    with pytest.raises(InvalidParams):
+        make()
 
 
 class TestDrawCooccurrence:

@@ -121,6 +121,22 @@ class TestParseBundle:
         with pytest.raises(MalformedHeader):
             parse_bundle(io.StringIO("# Bundle file v0.3\nnot numbers\n"))
 
+    @pytest.mark.parametrize("counts", ["-1 -1", "-1 0", "0 -1"])
+    def test_negative_count_raises(self, counts):
+        with pytest.raises(MalformedHeader):
+            parse_bundle(io.StringIO(f"# Bundle file v0.3\n{counts}\n"))
+
+    @pytest.mark.parametrize("key", ["-1", "2147483648", "4294967303"])
+    def test_view_list_key_outside_int32_raises(self, key):
+        # 4294967303 = 2**32 + 7 would be stored as key 7
+        text = ONE_CAMERA_ONE_POINT.replace("1 0 7 12.5", f"1 0 {key} 12.5")
+        with pytest.raises(TruncatedFile):
+            parse_bundle(io.StringIO(text))
+
+    def test_largest_view_list_key_parses(self):
+        text = ONE_CAMERA_ONE_POINT.replace("1 0 7 12.5", "1 0 2147483647 12.5")
+        assert parse_bundle(io.StringIO(text)).track_keys.tolist() == [2**31 - 1]
+
     @pytest.mark.parametrize("row", ["1 0", "1 0 0 0"])
     def test_rotation_row_of_wrong_length_raises(self, row):
         text = ONE_CAMERA_ONE_POINT.replace("0 1 0\n", row + "\n", 1)

@@ -78,8 +78,8 @@ def test_p4pf_runs_only_without_a_focal(scene_matches, clean_scene, p4pf_calls,
 
 def test_pipeline_compatibility_points(clean_scene):
     """perfbench/pipeline.py reads SfmModel.visibilities and passes it and
-    the positions to find_good_matches, which ignores them.  Both go when
-    that file stops using them (ROADMAP item 1)."""
+    the positions to find_good_matches, which ignores them.  Both go, with
+    this test, when that file stops using them."""
     model = clean_scene.model
     vis = model.visibilities
     assert len(vis) == model.num_points
