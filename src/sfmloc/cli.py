@@ -101,7 +101,7 @@ def _checked(convert, ok, requirement: str):
 _FINITE = _checked(float, np.isfinite, "a finite number")
 _NON_NEGATIVE = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _POSITIVE = _checked(float, lambda k: 0 < k < np.inf, "a finite number > 0")
-# above 1 a feature whose two nearest points tie would pass the ratio test
+# descriptor_index.check_ratio's range, refused here with exit code 2
 _RATIO = _checked(float, lambda r: 0 < r <= 1, "a number in (0, 1]")
 
 

@@ -103,14 +103,17 @@ def build_index(points) -> DescriptorIndex:
     return DescriptorIndex(points)
 
 
-def ratio_test(d1, d2, ratio: float):
-    """Lowe's test, elementwise: accept iff d2 != 0 and d1 < ratio * d2.
-
-    Raises InvalidParams unless 0 < ratio <= 1: above 1 a feature whose
-    two nearest points tie would pass.
-    """
+def check_ratio(ratio: float) -> None:
+    """Raise InvalidParams unless 0 < ratio <= 1: above 1 a feature whose
+    two nearest points tie would pass the ratio test."""
     if not 0 < ratio <= 1:
         raise InvalidParams(f"ratio {ratio!r} is not in (0, 1]")
+
+
+def ratio_test(d1, d2, ratio: float):
+    """Lowe's test, elementwise: accept iff d2 != 0 and d1 < ratio * d2
+    (see check_ratio)."""
+    check_ratio(ratio)
     return (d2 != 0) & (d1 < ratio * d2)
 
 

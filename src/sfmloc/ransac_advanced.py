@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor_index import DescriptorIndex, Matches, ratio_test
+from .descriptor_index import DescriptorIndex, Matches, check_ratio, ratio_test
 from .errors import InvalidParams, SamplingExhausted
 from .ransac_basic import (
     MatchContext,
@@ -67,8 +67,7 @@ class BackmatchParams:
     pop_cap_factor: int = 50
 
     def __post_init__(self):
-        if not 0 < self.ratio <= 1:
-            raise InvalidParams(f"ratio {self.ratio!r} is not in (0, 1]")
+        check_ratio(self.ratio)
         if self.pool not in ("covisible", "all"):
             raise InvalidParams(f"pool {self.pool!r} is not 'covisible' or 'all'")
 

@@ -119,7 +119,8 @@ class SfmModel:
     def camera_points(self) -> tuple:
         """(offsets, points): camera c sees points[offsets[c]:offsets[c + 1]],
         ascending, each once however often its view list names c."""
-        pairs = np.unique(self.track_cams * np.int64(self.num_points)
+        # widened first: an int32 product wraps past 2**31 under numpy 1.x
+        pairs = np.unique(self.track_cams.astype(np.int64) * self.num_points
                           + self.track_points)
         cams, points = np.divmod(pairs, max(self.num_points, 1))
         return np.searchsorted(cams, np.arange(self.num_cameras + 1)), points
@@ -131,10 +132,10 @@ class SfmModel:
         lens = self.track_offsets[np.asarray(points) + 1] - starts
         rows = np.repeat(np.arange(len(lens)), lens)
         entries = np.arange(len(rows)) + (starts - np.cumsum(lens) + lens)[rows]
-        marks = np.zeros((len(lens), self.num_cameras), dtype=bool)
-        marks[rows, self.track_cams[entries]] = True
-        return [int.from_bytes(row.tobytes(), "little")
-                for row in np.packbits(marks, axis=1, bitorder="little")]
+        cams = self.track_cams[entries]
+        packed = np.zeros((len(lens), (self.num_cameras + 7) // 8), dtype=np.uint8)
+        np.bitwise_or.at(packed, (rows, cams >> 3), (1 << (cams & 7)).astype(np.uint8))
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     @cached_property
     def visibilities(self) -> np.ndarray:

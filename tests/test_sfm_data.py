@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import points_model
+
 from sfmloc import (
     KEYFILE_DTYPE,
     SfmModel,
@@ -203,6 +205,55 @@ class TestBundleRoundTrip:
         write_bundle(clean_scene.model, buf)
         again = parse_bundle(io.StringIO(buf.getvalue()))
         self.assert_models_equal(clean_scene.model, again)
+
+
+def transpose_by_dict(model):
+    """camera -> sorted points, from each point's camera frozenset."""
+    cams = {}
+    for pi, vis in enumerate(model.visibilities):
+        for cam in vis:
+            cams.setdefault(cam, []).append(pi)
+    return {cam: sorted(points) for cam, points in cams.items()}
+
+
+class TestVisibilityArrays:
+    """camera_points and view_bits against the frozenset view lists."""
+
+    @pytest.fixture
+    def repeated_model(self):
+        # 20 cameras, so masks span three bytes; views repeat cameras
+        rng = np.random.default_rng(3)
+        views = [rng.integers(20, size=rng.integers(1, 9)).tolist()
+                 for _ in range(50)]
+        views[7] = [19, 19, 8, 8, 0]
+        return points_model(np.zeros((50, 3)), views)
+
+    def assert_camera_points_match(self, model):
+        offsets, points = model.camera_points
+        assert len(offsets) == model.num_cameras + 1
+        expected = transpose_by_dict(model)
+        for cam in range(model.num_cameras):
+            got = points[offsets[cam]:offsets[cam + 1]].tolist()
+            assert got == expected.get(cam, [])
+
+    def test_camera_points_equal_a_dict_transpose(self, repeated_model):
+        self.assert_camera_points_match(repeated_model)
+
+    def test_camera_points_past_int32_keys(self):
+        # camera 40 000 x 60 000 points passes 2**31: an int32 key wraps
+        views = [[i % 3] for i in range(60000)]
+        views[59999] = [40000, 2, 40000]
+        views[123] = [39999]
+        model = points_model(np.zeros((60000, 3)), views)
+        assert model.num_cameras * model.num_points > 2**31
+        self.assert_camera_points_match(model)
+
+    def test_view_bits_equal_the_camera_sets(self, repeated_model):
+        points = np.array([7, 0, 49, 7, 3])
+        bits = repeated_model.view_bits(points)
+        assert bits == [sum(1 << c for c in repeated_model.visibilities[p])
+                        for p in points]
+        assert repeated_model.view_bits(points[:0]) == []
 
 
 KEYFILE_ALL_SEVENS = "1 128\n10.5 20.25 3.0 0.5\n" + "\n".join(
