@@ -1,31 +1,40 @@
 """Bundler models, SIFT keyfiles and query lists.
 
+Both file kinds start with header lines read as text; the rest, the
+body, is read as bytes and decoded with a few vectorized numpy passes.
+A token is a run of bytes above 0x20; tokens are separated by ASCII
+whitespace (space, tab, LF, VT, FF, CR), and any other byte below 0x21
+is refused.  A float is a token in Python ``float`` syntax, cast through
+one byte matrix per token width; at 0.2-0.3 us a 17-digit value, that
+cast is most of a parse.
+
 The bundler v0.3 text format carries cameras (focal, two radial
 distortion coefficients, world-to-camera rotation, translation) and 3D
-points (position, color, view list).  Bundles are parsed line by line
-so memory stays bounded per record; point data lands in columnar numpy
+points (position, color, view list).  After the magic and counts lines,
+each camera is five lines of three floats, and each point three lines:
+three position floats, three colour floats in 0..255, and a view list
+``n`` then ``n`` times ``camera key x y``.  Each line's token count is
+checked from the newline positions.  Counts, cameras and keys are
+integers of an optional ``-`` and one to eighteen ASCII digits (``7``,
+``007``, ``-1``, but not ``+7``, ``1_0`` or a nineteenth digit), decoded
+by digit arithmetic on the bytes.  Point data lands in columnar numpy
 arrays.  The benchmark's street model (7 162 points, 47 946 views,
-2.6 MB) parses in 0.10-0.15 s on a 2-core x86 host, 13-21 us a point:
-about half a minute for two million points.
+2.6 MB) parses in about 0.05 s on a 2-core x86 host, 7 us a point.
 Every camera value, position and view-list coordinate must be finite.
 
 Keyfiles follow Lowe's layout: a ``count 128`` header line, then per
 feature ``row col scale orientation`` and 128 descriptor values wrapped
-over several lines.  The body after the header line is read as ASCII
-bytes.  A token is a run of bytes above 0x20; tokens are separated by
-ASCII whitespace (space, tab, LF, VT, FF, CR), and any other byte below
-0x21 is refused.  Each feature is 132 tokens: four numbers in Python
-``float`` syntax, then 128 descriptor values of one to three ASCII
+over several lines.  The body must be ASCII.  Each feature is 132
+tokens: four floats, then 128 descriptor values of one to three ASCII
 digits in 0..255 (``7``, ``07`` and ``007``, but not ``7.0``, ``+7`` or
 ``0007``).  The line layout is not checked, only the token count and
-this grammar, and the whole body is decoded with a few vectorized numpy
-passes.  A parsed keyfile is one record array of ``KEYFILE_DTYPE``.
+this grammar.  A parsed keyfile is one record array of
+``KEYFILE_DTYPE``.
 
 A parser that meets a byte its stream cannot decode raises
 TruncatedFile.
 """
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, wraps
 
@@ -47,6 +56,9 @@ DESCRIPTOR_DIM = 128
 KEYFILE_DTYPE = np.dtype([("xy", np.float64, 2), ("scale", np.float64),
                           ("orientation", np.float64),
                           ("descriptor", np.uint8, DESCRIPTOR_DIM)])
+# bundle points decoded together: the index arrays, and the heap a parse
+# leaves behind, scale with this and not with the model
+_GROUP_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -163,35 +175,122 @@ def _decoded(parse):
     return checked
 
 
-def _next_line(lines, what: str) -> str:
-    line = next(lines, None)
-    if line is None:
+def _next_line(stream, what: str) -> str:
+    line = stream.readline()
+    if not line:
         raise TruncatedFile(f"unexpected end of file while reading {what}")
     return line
 
 
-def _rows(values: array, *shape) -> np.ndarray:
-    """An ``array`` of numbers as a numpy view of shape (-1, *shape)."""
-    return np.frombuffer(values, dtype=values.typecode).reshape(-1, *shape) \
-        if values else np.empty((0, *shape), dtype=values.typecode)
+def _check_controls(buf, what: str) -> np.ndarray:
+    """buf, refused when a byte below 33 is not whitespace."""
+    # ASCII whitespace is 9..13 and 32; 14..31 wrap below 18
+    stray = buf < 9
+    stray |= buf - np.uint8(14) < 18
+    if stray.any():
+        raise TruncatedFile(f"control byte {buf[np.argmax(stray)]:#04x} in {what}")
+    return buf
+
+
+def _floats(buf, start, width) -> np.ndarray:
+    """The tokens buf[start:start + width] as Python-syntax floats.
+
+    Tokens of one width are cast together, read through an ``S{width}``
+    view that starts at every byte of buf.
+    """
+    out = np.empty(len(start))
+    # a stable sort of 16-bit keys is a radix sort
+    order = np.argsort(width.astype(np.uint16) if width.max(initial=0) < 2**16
+                       else width, kind="stable")
+    counts = np.bincount(width)
+    widths = np.flatnonzero(counts)
+    try:
+        for w, idx in zip(widths.tolist(), np.split(order, np.cumsum(counts[widths])[:-1])):
+            chars = np.ndarray(len(buf) - w + 1, f"S{w}", buf, strides=(1,))
+            out[idx] = chars[start[idx]].astype(np.float64)
+    except ValueError as exc:
+        raise TruncatedFile(f"non-numeric value: {exc}") from exc
+    return out
+
+
+def _ints(buf, start, end) -> np.ndarray:
+    """The tokens buf[start:end] as int64: an optional "-", 1 to 18 digits."""
+    neg = buf[start] == ord("-")
+    n_digits = end - start - neg
+    bad = (n_digits < 1) | (n_digits > 18)
+    value = np.zeros(len(start), dtype=np.int64)
+    # digit k from the right of every token, zeroed where the token has
+    # fewer digits (its index then stays above -len(buf)); a byte below
+    # "0" wraps above 9
+    for k in range(int(n_digits.max(initial=0).clip(0, 18))):
+        digit = buf[end - 1 - k] - np.uint8(ord("0"))
+        digit *= n_digits > k
+        bad |= digit > 9
+        value += np.multiply(digit, 10**k, dtype=np.int64)
+    if bad.any():
+        i = np.argmax(bad)
+        raise TruncatedFile(f"bad integer {buf[start[i]:end[i]].tobytes()!r}")
+    return np.where(neg, -value, value)
+
+
+def _line_tokens(buf, line_end):
+    """(start, end, first): token t spans buf[start[t]:end[t]], and line i,
+    ending at line_end[i], holds tokens first[i]:first[i + 1]."""
+    buf = _check_controls(buf, "bundle")
+    bounds = np.flatnonzero(np.diff(buf > 32, prepend=False, append=False))
+    start, end = bounds[0::2], bounds[1::2]
+    return start, end, np.searchsorted(start, np.concatenate([[0], line_end]))
+
+
+def _point_records(buf, line_end, first_point):
+    """Decode buf, the three lines of each point from first_point on.
+
+    Returns each point's (position, colour) row and view count, and the
+    camera, key and xy of each view-list entry.
+    """
+    start, end, first = _line_tokens(buf, line_end)
+    per_line = np.diff(first).reshape(-1, 3)
+    short = (per_line[:, :2] != 3).any(axis=1) | (per_line[:, 2] < 1)
+    view_first = first[2:-1:3]
+    if not short.any():
+        n_views = _ints(buf, start[view_first], end[view_first])
+        short = per_line[:, 2] != 1 + 4 * n_views
+    if short.any():
+        raise TruncatedFile(f"short record for point {first_point + np.argmax(short)}")
+    # view-list entry e is the four tokens from entry[e]
+    entry = (np.repeat(view_first + 1 - 4 * (np.cumsum(n_views) - n_views), n_views)
+             + 4 * np.arange(n_views.sum()))
+    tokens = np.concatenate([entry, entry + 1])
+    cams, keys = _ints(buf, start[tokens], end[tokens]).reshape(2, -1)
+    floats = np.concatenate([(first[:-1:3, None] + np.arange(6)).ravel(),
+                             (entry[:, None] + [2, 3]).ravel()])
+    values = _floats(buf, start[floats], end[floats] - start[floats])
+    n = len(n_views)
+    return (values[:6 * n].reshape(-1, 6), n_views, cams, keys,
+            values[6 * n:].reshape(-1, 2))
 
 
 @_decoded
 def parse_bundle(stream) -> SfmModel:
     """Parse bundler v0.3 text into an SfmModel.
 
+    The magic and counts lines are read as text, the records as the
+    module docstring describes.  Lines after the last record are not
+    read.
+
     Raises MalformedHeader when the magic line is wrong or a count is
-    negative, TruncatedFile when the input ends mid-record, a colour is
+    negative, TruncatedFile when the input ends mid-record, a line holds
+    the wrong number of tokens, a token breaks the grammar (a non-ASCII
+    character breaks any), a record holds a control byte, a colour is
     outside 0..255, a view-list key outside 0..2**31-1, or a camera
     value, position or view-list coordinate is not finite, and
     IndexOutOfRange when a view list references a camera that does not
     exist.
     """
-    lines = iter(stream)
-    magic = _next_line(lines, "magic line").strip()
+    magic = _next_line(stream, "magic line").strip()
     if magic != BUNDLE_MAGIC:
         raise MalformedHeader(f"expected {BUNDLE_MAGIC!r}, got {magic!r}")
-    counts = _next_line(lines, "camera/point counts").split()
+    counts = _next_line(stream, "camera/point counts").split()
     try:
         num_cameras, num_points = int(counts[0]), int(counts[1])
     except (ValueError, IndexError) as exc:
@@ -199,68 +298,54 @@ def parse_bundle(stream) -> SfmModel:
     if num_cameras < 0 or num_points < 0:
         raise MalformedHeader(f"negative count in {counts!r}")
 
-    # five lines of three numbers per camera: focal k1 k2, the three
-    # rotation rows, the translation
-    cam_values = array("d")
-    for ci in range(num_cameras):
-        for _ in range(5):
-            parts = _next_line(lines, f"camera {ci}").split()
-            try:
-                if len(parts) != 3:
-                    raise ValueError
-                cam_values.extend(map(float, parts))
-            except ValueError as exc:
-                raise TruncatedFile(f"short record for camera {ci}") from exc
+    # the body as bytes; a non-ASCII character becomes "?", which no
+    # token allows, and the last record's line needs no final newline
+    buf = np.frombuffer(stream.read().encode("ascii", "replace"), dtype=np.uint8)
+    n_lines = 5 * num_cameras + 3 * num_points
+    line_end = np.flatnonzero(buf == ord("\n"))
+    if len(buf) and buf[-1] != ord("\n"):
+        line_end = np.append(line_end, len(buf))
+    if len(line_end) < n_lines:
+        raise TruncatedFile(
+            f"unexpected end of file after {len(line_end)} of {n_lines} record lines")
 
-    positions = array("d")
-    colors = array("d")
-    track_lens = []
-    track_cams = array("q")
-    track_keys = array("q")
-    track_x = array("d")
-    track_y = array("d")
-    for pi in range(num_points):
-        pos_parts = _next_line(lines, f"point {pi} position").split()
-        col_parts = _next_line(lines, f"point {pi} color").split()
-        view_parts = _next_line(lines, f"point {pi} view list").split()
-        try:
-            if len(pos_parts) != 3 or len(col_parts) != 3:
-                raise ValueError
-            positions.extend(map(float, pos_parts))
-            colors.extend(map(float, col_parts))
-            n_views = int(view_parts[0])
-            if len(view_parts) != 1 + 4 * n_views:
-                raise ValueError
-            track_lens.append(n_views)
-            track_cams.extend(map(int, view_parts[1::4]))
-            track_keys.extend(map(int, view_parts[2::4]))
-            track_x.extend(map(float, view_parts[3::4]))
-            track_y.extend(map(float, view_parts[4::4]))
-        except (ValueError, IndexError, OverflowError) as exc:
-            raise TruncatedFile(f"short record for point {pi}") from exc
+    def lines(a, b):
+        """Lines a..b-1 of the body, and each one's end within them."""
+        lo = line_end[a - 1] + 1 if a else 0
+        return buf[lo:line_end[b - 1] if b > a else lo], line_end[a:b] - lo
 
-    cams_arr = _rows(track_cams)
+    text, ends = lines(0, 5 * num_cameras)
+    start, end, first = _line_tokens(text, ends)
+    short = np.diff(first) != 3
+    if short.any():
+        raise TruncatedFile(f"short record for camera {np.argmax(short) // 5}")
+    camera_rows = _floats(text, start, end - start).reshape(-1, 15)
+    # a group of points at a time, so that no index array outgrows a
+    # group; a model without points still makes one (empty) group
+    groups = [_point_records(*lines(5 * num_cameras + 3 * p,
+                                    5 * num_cameras + 3 * min(p + _GROUP_POINTS, num_points)), p)
+              for p in range(0, num_points or 1, _GROUP_POINTS)]
+    point_rows, n_views, cams_arr, keys, xy = map(np.concatenate, zip(*groups))
+    offsets = np.concatenate([[0], np.cumsum(n_views)])
+
     if len(cams_arr) and (cams_arr.max() >= num_cameras or cams_arr.min() < 0):
         raise IndexOutOfRange(
             f"view list references camera {int(cams_arr.max())} "
             f"of {num_cameras}")
-    keys = _rows(track_keys)
     bad_keys = keys[(keys < 0) | (keys >= 2**31)]  # SfmModel holds keys as int32
     if len(bad_keys):
         raise TruncatedFile(f"view-list key {int(bad_keys[0])} outside 0..2**31-1")
 
-    camera_rows = _rows(cam_values, 15)
     finite = np.isfinite(camera_rows).all(axis=1)
     if not finite.all():
         raise TruncatedFile(f"camera {np.argmin(finite)} holds a non-finite value")
 
-    rgb = _rows(colors, 3)
+    rgb = point_rows[:, 3:]
     in_range = ((rgb >= 0) & (rgb <= 255)).all(axis=1)  # false for NaN too
     if not in_range.all():
         raise TruncatedFile(f"colour of point {np.argmin(in_range)} outside 0..255")
 
-    offsets = np.concatenate([[0], np.cumsum(track_lens, dtype=np.int64)])
-    pos, xy = _rows(positions, 3), np.column_stack([_rows(track_x), _rows(track_y)])
+    pos = np.ascontiguousarray(point_rows[:, :3])
     finite = np.isfinite(pos).all(axis=1)
     bad_views = np.flatnonzero(~np.isfinite(xy).all(axis=1))
     finite[np.searchsorted(offsets, bad_views, side="right") - 1] = False
@@ -336,50 +421,48 @@ def parse_keyfile(stream) -> np.recarray:
         raise DimensionMismatch(f"descriptor dimension {dim}, expected {DESCRIPTOR_DIM}")
 
     per_feature = 4 + DESCRIPTOR_DIM
-    buf = np.frombuffer(stream.read().encode("ascii"), dtype=np.uint8)
-    # ASCII whitespace is 9..13 and 32; no other byte below 33 may occur
-    stray = (buf < 9) | ((buf > 13) & (buf < 32))
-    if stray.any():
-        raise TruncatedFile(f"control byte {buf[np.argmax(stray)]:#04x} in keyfile")
-    # token i of feature f spans bytes bounds[f, i, 0] up to bounds[f, i, 1];
-    # int32 halves the index arrays of any body under 2 GiB
-    bounds = np.flatnonzero(np.diff(buf > 32, prepend=False, append=False))
-    bounds = bounds.astype(np.int32 if len(buf) < 2**31 else np.int64)
-    if len(bounds) != 2 * per_feature * num_features:
+    buf = _check_controls(
+        np.frombuffer(stream.read().encode("ascii"), dtype=np.uint8), "keyfile")
+    # last[f, i] is the last byte of token i of feature f
+    tok = buf > 32
+    last = np.flatnonzero(tok[:-1] > tok[1:])
+    if len(buf) and tok[-1]:
+        last = np.append(last, len(buf) - 1)
+    if len(last) != per_feature * num_features:
         raise TruncatedFile(
-            f"{len(bounds) // 2} values for {num_features} features of {per_feature}")
-    bounds = bounds.reshape(num_features, per_feature, 2)
+            f"{len(last)} values for {num_features} features of {per_feature}")
+    last = last.reshape(num_features, per_feature)
 
-    # descriptor values from the last three bytes of each token; a byte
-    # below "0" wraps above 9, and any hundreds digit above 2 breaks the
-    # range, so only the ones and tens need a digit check
-    end = bounds[:, 4:, 1]
-    length = end - bounds[:, 4:, 0]
+    # each of the four numbers is cast with the whitespace before it,
+    # which float syntax allows
+    head_end = last[:, :4] + 1
+    head_start = np.empty_like(head_end)
+    head_start[:, 1:] = head_end[:, :-1]
+    head_start[1:, 0] = last[:-1, -1] + 1
+    head_start[:1, 0] = 0
+    head = _floats(buf, head_start.ravel(), (head_end - head_start).ravel())
+    head = head.reshape(-1, 4)
+
+    # the last four bytes of every token, gathered by stepping last back
+    # in place (a head column, dropped, may wrap to the body's end)
+    tail = []
+    for _ in range(4):
+        tail.append(buf[last][:, 4:])
+        last -= 1
+    ones, tens, hundreds, before = tail
+    # a byte below "0" wraps above 9, and any hundreds digit above 2
+    # breaks the range, so only the ones and tens need a digit check
     zero = np.uint8(ord("0"))
-    ones = buf[end - 1] - zero
-    tens = (buf[end - 2] - zero) * (length > 1)
-    hundreds = (buf[end - 3] - zero) * (length > 2)
+    two = tens > 32
+    three = two & (hundreds > 32)
+    ones = ones - zero
+    tens = (tens - zero) * two
     value = (ones + np.multiply(tens, 10, dtype=np.int16)
-             + np.multiply(hundreds, 100, dtype=np.int16))
-    ok = (length <= 3) & (np.maximum(ones, tens) <= 9) & (value <= 255)
+             + np.multiply((hundreds - zero) * three, 100, dtype=np.int16))
+    ok = ~(three & (before > 32)) & (np.maximum(ones, tens) <= 9) & (value <= 255)
     if not ok.all():
         raise TruncatedFile(
             f"bad descriptor value in feature {np.argmin(ok.all(axis=1))}")
-
-    # the four numbers per feature, cast from one (tokens, width) byte
-    # matrix per token width, so no matrix outgrows the file
-    start = bounds[:, :4, 0].ravel()
-    width = bounds[:, :4, 1].ravel() - start
-    head = np.empty(len(start))
-    order = np.argsort(width)
-    widths, first = np.unique(width[order], return_index=True)
-    try:
-        for w, idx in zip(widths.tolist(), np.split(order, first[1:])):
-            chars = buf[start[idx, None] + np.arange(w)]
-            head[idx] = chars.view(f"S{w}").ravel().astype(np.float64)
-    except ValueError as exc:
-        raise TruncatedFile(f"non-numeric keyfile value: {exc}") from exc
-    head = head.reshape(-1, 4)
     return keyfile_records(head[:, 1::-1], value, head[:, 2], head[:, 3])
 
 
@@ -486,8 +569,15 @@ def build_mean_descriptors(model: SfmModel, keyfile_for_camera) -> SfmModel:
             raise IndexOutOfRange(
                 f"camera {cam_idx}: key {int(bad[0])} outside keyfile "
                 f"of {len(descs)} features")
-        # add.at, not +=, so that repeated points all add
-        np.add.at(sums, model.track_points[entries], descs[keys].astype(dtype))
+        points, rows = model.track_points[entries], descs[keys]
+        if rows.dtype.kind == "f":  # += refuses to cast floats to the sums' ints
+            rows = rows.astype(dtype)
+        # a group's points ascend, so a point its camera sees twice shows as
+        # equal neighbours; += would add it once, add.at adds every repeat
+        if (points[1:] == points[:-1]).any():
+            np.add.at(sums, points, rows)
+        else:
+            sums[points] += rows
     # floor(sum / c + 1/2) == (2 * sum + c) // (2 * c), in place
     c = counts.astype(dtype)[:, None]
     sums *= 2

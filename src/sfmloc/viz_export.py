@@ -152,14 +152,18 @@ def export_projection_obj(pose: Pose, fitted: Matches, model: SfmModel, path,
     if not len(fitted):
         raise EmptyInput("no fitted matches to export")
     center = np.asarray(pose.center, dtype=float)
+    points = model.positions[fitted.point_idx]
+    rel = points - center
+    # a dot with the rotation's last row rounds as world_to_camera does on
+    # one point; (rel @ rotation.T)[:, 2] can differ in the last bit
+    depth = rel @ pose.rotation[2]
+    middle = center + (plane_depth / depth)[:, None] * rel
+    rows = np.stack([np.broadcast_to(center, points.shape), middle, points], axis=1)
+    n = len(fitted)
     with open(path, "w") as fh:
-        for point in model.positions[fitted.point_idx]:
-            depth = pose.world_to_camera(point.reshape(1, 3))[0, 2]
-            middle = center + (plane_depth / depth) * (point - center)
-            for v in (center, middle, point):
-                fh.write(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-        for i in range(len(fitted)):
-            fh.write(f"l {3 * i + 1} {3 * i + 2} {3 * i + 3}\n")
+        # one % over all rows; %.9g is _fmt's format and +0.0 folds -0.0
+        fh.write(("v %.9g %.9g %.9g\n" * 3 * n) % tuple((rows + 0.0).ravel().tolist()))
+        fh.write(("l %d %d %d\n" * n) % tuple(range(1, 3 * n + 1)))
 
 
 def export_query_bundle(pose: Pose, query: QueryImage, fitted: Matches,

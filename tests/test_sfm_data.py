@@ -3,13 +3,16 @@
 import io
 import tracemalloc
 from collections import namedtuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import points_model
+from oracle_bundle import oracle_parse_bundle
 
+from sfmloc import sfm_data
 from sfmloc import (
     KEYFILE_DTYPE,
     SfmModel,
@@ -205,6 +208,125 @@ class TestBundleRoundTrip:
         write_bundle(clean_scene.model, buf)
         again = parse_bundle(io.StringIO(buf.getvalue()))
         self.assert_models_equal(clean_scene.model, again)
+
+
+def assert_same_model(got, want):
+    """Cameras and every point array equal in type, dtype, shape and bytes."""
+    def camera_rows(model):
+        return np.array([[c.focal_px, c.k1, c.k2, *np.ravel(c.rotation), *c.translation]
+                         for c in model.cameras]).tobytes()
+
+    assert camera_rows(got) == camera_rows(want)
+    assert all(type(a.focal_px) is type(b.focal_px) and a.rotation.shape == (3, 3)
+               and a.translation.shape == (3,) for a, b in zip(got.cameras, want.cameras))
+    for name in ("positions", "colors", "track_offsets", "track_cams",
+                 "track_keys", "track_xy"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestBundleOracle:
+    # points are decoded in groups of _GROUP_POINTS; 2000 fit in one
+    @pytest.mark.parametrize("group", [1, 7, 2048])
+    @pytest.mark.parametrize("scene", ["clean_scene", "noisy_scene"])
+    def test_written_scene_parses_as_the_line_parser(self, request, monkeypatch,
+                                                     scene, group):
+        monkeypatch.setattr(sfm_data, "_GROUP_POINTS", group)
+        text = written(write_bundle, request.getfixturevalue(scene).model)
+        assert_same_model(parse_bundle(io.StringIO(text)),
+                          oracle_parse_bundle(io.StringIO(text)))
+
+    def test_short_record_names_its_point_in_a_later_group(self, monkeypatch):
+        monkeypatch.setattr(sfm_data, "_GROUP_POINTS", 2)
+        text = written(write_bundle, two_camera_model())
+        lines = text.splitlines(keepends=True)
+        lines[-1] = "1 1 9 -2\n"  # point 2, the second group's first
+        with pytest.raises(TruncatedFile, match="point 2$"):
+            parse_bundle(io.StringIO("".join(lines)))
+
+    # integers are an optional "-" and 1 to 18 ASCII digits; Python's int
+    # takes these as well, and the line parser with it
+    @pytest.mark.parametrize("view", [
+        "1 0 +7 12.5 -4.25", "1 0 1_0 12.5 -4.25", "+1 0 7 12.5 -4.25",
+        "1 0000000000000000000 7 12.5 -4.25", "1 0 \u0667 12.5 -4.25",
+        "1\x1c0 7 12.5 -4.25", "1 0 7 12.5\xa0-4.25",
+    ], ids=["plus_key", "underscore_key", "plus_count", "19_digit_camera",
+            "arabic_indic_key", "0x1c_separator", "nbsp_separator"])
+    def test_tokens_python_reads_and_the_grammar_refuses(self, view):
+        text = ONE_CAMERA_ONE_POINT.replace("1 0 7 12.5 -4.25", view)
+        oracle_parse_bundle(io.StringIO(text))
+        with pytest.raises(TruncatedFile):
+            parse_bundle(io.StringIO(text))
+
+    @pytest.mark.parametrize("camera, error", [
+        ("-1", IndexOutOfRange), ("-0", None), ("000000000000000000", None),
+        ("999999999999999999", IndexOutOfRange),
+        ("99999999999999999999", TruncatedFile)])
+    def test_camera_errors_as_the_line_parser(self, camera, error):
+        text = ONE_CAMERA_ONE_POINT.replace("1 0 7 12.5", f"1 {camera} 7 12.5")
+        for parse in (parse_bundle, oracle_parse_bundle):
+            if error is None:
+                assert parse(io.StringIO(text)).track_cams.tolist() == [0]
+            else:
+                with pytest.raises(error):
+                    parse(io.StringIO(text))
+
+    def test_lines_after_the_last_record_are_not_read(self):
+        text = ONE_CAMERA_ONE_POINT + "\x00 \u00e9 x\n1 2\n"
+        assert_same_model(parse_bundle(io.StringIO(text)),
+                          oracle_parse_bundle(io.StringIO(ONE_CAMERA_ONE_POINT)))
+
+
+@st.composite
+def bundle_layouts(draw):
+    """Valid bundle text in a random layout the line oracle also reads.
+
+    Gaps are runs of spaces or tabs, lines may start and end with blanks
+    and end in LF or CRLF, integers carry leading zeros, colours may be
+    floats, a view list may name one camera twice, blank lines may follow
+    the last record, and the last line end may be missing.
+    """
+    gap = st.sampled_from([" ", "\t", "  ", " \t "])
+    eol = st.sampled_from(["\n", "\r\n", " \n", "\t\r\n"])
+
+    def line(tokens):
+        return draw(st.sampled_from(["", " ", "\t"])) + draw(gap).join(tokens) + draw(eol)
+
+    def floats(n):
+        fmt = draw(st.sampled_from(FLOAT_FORMATS))
+        return [fmt(v) for v in draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n))]
+
+    def integer(v):
+        return str(v).zfill(draw(st.integers(1, 4)))
+
+    n_cams, n_points = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    lines = ["# Bundle file v0.3" + draw(eol), line([integer(n_cams), integer(n_points)])]
+    lines += [line(floats(3)) for _ in range(5 * n_cams)]
+    colour = st.one_of(st.integers(0, 255).map(integer),
+                       st.floats(0, 255).map(repr))
+    for _ in range(n_points):
+        lines.append(line(floats(3)))
+        lines.append(line([draw(colour) for _ in range(3)]))
+        n_views = draw(st.integers(0, 3)) if n_cams else 0
+        view = [integer(n_views)]
+        for _ in range(n_views):
+            view += [integer(draw(st.integers(0, n_cams - 1))),
+                     integer(draw(st.integers(0, 2**31 - 1))), *floats(2)]
+        lines.append(line(view))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        return text.rstrip("\r\n")
+    return text + draw(st.sampled_from(["", "\n", "  \n\n", "\t"]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(text=bundle_layouts(), group=st.integers(1, 3))
+def test_any_bundle_layout_parses_as_the_line_parser(text, group):
+    with mock.patch.object(sfm_data, "_GROUP_POINTS", group):
+        got = parse_bundle(io.StringIO(text))
+    assert_same_model(got, oracle_parse_bundle(io.StringIO(text)))
 
 
 def transpose_by_dict(model):
@@ -625,6 +747,26 @@ class TestBuildMeanDescriptors:
                          np.zeros((len(keys), 2)))
         means = build_mean_descriptors(model, lambda cam: keyfile).mean_descriptors
         assert np.all(means == 73)  # (0 + 10 + 20 + 200 + 200 + 10) / 6 = 73.3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_float_and_uint8_matrices_give_the_same_means(self, seed):
+        # camera 0 names point 0 twice, under keys 1 and 2; camera 1 has
+        # no repeat, so its group takes the other adding path
+        views = [[(0, 1), (1, 0), (0, 2)], [(1, 1), (0, 0)], [(1, 2)]]
+        entries = [v for track in views for v in track]
+        rng = np.random.default_rng(seed)
+        keyfiles = [rng.integers(0, 256, (3, 128), dtype=np.uint8) for _ in range(2)]
+        model = SfmModel([None] * 2, np.zeros((3, 3)), np.zeros((3, 3)),
+                         np.cumsum([0] + [len(t) for t in views]),
+                         [c for c, _ in entries], [k for _, k in entries],
+                         np.zeros((len(entries), 2)))
+        got = {dtype: build_mean_descriptors(
+                   model, lambda c: keyfiles[c].astype(dtype)).mean_descriptors
+               for dtype in (np.uint8, np.float64)}
+        assert got[np.uint8].tobytes() == got[np.float64].tobytes()
+        expected = [np.floor(np.mean([keyfiles[c][k] for c, k in track], axis=0) + 0.5)
+                    for track in views]
+        assert np.array_equal(got[np.uint8], expected)
 
     def test_long_track_of_255(self):
         # 100 000 views over 100 cameras: the sums reach 25.5 M

@@ -237,6 +237,44 @@ class TestExportProjectionObj:
             export_projection_obj(pose, Matches.empty(), model,
                                   tmp_path / "p.obj")
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bytes_equal_a_per_row_writer(self, tmp_path, clean_scene, seed):
+        """Golden poses and random poses over the scene's points, with a
+        match repeated, a centre holding -0.0 and one point the camera's
+        own centre plus a tiny offset."""
+        def fmt(x):
+            return f"{x + 0.0:.9g}"
+
+        def per_row(pose, fitted, model, plane_depth):
+            center = np.asarray(pose.center, dtype=float)
+            out = []
+            for point in model.positions[fitted.point_idx]:
+                depth = pose.world_to_camera(point.reshape(1, 3))[0, 2]
+                middle = center + (plane_depth / depth) * (point - center)
+                for v in (center, middle, point):
+                    out.append(f"v {fmt(v[0])} {fmt(v[1])} {fmt(v[2])}\n")
+            out += [f"l {3 * i + 1} {3 * i + 2} {3 * i + 3}\n"
+                    for i in range(len(fitted))]
+            return "".join(out)
+
+        rng = np.random.default_rng(seed)
+        model = clean_scene.model
+        _, golden = clean_scene.queries[seed]
+        random_pose = Pose(random_rotation(rng),
+                           np.array([-0.0, *rng.uniform(-50, 50, 2)]), 700.0)
+        for pose in (golden, random_pose):
+            points = rng.choice(model.num_points, 200)
+            points[1] = points[0]
+            positions = model.positions.copy()
+            positions[points[2]] = pose.center + 1e-9 * pose.rotation[2]
+            near = tiny_model(positions)
+            fitted = Matches(np.arange(len(points)), points)
+            plane_depth = float(rng.uniform(0.01, 3))
+            path = tmp_path / "proj.obj"
+            export_projection_obj(pose, fitted, near, path, plane_depth)
+            assert path.read_bytes().decode("ascii") == per_row(
+                pose, fitted, near, plane_depth)
+
 
 class TestExportQueryBundle:
     def test_full_bundle_on_disk(self, tmp_path, clean_scene):
