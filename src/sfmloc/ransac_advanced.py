@@ -14,8 +14,14 @@ list (the matches a sample may start from) once; a draw only draws.  If
 the first phase does not fit enough matches, additional correspondences
 are recovered by matching 3D points back into the query image through a
 view-prioritized queue, and a second phase runs on the augmented match
-set.  Backmatching reads each point's cameras from the model's view
-lists and each camera's points from the model's cached transpose.
+set.
+
+Backmatching keeps one int per model point, its priority or _GONE
+(outside the pool, or popped), and one bool per query feature (matched).
+Its heap holds (-priority, point); an entry that no longer holds its
+point's priority, superseded by a raise or consumed by a pop, is
+skipped.  An accepted point raises the unpopped pool points of its
+cameras with one np.add.at and pushes each of them once.
 """
 
 import heapq
@@ -70,6 +76,10 @@ class BackmatchParams:
         check_ratio(self.ratio)
         if self.pool not in ("covisible", "all"):
             raise InvalidParams(f"pool {self.pool!r} is not 'covisible' or 'all'")
+
+
+# a backmatch priority: outside the pool or popped (priorities are >= 0)
+_GONE = -1
 
 
 def accept_probability(inter: int, prev_inter: int, candidate_size: int,
@@ -142,71 +152,54 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
               params: BackmatchParams = BackmatchParams()) -> Matches:
     """Match 3D points back into the query image, guided by visibility.
 
-    Builds a fresh NN index over the query features, then processes a
-    priority queue of candidate model points.  Points of existing good
-    matches are boosted to the top; every accepted backmatch raises the
-    priority of all pool points co-visible with it (from the model's
-    camera_points), so the search spreads along the view graph.  Returns
-    the input matches followed by newly accepted ones; a query feature
-    that is already matched is not matched again, so when every feature
-    is matched, good is returned before any index is built.
+    Pops pool points highest priority first and matches each into a
+    fresh NN index over the query features; a point that passes the
+    ratio test raises every unpopped pool point its cameras see, once
+    per camera (the module docstring describes the state).  Returns good
+    followed by the new matches, at most one per query feature; when
+    every feature is matched, good is returned before any index is built.
     """
     if not len(good) or model.num_points == 0 or len(query.features) == 0:
         return good
     if model.mean_descriptors is None:
         raise ValueError("model has no mean descriptors")
-    if len(np.unique(good.feature_idx)) == len(query.features):
+    matched = np.zeros(len(query.features), dtype=bool)
+    matched[good.feature_idx] = True
+    if matched.all():
         return good
 
     feat_index = DescriptorIndex(query.features.descriptor)
-
-    if params.pool == "all":
-        pool = np.arange(model.num_points)
-    else:  # points sharing a camera with a good match
-        cams = model.track_cams[np.isin(model.track_points, good.point_idx)]
-        pool = np.unique(model.track_points[np.isin(model.track_cams, cams)])
-    priority = dict.fromkeys(pool.tolist(), 0)
-    priority.update(dict.fromkeys(good.point_idx.tolist(),
-                                  params.priority_booster))
-    cam_offsets, cam_points = model.camera_points
-
-    heap = [(-prio, pi) for pi, prio in priority.items()]
+    priority = np.full(model.num_points, 0 if params.pool == "all" else _GONE)
+    if params.pool == "covisible":  # points sharing a camera with a good match
+        priority[model.points_of(model.cameras_of(good.point_idx))] = 0
+    priority[good.point_idx] = params.priority_booster
+    live = np.flatnonzero(priority != _GONE)
+    heap = list(zip((-priority[live]).tolist(), live.tolist()))
     heapq.heapify(heap)
-
-    matched_features = set(good.feature_idx.tolist())
-    processed = set()
     new = []  # (feature_idx, point_idx)
     pops = 0
     pop_cap = params.pop_cap_factor * params.target_backmatches
 
     while heap and len(new) < params.target_backmatches and pops < pop_cap:
         neg_prio, pi = heapq.heappop(heap)
-        if pi in processed or -neg_prio != priority[pi]:
+        if -neg_prio != priority[pi]:
             continue
-        processed.add(pi)
+        priority[pi] = _GONE
         pops += 1
-
         dists, idx = feat_index.query(model.mean_descriptors[pi].astype(float), 2)
-        d1, d2 = float(dists[0, 0]), float(dists[0, 1])
-        if not ratio_test(d1, d2, params.ratio):
+        if not ratio_test(float(dists[0, 0]), float(dists[0, 1]), params.ratio):
             continue
-
-        # spread priority along the accepted point's views
-        for cam in set(model.track_cams[model.track_slice(pi)].tolist()):
-            for pj in cam_points[cam_offsets[cam]:cam_offsets[cam + 1]].tolist():
-                if pj in priority and pj not in processed:
-                    priority[pj] += 1
-                    heapq.heappush(heap, (-priority[pj], pj))
-
+        raised = model.points_of(model.cameras_of([pi]))
+        raised = raised[priority[raised] != _GONE]
+        np.add.at(priority, raised, 1)
+        raised = np.unique(raised)
+        for entry in zip((-priority[raised]).tolist(), raised.tolist()):
+            heapq.heappush(heap, entry)
         fi = int(idx[0, 0])
-        if fi in matched_features:
-            continue
-        new.append((fi, pi))
-        matched_features.add(fi)
-
-    if not new:
-        return good
-    return good + Matches(*zip(*new))
+        if not matched[fi]:
+            new.append((fi, pi))
+            matched[fi] = True
+    return good + Matches(*zip(*new)) if new else good
 
 
 def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,

@@ -86,6 +86,14 @@ class QueryImage:
     exif_focal_px: float | None = None
 
 
+def _gather(offsets, values, rows) -> np.ndarray:
+    """values[offsets[r]:offsets[r + 1]] for each r of rows, concatenated."""
+    rows = np.asarray(rows, dtype=np.intp)
+    starts = offsets[rows]
+    lens = offsets[rows + 1] - starts
+    return values[np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)]
+
+
 class SfmModel:
     """Cameras plus columnar point data.
 
@@ -93,7 +101,8 @@ class SfmModel:
     segments indexed by ``track_offsets``) instead of per-point objects.
     The view lists are decoded here and nowhere else: ``track_points``
     (each entry's point) and ``camera_points`` (each camera's points) once
-    on first use, ``view_bits`` (chosen points' cameras) on each call.
+    on first use, ``view_bits``, ``cameras_of`` and ``points_of`` (chosen
+    points' cameras, chosen cameras' points) on each call.
     Only perfbench/pipeline.py reads ``visibilities``, a set per point.
     Instances are immutable after construction.
     """
@@ -137,14 +146,20 @@ class SfmModel:
         cams, points = np.divmod(pairs, max(self.num_points, 1))
         return np.searchsorted(cams, np.arange(self.num_cameras + 1)), points
 
+    def cameras_of(self, points) -> np.ndarray:
+        """The distinct cameras that see any of points, ascending."""
+        return np.unique(_gather(self.track_offsets, self.track_cams, points))
+
+    def points_of(self, cameras) -> np.ndarray:
+        """Each camera's camera_points in turn; a point two of them see comes twice."""
+        return _gather(*self.camera_points, cameras)
+
     def view_bits(self, points) -> list:
         """Per entry of points, an int whose bit c is set when camera c sees
         that point; a camera its view list names twice sets one bit."""
-        starts = self.track_offsets[points]
-        lens = self.track_offsets[np.asarray(points) + 1] - starts
+        cams = _gather(self.track_offsets, self.track_cams, points)
+        lens = self.track_offsets[np.asarray(points) + 1] - self.track_offsets[points]
         rows = np.repeat(np.arange(len(lens)), lens)
-        entries = np.arange(len(rows)) + (starts - np.cumsum(lens) + lens)[rows]
-        cams = self.track_cams[entries]
         packed = np.zeros((len(lens), (self.num_cameras + 7) // 8), dtype=np.uint8)
         np.bitwise_or.at(packed, (rows, cams >> 3), (1 << (cams & 7)).astype(np.uint8))
         return [int.from_bytes(row.tobytes(), "little") for row in packed]
