@@ -13,7 +13,6 @@ from .benchmark import (
     generate_synthetic_scene,
     localize,
     pose_error,
-    scene_diameter,
     write_report,
     write_scene_dir,
 )
@@ -64,6 +63,7 @@ from .sfm_data import (
     parse_bundle,
     parse_image_list,
     parse_keyfile,
+    scene_diameter,
     split_golden,
     write_bundle,
     write_keyfile,

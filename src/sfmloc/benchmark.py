@@ -303,14 +303,6 @@ def generate_synthetic_scene(n_points: int, n_cameras: int, image_size=(800, 600
                           image_size=image_size, focal_px=focal_px)
 
 
-def scene_diameter(model: SfmModel) -> float:
-    """Diagonal of the point-cloud bounding box."""
-    if model.num_points == 0:
-        return 0.0
-    span = model.positions.max(axis=0) - model.positions.min(axis=0)
-    return float(np.linalg.norm(span))
-
-
 def write_scene_dir(scene: SyntheticScene, out_dir) -> None:
     """Serialize a synthetic scene as a bundler-style dataset directory.
 

@@ -97,7 +97,8 @@ def _checked(convert, ok, requirement: str):
     return parse
 
 
-# every float flag is finite; the sampler divides by the sigmoid scale
+# every float flag is finite; the sampler divides by the sigmoid scale,
+# and the fitted-match test squares the inlier threshold
 _FINITE = _checked(float, np.isfinite, "a finite number")
 _NON_NEGATIVE = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _POSITIVE = _checked(float, lambda k: 0 < k < np.inf, "a finite number > 0")
@@ -171,7 +172,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         f"/ {GOOD_RATIO_ADVANCED} advanced)")
     for flag, classes, help_text in _PARAM_FLAGS:
         default = getattr(classes[0], _field(flag))
-        kind = (_POSITIVE if flag == "k-sigmoid" else
+        kind = (_POSITIVE if flag in ("k-sigmoid", "inlier-threshold") else
                 _RATIO if flag == "backmatch-ratio" else
                 _FINITE if isinstance(default, float) else
                 _NON_NEGATIVE if isinstance(default, int) else type(default))

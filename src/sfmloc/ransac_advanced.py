@@ -35,6 +35,7 @@ from .ransac_basic import (
     MatchContext,
     PoseEstimate,
     best_estimate,
+    check_fitting,
     sample_size,
     search,
 )
@@ -60,6 +61,7 @@ class AdvancedParams:
     def __post_init__(self):
         if not self.k_sigmoid > 0:  # accept_probability divides by it
             raise InvalidParams(f"k_sigmoid {self.k_sigmoid!r} is not > 0")
+        check_fitting(self.inlier_threshold, self.inlier_metric)
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,8 @@ class BackmatchParams:
         check_ratio(self.ratio)
         if self.pool not in ("covisible", "all"):
             raise InvalidParams(f"pool {self.pool!r} is not 'covisible' or 'all'")
+        if not self.priority_booster >= 0:  # below 0 a priority would read as _GONE
+            raise InvalidParams(f"priority_booster {self.priority_booster!r} is not >= 0")
 
 
 # a backmatch priority: outside the pool or popped (priorities are >= 0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .descriptor_index import Matches
-from .errors import InsufficientMatches, NoSolution, SamplingExhausted
+from .errors import InsufficientMatches, InvalidParams, NoSolution, SamplingExhausted
 from .minimal_solvers import (
     Candidates,
     Pose,
@@ -38,6 +38,14 @@ from .pose_quality import (
 from .sfm_data import QueryImage, SfmModel
 
 
+def check_fitting(threshold: float, metric: str) -> None:
+    """Raise InvalidParams unless the fitted-match test can take these."""
+    if not 0 < threshold < np.inf:  # the ray test squares it
+        raise InvalidParams(f"inlier_threshold {threshold!r} is not a finite number > 0")
+    if metric not in ("ray", "pixel"):
+        raise InvalidParams(f"inlier_metric {metric!r} is not 'ray' or 'pixel'")
+
+
 @dataclass(frozen=True)
 class BasicParams:
     """Knobs of the baseline pipeline (defaults are the standard run)."""
@@ -49,6 +57,9 @@ class BasicParams:
     min_fitted: int = 6
     inlier_metric: str = "ray"
     rng_seed: int | None = None
+
+    def __post_init__(self):
+        check_fitting(self.inlier_threshold, self.inlier_metric)
 
 
 @dataclass
@@ -132,7 +143,12 @@ class MatchContext:
 
 
 def _solvers(focal_px: float | None, solver: str):
-    """(run P3P, run P4Pf); "auto" runs P4Pf only when the focal is unknown."""
+    """(run P3P, run P4Pf); "auto" runs P4Pf only when the focal is unknown.
+
+    Raises InvalidParams for a solver that is not auto, p3p, p4pf or both.
+    """
+    if solver not in ("auto", "p3p", "p4pf", "both"):
+        raise InvalidParams(f"solver {solver!r} is not auto, p3p, p4pf or both")
     return (solver in ("auto", "p3p", "both") and focal_px is not None,
             solver in ("p4pf", "both") or (solver == "auto" and focal_px is None))
 
@@ -140,9 +156,10 @@ def _solvers(focal_px: float | None, solver: str):
 def sample_size(matches: Matches, focal_px: float | None, solver: str) -> int:
     """Matches per minimal sample: 3 when P3P runs alone, otherwise 4.
 
-    The only check that a sample can be drawn: raises InsufficientMatches
-    when fewer distinct points are matched and NoSolution when no solver
-    applies (P3P without a focal).  The samplers rely on it.
+    The only check that a sample can be drawn: raises InvalidParams for
+    an unknown solver, InsufficientMatches when fewer distinct points are
+    matched and NoSolution when no solver applies (P3P without a focal).
+    The samplers rely on it.
     """
     p3p, p4pf = _solvers(focal_px, solver)
     size = 3 if p3p and not p4pf else 4

@@ -179,6 +179,14 @@ class SfmModel:
                         self.track_xy, descriptors)
 
 
+def scene_diameter(model: SfmModel) -> float:
+    """Diagonal of the point-cloud bounding box."""
+    if model.num_points == 0:
+        return 0.0
+    span = model.positions.max(axis=0) - model.positions.min(axis=0)
+    return float(np.linalg.norm(span))
+
+
 def _decoded(parse):
     """``parse`` with a stream that cannot be decoded raising TruncatedFile."""
     @wraps(parse)
@@ -513,15 +521,17 @@ def split_golden(full: SfmModel, query_names, camera_names):
 
     Returns (info model, {query name: CameraRecord}).  View-list entries
     of query cameras are dropped, surviving cameras are re-indexed and
-    points left with an empty visibility set are removed.
+    points left with an empty visibility set are removed.  Raises
+    CameraListMismatch unless camera_names names each camera's own image.
     """
     if len(camera_names) != full.num_cameras:
         raise CameraListMismatch(
             f"the camera list names {len(camera_names)} images, the model "
             f"has {full.num_cameras} cameras")
-    name_to_idx = {}
-    for idx, name in enumerate(camera_names):
-        name_to_idx.setdefault(name, idx)
+    name_to_idx = {name: idx for idx, name in enumerate(camera_names)}
+    if len(name_to_idx) < len(camera_names):  # the first repeat is not its last index
+        repeated = next(n for i, n in enumerate(camera_names) if name_to_idx[n] != i)
+        raise CameraListMismatch(f"the camera list names {repeated!r} twice")
     golden = {}
     query_idx = set()
     for name in query_names:

@@ -18,7 +18,7 @@ import numpy as np
 from .descriptor_index import Matches
 from .errors import EmptyInput
 from .minimal_solvers import BUNDLER_FLIP, Pose
-from .sfm_data import QueryImage, SfmModel
+from .sfm_data import QueryImage, SfmModel, scene_diameter
 
 MLP_PIXEL_SIZE_MM = 0.01
 
@@ -184,8 +184,7 @@ def export_query_bundle(pose: Pose, query: QueryImage, fitted: Matches,
     if write_mesh:
         export_ply(model, mesh_path)
 
-    span = model.positions.max(axis=0) - model.positions.min(axis=0)
-    glyph = max(float(np.linalg.norm(span)) * 0.01, 1e-6)
+    glyph = max(scene_diameter(model) * 0.01, 1e-6)
 
     mlp_path = out / "camera.mlp"
     export_mlp(pose, query, mlp_path, mesh_filename=mesh_filename)

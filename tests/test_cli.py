@@ -123,6 +123,18 @@ def test_camera_list_short_of_the_model_exits_2(scene_copy, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_camera_list_naming_an_image_twice_exits_2(scene_copy, tmp_path, capsys):
+    """A database camera named like a query must not become its golden pose."""
+    names = scene_copy / "list.txt"
+    lines = names.read_text().splitlines(True)
+    lines[5] = "query_000.jpg\n"
+    names.write_text("".join(lines))
+    assert run_cli(scene_copy, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "CameraListMismatch" in err and "'query_000.jpg' twice" in err
+    assert "Traceback" not in err
+
+
 def _drop_keyfile(scene):
     (scene / "keys" / "query_001.key").unlink()
 
@@ -390,6 +402,10 @@ def test_ratio_one_is_accepted(tmp_path):
      "argument --backmatch-ratio: '-0.5' is not a number in (0, 1]"),
     ("--backmatch-ratio 1.5",
      "argument --backmatch-ratio: '1.5' is not a number in (0, 1]"),
+    ("--inlier-threshold -0.5",
+     "argument --inlier-threshold: '-0.5' is not a finite number > 0"),
+    ("--inlier-threshold 0",
+     "argument --inlier-threshold: '0' is not a finite number > 0"),
 ])
 def test_bad_settings_file_exits_2(tmp_path, capsys, line, message):
     settings = tmp_path / "settings.txt"
@@ -422,6 +438,35 @@ def test_unset_flags_take_the_params_defaults():
     assert config == cli.RunConfig(
         Path("m/model.out"), Path("m/keys"), Path("m/query_list.txt"),
         Path("m/list.txt"), Path("m/meta.txt"), Path("o"), "basic", "all")
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_prompts_on_a_terminal_take_the_answers(scene_dir, tmp_path, monkeypatch):
+    answers, prompts = iter(["advanced", "query_001.jpg"]), []
+    monkeypatch.setattr("sys.stdin", _Terminal())
+    monkeypatch.setattr("builtins.input",
+                        lambda prompt: prompts.append(prompt) or next(answers))
+    assert cli.main([*required_flags(scene_dir, tmp_path), "--benchmark"]) == 0
+    assert prompts == ["mode [basic/advanced]: ", "query image name (or 'all'): "]
+    got = rows(tmp_path)
+    assert [r["name"] for r in got] == ["query_001.jpg"]
+    assert got[0]["iterations"] == "100"  # advanced: one full phase
+
+
+@pytest.mark.parametrize("given", [[], ["--mode", "basic"], ["--query", "all"]],
+                         ids=["neither", "no_query", "no_mode"])
+def test_missing_mode_or_query_without_a_terminal_exits_2(tmp_path, capsys,
+                                                          monkeypatch, given):
+    monkeypatch.setattr("sys.stdin", io.StringIO())
+    monkeypatch.setattr("builtins.input", lambda prompt: pytest.fail("prompted"))
+    assert cli.main([*required_flags(tmp_path, tmp_path), *given]) == 2
+    err = capsys.readouterr().err
+    assert ("mode must be" in err or "no query selected" in err)
+    assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -80,7 +80,11 @@ class TestAcceptProbability:
     lambda: BackmatchParams(pool="covisble"),
     lambda: AdvancedParams(k_sigmoid=0.0),
     lambda: AdvancedParams(k_sigmoid=float("nan")),
-], ids=["ratio_above_1", "ratio_0", "misspelt_pool", "k_sigmoid_0", "k_sigmoid_nan"])
+    lambda: AdvancedParams(inlier_threshold=-0.5),
+    lambda: AdvancedParams(inlier_metric="manhattan"),
+    lambda: BackmatchParams(priority_booster=-1),
+], ids=["ratio_above_1", "ratio_0", "misspelt_pool", "k_sigmoid_0", "k_sigmoid_nan",
+        "threshold_negative", "unknown_metric", "booster_negative"])
 def test_invalid_params_raise(make):
     with pytest.raises(InvalidParams):
         make()

@@ -18,9 +18,9 @@ from sfmloc import (
     ransac_basic,
     scene_diameter,
 )
-from sfmloc.errors import InsufficientMatches, NoSolution, SamplingExhausted
+from sfmloc.errors import InsufficientMatches, InvalidParams, NoSolution, SamplingExhausted
 from sfmloc.ransac_advanced import _draw_cooccurrence_idx, _seed_matches
-from sfmloc.ransac_basic import _sample_unique_idx, solve_candidates
+from sfmloc.ransac_basic import MatchContext, _sample_unique_idx, solve_candidates
 from sfmloc.sfm_data import QueryImage, keyfile_records
 
 from conftest import points_model
@@ -145,6 +145,59 @@ def test_p3p_without_focal_fails_before_sampling(monkeypatch, scene_matches,
     with pytest.raises(NoSolution):
         estimate(replace(query, exif_focal_px=None), good, clean_scene.model,
                  solver="p3p")
+
+
+@pytest.mark.parametrize("estimate", [estimate_pose_basic, estimate_pose_advanced])
+def test_unknown_solver_fails_before_sampling(monkeypatch, scene_matches,
+                                             clean_scene, estimate):
+    def sampler(*args):
+        raise AssertionError("sampler called")
+    monkeypatch.setattr(ransac_basic, "_sample_unique_idx", sampler)
+    monkeypatch.setattr(ransac_advanced, "_draw_cooccurrence_idx", sampler)
+    query, _, good = scene_matches
+    with pytest.raises(InvalidParams, match="'p3pp'"):
+        estimate(query, good, clean_scene.model, solver="p3pp")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BasicParams(inlier_threshold=-0.5),
+    lambda: BasicParams(inlier_threshold=0.0),
+    lambda: BasicParams(inlier_threshold=float("nan")),
+    lambda: BasicParams(inlier_metric="manhattan"),
+], ids=["threshold_negative", "threshold_0", "threshold_nan", "unknown_metric"])
+def test_invalid_params_raise(make):
+    with pytest.raises(InvalidParams):
+        make()
+
+
+class TestBothSolvers:
+    """--solver both: each row's P3P candidates, then its P4Pf ones."""
+
+    def test_rows_merge_the_single_solvers(self, scene_matches, clean_scene):
+        query, _, good = scene_matches
+        ctx = MatchContext(query, good, clean_scene.model, 0.5, "ray", 6)
+        rng = np.random.default_rng(8)
+        samples = np.array([rng.choice(len(good), 4, replace=False)
+                            for _ in range(24)])
+        focal = query.exif_focal_px
+        both, p3p, p4pf = (solve_candidates(ctx, samples, focal, solver)
+                           for solver in ("both", "p3p", "p4pf"))
+        assert np.all(p3p.focal_px == focal)
+        assert len(p3p) and len(p4pf) and len(both) == len(p3p) + len(p4pf)
+        for row in range(len(samples)):
+            for name in ("rotation", "center", "focal_px"):
+                want = np.concatenate([getattr(c, name)[c.sample == row]
+                                       for c in (p3p, p4pf)])
+                assert np.array_equal(getattr(both, name)[both.sample == row], want)
+        assert np.all(np.diff(both.sample) >= 0)
+
+    def test_clean_scene_localizes(self, scene_matches, clean_scene):
+        query, golden, good = scene_matches
+        est = estimate_pose_basic(query, good, clean_scene.model,
+                                  BasicParams(rng_seed=0), solver="both")
+        err = pose_error(est.pose, golden)
+        assert err.translation < 1e-3 * scene_diameter(clean_scene.model)
+        assert err.rotation_deg < 0.1
 
 
 def oracle_search(ctx, draw, iterations: int, focal_px: float | None,
