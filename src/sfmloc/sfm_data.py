@@ -529,9 +529,9 @@ def split_golden(full: SfmModel, query_names, camera_names):
             f"the camera list names {len(camera_names)} images, the model "
             f"has {full.num_cameras} cameras")
     name_to_idx = {name: idx for idx, name in enumerate(camera_names)}
-    if len(name_to_idx) < len(camera_names):  # the first repeat is not its last index
-        repeated = next(n for i, n in enumerate(camera_names) if name_to_idx[n] != i)
-        raise CameraListMismatch(f"the camera list names {repeated!r} twice")
+    for idx, name in enumerate(camera_names):
+        if name_to_idx[name] != idx:  # a repeated name keeps its last index
+            raise CameraListMismatch(f"the camera list names {name!r} twice")
     golden = {}
     query_idx = set()
     for name in query_names:
