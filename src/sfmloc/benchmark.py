@@ -20,11 +20,13 @@ from .descriptor_index import find_good_matches
 from .errors import InsufficientMatches, InvalidParams, NoSolution
 from .minimal_solvers import Pose, denormalize_points, internal_to_bundler
 from .ransac_advanced import AdvancedParams, BackmatchParams, estimate_pose_advanced
-from .ransac_basic import BasicParams, estimate_pose_basic
+from .ransac_basic import BasicParams, check_setting, estimate_pose_basic
 from .sfm_data import (CameraRecord, QueryImage, SfmModel, build_mean_descriptors,
                        keyfile_records, split_golden, write_bundle,
                        write_keyfile)
 
+# the pipelines localize runs
+MODES = ("basic", "advanced")
 GOOD_RATIO_BASIC = 0.7
 GOOD_RATIO_ADVANCED = 0.9
 WRONG_POSE_THRESHOLD = 30.0
@@ -353,8 +355,9 @@ def localize(query: QueryImage, golden: Pose, index, model: SfmModel,
     mode's good-match ratio.  Returns (estimate, row), with estimate
     None and the exception type name as the row's failure when the
     query has too few matches or no pose.  seconds covers matching and
-    estimation.
+    estimation.  Raises InvalidParams for a mode not in MODES.
     """
+    check_setting("mode", mode, choices=MODES)
     if ratio is None:
         ratio = GOOD_RATIO_BASIC if mode == "basic" else GOOD_RATIO_ADVANCED
     start = time.perf_counter()

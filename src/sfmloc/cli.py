@@ -9,16 +9,20 @@ benchmark module, which produces exactly this):
     meta.txt         per query: name width height [focal_px]
     keys/<stem>.key  one keyfile per image
 
-All pipeline parameters are flags; an unset flag takes the default of
-the params field it sets.  An argument ``@FILE`` reads flags from FILE
-as if typed in its place, split like a shell line with ``#`` starting a
-comment (``--mode advanced  # with backmatching``), so argparse checks
-them and a later flag overrides them.  Interactive prompts happen only
-when mode/query are missing and a terminal is attached.
+All pipeline parameters are flags; an unset flag takes the type,
+default and choices of the params field it sets.  The params classes
+(``ransac_basic.Params``) check every setting, --ratio and --seed by the
+same rules, before any prompt, naming a refused class and field
+(``BackmatchParams.ratio``).  An argument ``@FILE`` reads flags from
+FILE as if typed in its place, split like a shell line with ``#``
+starting a comment (``--mode advanced  # with backmatching``), and a
+later flag overrides them.  Interactive prompts happen only when
+mode/query are missing and a terminal is attached.
 
 Exit status: 0 when every query is localized, 1 when at least one
-query row failed, 2 when the run could not be set up (a bad flag, or
-an OSError or LocalizationError before the queries run, printed as
+query row failed, 2 when the run could not be set up (a bad flag or
+setting, refused before any file is read, or an OSError or
+LocalizationError before the queries run, printed as
 ``error: <Type>: <message>``).
 """
 
@@ -26,7 +30,7 @@ import argparse
 import shlex
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +38,7 @@ import numpy as np
 from .benchmark import (
     GOOD_RATIO_ADVANCED,
     GOOD_RATIO_BASIC,
+    MODES,
     QueryResult,
     localize,
     report_from_rows,
@@ -41,14 +46,15 @@ from .benchmark import (
 )
 from .descriptor_index import (
     build_index,
+    check_ratio,
     descriptor_source_key,
     load_index_cache,
     save_index_cache,
 )
-from .errors import LocalizationError, MalformedMetadata
+from .errors import InvalidParams, LocalizationError, MalformedMetadata
 from .minimal_solvers import bundler_to_internal
 from .ransac_advanced import AdvancedParams, BackmatchParams
-from .ransac_basic import BasicParams
+from .ransac_basic import SOLVERS, BasicParams, check_setting
 from .sfm_data import (
     QueryImage,
     build_mean_descriptors,
@@ -62,8 +68,8 @@ from .viz_export import export_ply, export_query_bundle
 _BASIC, _ADVANCED, _BACKMATCH = (BasicParams,), (AdvancedParams,), (BackmatchParams,)
 _BOTH = _BASIC + _ADVANCED
 
-# flag, the params classes whose field it sets, help; the field is the
-# flag without "backmatch-", and the flag takes the field's type and default
+# flag, the params classes whose field it sets, help; the field is the flag
+# without "backmatch-", whose type, default and choices the flag takes
 _PARAM_FLAGS = [
     ("max-iterations", _BASIC, "basic: RANSAC iteration cap"),
     ("stop-fraction", _BASIC, "basic: fitted fraction that stops RANSAC"),
@@ -84,26 +90,6 @@ _PARAM_FLAGS = [
     ("backmatch-pool", _BACKMATCH, "backmatching: candidate points"),
     ("pop-cap-factor", _BACKMATCH, "backmatching: queue pops per target match"),
 ]
-_CHOICES = {"inlier-metric": ["ray", "pixel"], "backmatch-pool": ["covisible", "all"]}
-
-
-def _checked(convert, ok, requirement: str):
-    """argparse type: convert(text), rejected unless ok(value)."""
-    def parse(text):
-        if not ok(value := convert(text)):
-            raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
-        return value
-    parse.__name__ = convert.__name__  # named in argparse's "invalid float value"
-    return parse
-
-
-# every float flag is finite; the sampler divides by the sigmoid scale,
-# and the fitted-match test squares the inlier threshold
-_FINITE = _checked(float, np.isfinite, "a finite number")
-_NON_NEGATIVE = _checked(int, lambda n: n >= 0, "an integer >= 0")
-_POSITIVE = _checked(float, lambda k: 0 < k < np.inf, "a finite number > 0")
-# descriptor_index.check_ratio's range, refused here with exit code 2
-_RATIO = _checked(float, lambda r: 0 < r <= 1, "a number in (0, 1]")
 
 
 def _field(flag: str) -> str:
@@ -137,9 +123,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="sfmloc", fromfile_prefix_chars="@",
         description="Localize query photographs in an SfM point cloud.",
         epilog="@FILE reads flags from FILE ('#' starts a comment); "
-               "later flags override it.  Exit status: 0 all queries "
-               "localized, 1 some query failed, 2 the run could not be "
-               "set up.")
+               "later flags override it.  The params classes check every "
+               "setting; a bad one exits 2 before any file is read.  Exit "
+               "status: 0 all queries localized, 1 some query failed, 2 "
+               "the run could not be set up.")
 
     def file_line_args(line):
         try:
@@ -159,25 +146,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="query metadata table, which must exist: name width "
                         "height [focal_px] (default: meta.txt next to the model)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--mode", choices=["basic", "advanced"])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--query", help="'all' or one query image name")
-    p.add_argument("--solver", choices=["auto", "p3p", "p4pf", "both"],
-                   default=RunConfig.solver_override)
-    p.add_argument("--seed", type=_NON_NEGATIVE, default=RunConfig.seed)
+    p.add_argument("--solver", choices=SOLVERS, default=RunConfig.solver_override)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--benchmark", action="store_true",
                    help="also write benchmark CSVs against golden poses")
     p.add_argument("--cache-index", help="descriptor cache file (npz)")
-    p.add_argument("--ratio", type=_RATIO, default=RunConfig.ratio,
+    p.add_argument("--ratio", type=float, default=RunConfig.ratio,
                    help=f"good-match ratio (default {GOOD_RATIO_BASIC} basic "
                         f"/ {GOOD_RATIO_ADVANCED} advanced)")
     for flag, classes, help_text in _PARAM_FLAGS:
-        default = getattr(classes[0], _field(flag))
-        kind = (_POSITIVE if flag in ("k-sigmoid", "inlier-threshold") else
-                _RATIO if flag == "backmatch-ratio" else
-                _FINITE if isinstance(default, float) else
-                _NON_NEGATIVE if isinstance(default, int) else type(default))
-        p.add_argument(f"--{flag}", type=kind, default=default,
-                       choices=_CHOICES.get(flag),
+        spec = next(f for f in fields(classes[0]) if f.name == _field(flag))
+        p.add_argument(f"--{flag}", type=type(spec.default), default=spec.default,
+                       choices=spec.metadata.get("choices"),
                        help=f"{help_text} (default %(default)s)")
     return p
 
@@ -189,16 +171,23 @@ def _params(cls, args):
 
 
 def config_from_args(args) -> RunConfig:
+    """The run args describe, asking on a terminal for a missing mode or
+    query; InvalidParams, raised before asking, names a refused setting."""
+    basic, advanced, backmatch = (
+        _params(cls, args) for cls in (BasicParams, AdvancedParams, BackmatchParams))
+    check_setting("RunConfig.seed", args.seed)  # BasicParams.rng_seed's rule
+    if args.ratio is not None:
+        check_ratio(args.ratio, "RunConfig.ratio")
     mode, query = args.mode, args.query
     if (mode is None or query is None) and sys.stdin.isatty():
         if mode is None:
-            mode = input("mode [basic/advanced]: ").strip()
+            mode = input(f"mode [{'/'.join(MODES)}]: ").strip()
         if query is None:
             query = input("query image name (or 'all'): ").strip()
-    if mode not in ("basic", "advanced"):
-        raise ValueError(f"mode must be basic or advanced, got {mode!r}")
+    if mode not in MODES:
+        raise InvalidParams(f"mode must be {' or '.join(MODES)}, got {mode!r}")
     if not query:
-        raise ValueError("no query selected")
+        raise InvalidParams("no query selected")
 
     model_path = Path(args.model)
     return RunConfig(
@@ -214,10 +203,7 @@ def config_from_args(args) -> RunConfig:
         seed=args.seed,
         benchmark=args.benchmark,
         cache_path=Path(args.cache_index) if args.cache_index else None,
-        ratio=args.ratio,
-        basic=_params(BasicParams, args),
-        advanced=_params(AdvancedParams, args),
-        backmatch=_params(BackmatchParams, args))
+        ratio=args.ratio, basic=basic, advanced=advanced, backmatch=backmatch)
 
 
 def _load_meta(path) -> dict:
@@ -370,12 +356,7 @@ def main(argv=None) -> int:
     except UnicodeDecodeError as exc:  # an @FILE that is not text
         parser.error(f"unreadable settings file: {exc}")
     try:
-        config = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(config)
+        return run(config_from_args(args))
     except (OSError, LocalizationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

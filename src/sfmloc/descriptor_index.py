@@ -103,11 +103,11 @@ def build_index(points) -> DescriptorIndex:
     return DescriptorIndex(points)
 
 
-def check_ratio(ratio: float) -> None:
-    """Raise InvalidParams unless 0 < ratio <= 1: above 1 a feature whose
-    two nearest points tie would pass the ratio test."""
+def check_ratio(ratio: float, name: str = "ratio") -> None:
+    """Raise InvalidParams, naming the setting, unless 0 < ratio <= 1:
+    above 1 a feature whose two nearest points tie would pass the ratio test."""
     if not 0 < ratio <= 1:
-        raise InvalidParams(f"ratio {ratio!r} is not in (0, 1]")
+        raise InvalidParams(f"{name} {ratio!r} is not in (0, 1]")
 
 
 def ratio_test(d1, d2, ratio: float):

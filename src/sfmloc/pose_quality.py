@@ -18,6 +18,9 @@ import numpy as np
 
 from .minimal_solvers import Candidates, Pose
 
+# the fitted-match tests fitted_mask knows
+METRICS = ("ray", "pixel")
+
 
 @dataclass(frozen=True)
 class CoverageStats:
@@ -40,10 +43,8 @@ def fitted_mask(poses: Pose | Candidates, centered_xy: np.ndarray,
     ray (threshold in world units): |pc|^2 |d|^2 - (pc . d)^2 <
     threshold^2 |d|^2, with pc . d > 0; "pixel" bounds the reprojection
     error (threshold in pixels).  Points behind the camera are never
-    inliers.
+    inliers.  metric is one of METRICS; the params classes check it.
     """
-    if metric not in ("ray", "pixel"):
-        raise ValueError(f"unknown inlier metric {metric!r}")
     rotation = np.asarray(poses.rotation, dtype=float)
     shape = rotation.shape[:-2] + (len(positions),)
     rotation = rotation.reshape(-1, 3, 3)

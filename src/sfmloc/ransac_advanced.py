@@ -25,61 +25,54 @@ cameras with one np.add.at and pushes each of them once.
 """
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptor_index import DescriptorIndex, Matches, check_ratio, ratio_test
-from .errors import InvalidParams, SamplingExhausted
+from .descriptor_index import DescriptorIndex, Matches, ratio_test
+from .errors import SamplingExhausted
+from .pose_quality import METRICS
 from .ransac_basic import (
     MatchContext,
+    Params,
     PoseEstimate,
     best_estimate,
-    check_fitting,
     sample_size,
     search,
 )
 from .sfm_data import QueryImage, SfmModel
 
+# backmatching's candidates: points sharing a camera with a good match, or all
+POOLS = ("covisible", "all")
+
 
 @dataclass(frozen=True)
-class AdvancedParams:
+class AdvancedParams(Params):
     """Knobs of the advanced pipeline (defaults are the standard run)."""
 
     iterations_per_phase: int = 100
-    inlier_threshold: float = 0.5
+    inlier_threshold: float = field(default=0.5, metadata={"positive": True})
     skip_fraction: float = 0.1
     skip_count: int = 12
-    k_sigmoid: float = 5.0
+    # accept_probability divides by it
+    k_sigmoid: float = field(default=5.0, metadata={"positive": True})
     dead_end_limit: int = 30
     min_seed_cameras: int = 5
     min_fitted: int = 6
-    inlier_metric: str = "ray"
+    inlier_metric: str = field(default="ray", metadata={"choices": METRICS})
     max_restarts: int = 100
     rng_seed: int | None = None
 
-    def __post_init__(self):
-        if not self.k_sigmoid > 0:  # accept_probability divides by it
-            raise InvalidParams(f"k_sigmoid {self.k_sigmoid!r} is not > 0")
-        check_fitting(self.inlier_threshold, self.inlier_metric)
-
 
 @dataclass(frozen=True)
-class BackmatchParams:
+class BackmatchParams(Params):
     """Knobs of the 3D-to-2D backmatching stage."""
 
     target_backmatches: int = 100
-    ratio: float = 0.7
-    priority_booster: int = 10
-    pool: str = "covisible"  # or "all"
+    ratio: float = field(default=0.7, metadata={"ratio": True})
+    priority_booster: int = 10  # >= 0 as every int: below 0 it would read as _GONE
+    pool: str = field(default="covisible", metadata={"choices": POOLS})
     pop_cap_factor: int = 50
-
-    def __post_init__(self):
-        check_ratio(self.ratio)
-        if self.pool not in ("covisible", "all"):
-            raise InvalidParams(f"pool {self.pool!r} is not 'covisible' or 'all'")
-        if not self.priority_booster >= 0:  # below 0 a priority would read as _GONE
-            raise InvalidParams(f"priority_booster {self.priority_booster!r} is not >= 0")
 
 
 # a backmatch priority: outside the pool or popped (priorities are >= 0)

@@ -15,11 +15,11 @@ baseline's does, takes one sample a batch, so it draws no sample that
 it does not solve.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .descriptor_index import Matches
+from .descriptor_index import Matches, check_ratio
 from .errors import InsufficientMatches, InvalidParams, NoSolution, SamplingExhausted
 from .minimal_solvers import (
     Candidates,
@@ -30,6 +30,7 @@ from .minimal_solvers import (
     solve_p4pf,
 )
 from .pose_quality import (
+    METRICS,
     CoverageStats,
     coverage_area_xy,
     coverage_window,
@@ -37,29 +38,52 @@ from .pose_quality import (
 )
 from .sfm_data import QueryImage, SfmModel
 
+# the minimal solvers a search may run (see _solvers)
+SOLVERS = ("auto", "p3p", "p4pf", "both")
 
-def check_fitting(threshold: float, metric: str) -> None:
-    """Raise InvalidParams unless the fitted-match test can take these."""
-    if not 0 < threshold < np.inf:  # the ray test squares it
-        raise InvalidParams(f"inlier_threshold {threshold!r} is not a finite number > 0")
-    if metric not in ("ray", "pixel"):
-        raise InvalidParams(f"inlier_metric {metric!r} is not 'ray' or 'pixel'")
+
+def check_setting(name: str, value, kind: type = int, choices=(),
+                  positive: bool = False, ratio: bool = False) -> None:
+    """Raise InvalidParams, naming the setting, unless value passes its rule:
+    a ratio lies in (0, 1] (check_ratio), a value with choices is one of
+    them, a float is finite (and > 0 when positive), an int is >= 0 or
+    None (an unset seed)."""
+    if ratio:
+        return check_ratio(value, name)
+    if choices:
+        ok, rule = value in choices, f"one of {', '.join(choices)}"
+    elif kind is float:
+        ok = bool(np.isfinite(value)) and (value > 0 or not positive)
+        rule = "a finite number > 0" if positive else "a finite number"
+    else:
+        ok, rule = value is None or value >= 0, "an integer >= 0"
+    if not ok:
+        raise InvalidParams(f"{name} {value!r} is not {rule}")
+
+
+class Params:
+    """Base of the params dataclasses: on construction each field passes
+    check_setting with its type and metadata, named as
+    ``BasicParams.max_iterations``."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_setting(f"{type(self).__name__}.{f.name}",
+                          getattr(self, f.name), f.type, **f.metadata)
 
 
 @dataclass(frozen=True)
-class BasicParams:
+class BasicParams(Params):
     """Knobs of the baseline pipeline (defaults are the standard run)."""
 
     max_iterations: int = 10000
-    inlier_threshold: float = 0.5
+    # the ray test squares it
+    inlier_threshold: float = field(default=0.5, metadata={"positive": True})
     stop_fraction: float = 0.1
     stop_count: int = 12
     min_fitted: int = 6
-    inlier_metric: str = "ray"
+    inlier_metric: str = field(default="ray", metadata={"choices": METRICS})
     rng_seed: int | None = None
-
-    def __post_init__(self):
-        check_fitting(self.inlier_threshold, self.inlier_metric)
 
 
 @dataclass
@@ -143,12 +167,8 @@ class MatchContext:
 
 
 def _solvers(focal_px: float | None, solver: str):
-    """(run P3P, run P4Pf); "auto" runs P4Pf only when the focal is unknown.
-
-    Raises InvalidParams for a solver that is not auto, p3p, p4pf or both.
-    """
-    if solver not in ("auto", "p3p", "p4pf", "both"):
-        raise InvalidParams(f"solver {solver!r} is not auto, p3p, p4pf or both")
+    """(run P3P, run P4Pf); "auto" runs P4Pf only when the focal is unknown."""
+    check_setting("solver", solver, choices=SOLVERS)
     return (solver in ("auto", "p3p", "both") and focal_px is not None,
             solver in ("p4pf", "both") or (solver == "auto" and focal_px is None))
 
@@ -219,27 +239,21 @@ def search(ctx: MatchContext, draw, iterations: int, focal_px: float | None,
     batch = _BATCH_CAP if stop_at is None else 1
     for done in range(0, iterations, batch):
         size = min(batch, iterations - done)
-        drawn, samples = [], []
-        for i in range(size):
+        samples = []
+        for _ in range(size):
             try:
                 samples.append(draw())
-                drawn.append(i)
             except SamplingExhausted:
                 pass
-        owner = []  # the batch position of each candidate's sample
-        if samples:
+        if samples:  # candidates come in sample order
             candidates = solve_candidates(ctx, np.array(samples), focal_px, solver)
-            owner = np.array(drawn)[candidates.sample]
             masks = ctx.fitted(candidates)
-        k = 0
-        for i in range(size):
-            while k < len(owner) and owner[k] == i:
+            for k in range(len(candidates)):
                 count, stats = ctx.evaluate(masks[k], -np.inf if best is None else best[0])
                 if stats is not None and (best is None or stats.q > best[0]):
                     best = (stats.q, candidates.pose(k), count, stats, masks[k])
-                k += 1
-            if stop_at is not None and best is not None and best[2] >= stop_at:
-                return best, done + i + 1
+        if stop_at is not None and best is not None and best[2] >= stop_at:
+            return best, done + size  # a batch of one
     return best, iterations
 
 

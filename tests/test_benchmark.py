@@ -120,6 +120,13 @@ class TestRunBenchmark:
         with pytest.raises(InvalidParams):
             localize(query, golden, index, model, "basic", seed=0, ratio=ratio)
 
+    def test_unknown_mode_raises(self, clean_scene):
+        model = clean_scene.model
+        index = build_index(model.mean_descriptors.astype(float))
+        query, golden = clean_scene.queries[0]
+        with pytest.raises(InvalidParams, match="'basci'"):
+            localize(query, golden, index, model, "basci", seed=0)
+
     def test_empty_queries(self):
         report = report_from_rows([])
         assert report.per_query == []

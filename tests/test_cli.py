@@ -7,7 +7,7 @@ import shutil
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +372,54 @@ def test_ratio_one_is_accepted(tmp_path):
     assert (args.ratio, args.backmatch_ratio) == (1.0, 1.0)
 
 
+# (line, stderr text, id): values that only a params rule refuses, so main
+# returns 2 before reading a file.  Each id is the line and the message a
+# CLI-side flag type gave for it when the CLI kept range checks of its own.
+_OUT_OF_RANGE = [
+    ("--seed -1", "RunConfig.seed -1 is not an integer >= 0",
+     "argument --seed: '-1' is not an integer >= 0"),
+    ("--max-iterations -1", "BasicParams.max_iterations -1 is not an integer >= 0",
+     "argument --max-iterations: '-1' is not an integer >= 0"),
+    ("--iterations-per-phase -5",
+     "AdvancedParams.iterations_per_phase -5 is not an integer >= 0",
+     "argument --iterations-per-phase: '-5' is not an integer >= 0"),
+    ("--target-backmatches -1",
+     "BackmatchParams.target_backmatches -1 is not an integer >= 0",
+     "argument --target-backmatches: '-1' is not an integer >= 0"),
+    ("--k-sigmoid 0", "AdvancedParams.k_sigmoid 0.0 is not a finite number > 0",
+     "argument --k-sigmoid: '0' is not a finite number > 0"),
+    ("--k-sigmoid nan", "AdvancedParams.k_sigmoid nan is not a finite number > 0",
+     "argument --k-sigmoid: 'nan' is not a finite number > 0"),
+    ("--stop-fraction nan", "BasicParams.stop_fraction nan is not a finite number",
+     "argument --stop-fraction: 'nan' is not a finite number"),
+    ("--stop-fraction inf", "BasicParams.stop_fraction inf is not a finite number",
+     "argument --stop-fraction: 'inf' is not a finite number"),
+    ("--skip-fraction nan", "AdvancedParams.skip_fraction nan is not a finite number",
+     "argument --skip-fraction: 'nan' is not a finite number"),
+    ("--skip-fraction=-inf", "AdvancedParams.skip_fraction -inf is not a finite number",
+     "argument --skip-fraction: '-inf' is not a finite number"),
+    ("--ratio 0", "RunConfig.ratio 0.0 is not in (0, 1]",
+     "argument --ratio: '0' is not a number in (0, 1]"),
+    ("--ratio -0.5", "RunConfig.ratio -0.5 is not in (0, 1]",
+     "argument --ratio: '-0.5' is not a number in (0, 1]"),
+    ("--ratio 1.5", "RunConfig.ratio 1.5 is not in (0, 1]",
+     "argument --ratio: '1.5' is not a number in (0, 1]"),
+    ("--ratio nan", "RunConfig.ratio nan is not in (0, 1]",
+     "argument --ratio: 'nan' is not a number in (0, 1]"),
+    ("--backmatch-ratio 0", "BackmatchParams.ratio 0.0 is not in (0, 1]",
+     "argument --backmatch-ratio: '0' is not a number in (0, 1]"),
+    ("--backmatch-ratio -0.5", "BackmatchParams.ratio -0.5 is not in (0, 1]",
+     "argument --backmatch-ratio: '-0.5' is not a number in (0, 1]"),
+    ("--backmatch-ratio 1.5", "BackmatchParams.ratio 1.5 is not in (0, 1]",
+     "argument --backmatch-ratio: '1.5' is not a number in (0, 1]"),
+    ("--inlier-threshold -0.5",
+     "BasicParams.inlier_threshold -0.5 is not a finite number > 0",
+     "argument --inlier-threshold: '-0.5' is not a finite number > 0"),
+    ("--inlier-threshold 0", "BasicParams.inlier_threshold 0.0 is not a finite number > 0",
+     "argument --inlier-threshold: '0' is not a finite number > 0"),
+]
+
+
 @pytest.mark.parametrize("line, message", [
     ("--solver p5p", "invalid choice: 'p5p'"),
     ("--inlier-metric manhattan", "invalid choice: 'manhattan'"),
@@ -379,41 +427,21 @@ def test_ratio_one_is_accepted(tmp_path):
     ("--benchmark yes please", "unrecognized arguments: yes please"),
     ("--no-such-flag 1", "unrecognized arguments: --no-such-flag 1"),
     ("--meta 'meta.txt", "No closing quotation"),
-    ("--seed -1", "argument --seed: '-1' is not an integer >= 0"),
-    ("--max-iterations -1", "argument --max-iterations: '-1' is not an integer >= 0"),
-    ("--iterations-per-phase -5",
-     "argument --iterations-per-phase: '-5' is not an integer >= 0"),
-    ("--target-backmatches -1",
-     "argument --target-backmatches: '-1' is not an integer >= 0"),
     ("--jobs 2", "unrecognized arguments: --jobs 2"),
-    ("--k-sigmoid 0", "argument --k-sigmoid: '0' is not a finite number > 0"),
-    ("--k-sigmoid nan", "argument --k-sigmoid: 'nan' is not a finite number > 0"),
-    ("--stop-fraction nan", "argument --stop-fraction: 'nan' is not a finite number"),
-    ("--stop-fraction inf", "argument --stop-fraction: 'inf' is not a finite number"),
-    ("--skip-fraction nan", "argument --skip-fraction: 'nan' is not a finite number"),
-    ("--skip-fraction=-inf", "argument --skip-fraction: '-inf' is not a finite number"),
-    ("--ratio 0", "argument --ratio: '0' is not a number in (0, 1]"),
-    ("--ratio -0.5", "argument --ratio: '-0.5' is not a number in (0, 1]"),
-    ("--ratio 1.5", "argument --ratio: '1.5' is not a number in (0, 1]"),
-    ("--ratio nan", "argument --ratio: 'nan' is not a number in (0, 1]"),
-    ("--backmatch-ratio 0",
-     "argument --backmatch-ratio: '0' is not a number in (0, 1]"),
-    ("--backmatch-ratio -0.5",
-     "argument --backmatch-ratio: '-0.5' is not a number in (0, 1]"),
-    ("--backmatch-ratio 1.5",
-     "argument --backmatch-ratio: '1.5' is not a number in (0, 1]"),
-    ("--inlier-threshold -0.5",
-     "argument --inlier-threshold: '-0.5' is not a finite number > 0"),
-    ("--inlier-threshold 0",
-     "argument --inlier-threshold: '0' is not a finite number > 0"),
+    *(pytest.param(line, f"error: InvalidParams: {message}\n", id=f"{line}-{old}")
+      for line, message, old in _OUT_OF_RANGE),
 ])
 def test_bad_settings_file_exits_2(tmp_path, capsys, line, message):
     settings = tmp_path / "settings.txt"
     settings.write_text(line + "\n")
-    with pytest.raises(SystemExit) as exc:
-        cli.main([*required_flags(tmp_path, tmp_path), "--mode", "basic",
-                  "--query", "all", f"@{settings}"])
-    assert exc.value.code == 2
+    argv = [*required_flags(tmp_path, tmp_path), "--mode", "basic", "--query", "all",
+            f"@{settings}"]
+    if message.startswith("error: InvalidParams"):  # tmp_path has no model: refused before any read
+        assert cli.main(argv) == 2
+    else:  # argparse refuses the line
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
 
@@ -426,6 +454,17 @@ def test_undecodable_settings_file_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unreadable settings file" in err and "Traceback" not in err
+
+
+def test_every_params_field_has_one_flag_with_its_default():
+    defaults = vars(cli.build_arg_parser().parse_args(required_flags(Path("m"), Path("o"))))
+    for cls in (BasicParams, AdvancedParams, BackmatchParams):
+        for field in fields(cls):
+            flags = [flag for flag, classes, _ in cli._PARAM_FLAGS
+                     if cls in classes and cli._field(flag) == field.name]
+            assert len(flags) == (field.name != "rng_seed"), (cls, field.name)
+            for flag in flags:
+                assert defaults[flag.replace("-", "_")] == field.default, flag
 
 
 def test_unset_flags_take_the_params_defaults():
@@ -443,6 +482,14 @@ def test_unset_flags_take_the_params_defaults():
 class _Terminal(io.StringIO):
     def isatty(self):
         return True
+
+
+def test_bad_setting_fails_before_any_prompt(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _Terminal())
+    monkeypatch.setattr("builtins.input", lambda prompt: pytest.fail("prompted"))
+    assert cli.main([*required_flags(tmp_path, tmp_path), "--backmatch-ratio", "1.5"]) == 2
+    err = capsys.readouterr().err
+    assert "error: InvalidParams: BackmatchParams.ratio 1.5" in err
 
 
 def test_prompts_on_a_terminal_take_the_answers(scene_dir, tmp_path, monkeypatch):

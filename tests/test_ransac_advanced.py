@@ -74,20 +74,43 @@ class TestAcceptProbability:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: BackmatchParams(ratio=1.5),
-    lambda: BackmatchParams(ratio=0.0),
-    lambda: BackmatchParams(pool="covisble"),
-    lambda: AdvancedParams(k_sigmoid=0.0),
-    lambda: AdvancedParams(k_sigmoid=float("nan")),
-    lambda: AdvancedParams(inlier_threshold=-0.5),
-    lambda: AdvancedParams(inlier_metric="manhattan"),
-    lambda: BackmatchParams(priority_booster=-1),
-], ids=["ratio_above_1", "ratio_0", "misspelt_pool", "k_sigmoid_0", "k_sigmoid_nan",
-        "threshold_negative", "unknown_metric", "booster_negative"])
-def test_invalid_params_raise(make):
-    with pytest.raises(InvalidParams):
-        make()
+@pytest.mark.parametrize("cls, field, value", [
+    pytest.param(BackmatchParams, "ratio", 1.5, id="ratio_above_1"),
+    pytest.param(BackmatchParams, "ratio", 0.0, id="ratio_0"),
+    pytest.param(BackmatchParams, "ratio", -0.5, id="ratio_negative"),
+    pytest.param(BackmatchParams, "ratio", float("nan"), id="ratio_nan"),
+    pytest.param(BackmatchParams, "pool", "covisble", id="misspelt_pool"),
+    pytest.param(AdvancedParams, "k_sigmoid", 0.0, id="k_sigmoid_0"),
+    pytest.param(AdvancedParams, "k_sigmoid", float("nan"), id="k_sigmoid_nan"),
+    pytest.param(AdvancedParams, "k_sigmoid", float("inf"), id="k_sigmoid_inf"),
+    pytest.param(AdvancedParams, "inlier_threshold", -0.5, id="threshold_negative"),
+    pytest.param(AdvancedParams, "inlier_metric", "manhattan", id="unknown_metric"),
+    pytest.param(BackmatchParams, "priority_booster", -1, id="booster_negative"),
+    pytest.param(AdvancedParams, "iterations_per_phase", -5, id="iterations_negative"),
+    pytest.param(AdvancedParams, "skip_fraction", float("nan"), id="skip_fraction_nan"),
+    pytest.param(AdvancedParams, "skip_fraction", float("-inf"), id="skip_fraction_-inf"),
+    pytest.param(AdvancedParams, "skip_count", -1, id="skip_count_negative"),
+    pytest.param(AdvancedParams, "dead_end_limit", -1, id="dead_end_limit_negative"),
+    pytest.param(AdvancedParams, "min_seed_cameras", -1, id="min_seed_cameras_negative"),
+    pytest.param(AdvancedParams, "min_fitted", -1, id="min_fitted_negative"),
+    pytest.param(AdvancedParams, "max_restarts", -1, id="max_restarts_negative"),
+    pytest.param(AdvancedParams, "rng_seed", -1, id="seed_negative"),
+    pytest.param(BackmatchParams, "target_backmatches", -1, id="target_negative"),
+    pytest.param(BackmatchParams, "pop_cap_factor", -5, id="pop_cap_negative"),
+])
+def test_invalid_params_raise(cls, field, value):
+    with pytest.raises(InvalidParams, match=rf"^{cls.__name__}\.{field} "):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (AdvancedParams, "iterations_per_phase", 0), (AdvancedParams, "skip_fraction", -0.5),
+    (AdvancedParams, "k_sigmoid", 1e-9), (AdvancedParams, "inlier_metric", "pixel"),
+    (BackmatchParams, "ratio", 1.0), (BackmatchParams, "priority_booster", 0),
+    (BackmatchParams, "pool", "all"), (BackmatchParams, "pop_cap_factor", 0),
+])
+def test_edge_params_are_accepted(cls, field, value):
+    assert getattr(cls(**{field: value}), field) == value
 
 
 class TestDrawCooccurrence:

@@ -159,15 +159,30 @@ def test_unknown_solver_fails_before_sampling(monkeypatch, scene_matches,
         estimate(query, good, clean_scene.model, solver="p3pp")
 
 
-@pytest.mark.parametrize("make", [
-    lambda: BasicParams(inlier_threshold=-0.5),
-    lambda: BasicParams(inlier_threshold=0.0),
-    lambda: BasicParams(inlier_threshold=float("nan")),
-    lambda: BasicParams(inlier_metric="manhattan"),
-], ids=["threshold_negative", "threshold_0", "threshold_nan", "unknown_metric"])
-def test_invalid_params_raise(make):
-    with pytest.raises(InvalidParams):
-        make()
+@pytest.mark.parametrize("field, value", [
+    pytest.param("inlier_threshold", -0.5, id="threshold_negative"),
+    pytest.param("inlier_threshold", 0.0, id="threshold_0"),
+    pytest.param("inlier_threshold", float("nan"), id="threshold_nan"),
+    pytest.param("inlier_threshold", float("inf"), id="threshold_inf"),
+    pytest.param("inlier_metric", "manhattan", id="unknown_metric"),
+    pytest.param("max_iterations", -1, id="iterations_negative"),
+    pytest.param("stop_fraction", float("nan"), id="stop_fraction_nan"),
+    pytest.param("stop_fraction", float("inf"), id="stop_fraction_inf"),
+    pytest.param("stop_count", -1, id="stop_count_negative"),
+    pytest.param("min_fitted", -1, id="min_fitted_negative"),
+    pytest.param("rng_seed", -1, id="seed_negative"),
+])
+def test_invalid_params_raise(field, value):
+    with pytest.raises(InvalidParams, match=rf"^BasicParams\.{field} "):
+        BasicParams(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iterations", 0), ("inlier_threshold", 1e-9), ("stop_fraction", -0.5),
+    ("stop_count", 0), ("min_fitted", 0), ("inlier_metric", "pixel"), ("rng_seed", 0),
+])
+def test_edge_params_are_accepted(field, value):
+    assert getattr(BasicParams(**{field: value}), field) == value
 
 
 class TestBothSolvers:
