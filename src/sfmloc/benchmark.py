@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .descriptor_index import find_good_matches
-from .errors import InsufficientMatches, InvalidParams, NoSolution
+from .errors import InsufficientMatches, InvalidParams, NoSolution, check_setting
 from .minimal_solvers import Pose, denormalize_points, internal_to_bundler
 from .ransac_advanced import AdvancedParams, BackmatchParams, estimate_pose_advanced
-from .ransac_basic import BasicParams, check_setting, estimate_pose_basic
+from .ransac_basic import BasicParams, estimate_pose_basic
 from .sfm_data import (CameraRecord, QueryImage, SfmModel, build_mean_descriptors,
                        keyfile_records, split_golden, write_bundle,
                        write_keyfile)

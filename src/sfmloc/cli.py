@@ -11,12 +11,12 @@ benchmark module, which produces exactly this):
 
 All pipeline parameters are flags; an unset flag takes the type,
 default and choices of the params field it sets.  The params classes
-(``ransac_basic.Params``) check every setting, --ratio and --seed by the
-same rules, before any prompt, naming a refused class and field
-(``BackmatchParams.ratio``).  An argument ``@FILE`` reads flags from
-FILE as if typed in its place, split like a shell line with ``#``
-starting a comment (``--mode advanced  # with backmatching``), and a
-later flag overrides them.  Interactive prompts happen only when
+(``ransac_basic.Params``) check every setting through
+``errors.check_setting``, as --ratio and --seed do, before any prompt,
+naming a refused class and field (``BackmatchParams.ratio``).  An
+argument ``@FILE`` reads flags from FILE as if typed in its place, split
+like a shell line with ``#`` starting a comment (``--mode advanced  #
+with backmatching``), and a later flag overrides them.  Interactive prompts happen only when
 mode/query are missing and a terminal is attached.
 
 Exit status: 0 when every query is localized, 1 when at least one
@@ -46,15 +46,14 @@ from .benchmark import (
 )
 from .descriptor_index import (
     build_index,
-    check_ratio,
     descriptor_source_key,
     load_index_cache,
     save_index_cache,
 )
-from .errors import InvalidParams, LocalizationError, MalformedMetadata
+from .errors import InvalidParams, LocalizationError, MalformedMetadata, check_setting
 from .minimal_solvers import bundler_to_internal
 from .ransac_advanced import AdvancedParams, BackmatchParams
-from .ransac_basic import SOLVERS, BasicParams, check_setting
+from .ransac_basic import SOLVERS, BasicParams
 from .sfm_data import (
     QueryImage,
     build_mean_descriptors,
@@ -175,17 +174,15 @@ def config_from_args(args) -> RunConfig:
     query; InvalidParams, raised before asking, names a refused setting."""
     basic, advanced, backmatch = (
         _params(cls, args) for cls in (BasicParams, AdvancedParams, BackmatchParams))
-    check_setting("RunConfig.seed", args.seed)  # BasicParams.rng_seed's rule
-    if args.ratio is not None:
-        check_ratio(args.ratio, "RunConfig.ratio")
+    check_setting("RunConfig.seed", args.seed, int | None)  # rng_seed's rule
+    check_setting("RunConfig.ratio", args.ratio, float | None, ratio=True)
     mode, query = args.mode, args.query
     if (mode is None or query is None) and sys.stdin.isatty():
         if mode is None:
             mode = input(f"mode [{'/'.join(MODES)}]: ").strip()
         if query is None:
             query = input("query image name (or 'all'): ").strip()
-    if mode not in MODES:
-        raise InvalidParams(f"mode must be {' or '.join(MODES)}, got {mode!r}")
+    check_setting("RunConfig.mode", mode, str, choices=MODES)
     if not query:
         raise InvalidParams("no query selected")
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyInput, InvalidParams
+from .errors import EmptyInput, check_setting
 from .sfm_data import DESCRIPTOR_DIM, QueryImage
 
 CACHE_VERSION = 1
@@ -103,17 +103,10 @@ def build_index(points) -> DescriptorIndex:
     return DescriptorIndex(points)
 
 
-def check_ratio(ratio: float, name: str = "ratio") -> None:
-    """Raise InvalidParams, naming the setting, unless 0 < ratio <= 1:
-    above 1 a feature whose two nearest points tie would pass the ratio test."""
-    if not 0 < ratio <= 1:
-        raise InvalidParams(f"{name} {ratio!r} is not in (0, 1]")
-
-
 def ratio_test(d1, d2, ratio: float):
-    """Lowe's test, elementwise: accept iff d2 != 0 and d1 < ratio * d2
-    (see check_ratio)."""
-    check_ratio(ratio)
+    """Lowe's test, elementwise: accept iff d2 != 0 and d1 < ratio * d2;
+    InvalidParams unless ratio lies in (0, 1] (see check_setting)."""
+    check_setting("ratio", ratio, ratio=True)
     return (d2 != 0) & (d1 < ratio * d2)
 
 

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all sfmloc modules."""
+"""Exception hierarchy shared by all sfmloc modules, and check_setting,
+the one rule book of every setting (this module imports none of them)."""
+
+import math
+import numbers
 
 
 class LocalizationError(Exception):
@@ -63,3 +67,27 @@ class MalformedMetadata(LocalizationError):
 
 class InvalidParams(LocalizationError):
     """Parameter combination violates a documented precondition."""
+
+
+def check_setting(name: str, value, kind: type = int, choices=(),
+                  positive: bool = False, ratio: bool = False) -> None:
+    """Raise InvalidParams, naming the setting, unless value passes its rule.
+
+    A ratio is a number in (0, 1], so a tie of the two nearest points
+    fails the ratio test; a value with choices is one of them; a float is
+    a finite float, > 0 if positive; an int is an integer >= 0; None
+    passes where kind admits it.  numpy numbers count, a bool does not.
+    """
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if ratio:
+        ok, rule = number and 0 < value <= 1, "in (0, 1]"
+    elif choices:
+        ok, rule = value in choices, f"one of {', '.join(choices)}"
+    elif isinstance(0.5, kind):  # float, or float | None
+        ok = number and math.isfinite(value) and (value > 0 or not positive)
+        rule = "a finite number > 0" if positive else "a finite number"
+    else:
+        ok = number and isinstance(value, numbers.Integral) and value >= 0
+        rule = "an integer >= 0"
+    if not (ok or value is None and isinstance(None, kind)):
+        raise InvalidParams(f"{name} {value!r} is not {rule}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_setting
 from .minimal_solvers import Candidates, Pose
 
 # the fitted-match tests fitted_mask knows
@@ -43,8 +44,11 @@ def fitted_mask(poses: Pose | Candidates, centered_xy: np.ndarray,
     ray (threshold in world units): |pc|^2 |d|^2 - (pc . d)^2 <
     threshold^2 |d|^2, with pc . d > 0; "pixel" bounds the reprojection
     error (threshold in pixels).  Points behind the camera are never
-    inliers.  metric is one of METRICS; the params classes check it.
+    inliers.  Raises InvalidParams unless metric is one of METRICS and
+    threshold a finite number > 0.
     """
+    check_setting("metric", metric, choices=METRICS)
+    check_setting("threshold", threshold, float, positive=True)
     rotation = np.asarray(poses.rotation, dtype=float)
     shape = rotation.shape[:-2] + (len(positions),)
     rotation = rotation.reshape(-1, 3, 3)

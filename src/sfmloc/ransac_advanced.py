@@ -25,7 +25,7 @@ cameras with one np.add.at and pushes each of them once.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -212,8 +212,8 @@ def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,
     a second phase of the same length runs on it.  When backmatching
     adds nothing, the second phase reuses the first phase's context.
     """
-    focal = query.exif_focal_px
-    size = sample_size(matches, focal, solver)
+    ctx = MatchContext(query, matches, model, adv, solver)
+    size = sample_size(ctx)
     rng = np.random.default_rng(adv.rng_seed)
 
     def phase(ctx: MatchContext, best=None):
@@ -223,24 +223,22 @@ def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,
         return search(
             ctx, lambda: _draw_cooccurrence_idx(m.point_idx, bits, seeds,
                                                 size, adv, rng),
-            adv.iterations_per_phase, focal, solver, best)
+            adv.iterations_per_phase, best)
 
-    ctx = MatchContext(query, matches, model, adv.inlier_threshold,
-                       adv.inlier_metric, adv.min_fitted)
     best, iterations = phase(ctx)
-    phase1_count = 0 if best is None else best[2]
-    skip_at = min(adv.skip_count, int(np.ceil(adv.skip_fraction * len(matches))))
-    used_backmatching = best is None or best[2] < skip_at
+    phase1_count = 0 if best is None else len(best.fitted)
+    used_backmatching = (best is None or phase1_count
+                         < ctx.fit_target(adv.skip_count, adv.skip_fraction))
     if used_backmatching:
         augmented = backmatch(query, model, matches, back)
         if augmented is not matches:
-            ctx = MatchContext(query, augmented, model, adv.inlier_threshold,
-                               adv.inlier_metric, adv.min_fitted)
+            ctx = MatchContext(query, augmented, model, adv, solver)
             # re-score the phase-1 best on the augmented set: both phases compete alike
             if best is not None:
-                mask = ctx.fitted(best[1])
-                count, stats = ctx.evaluate(mask)
-                best = None if stats is None else (stats.q, best[1], count, stats, mask)
+                mask = ctx.fitted(best.pose)
+                stats = ctx.evaluate(mask)[1]
+                best = None if stats is None else replace(
+                    best, fitted=augmented.take(mask), quality=stats)
         best, phase2 = phase(ctx, best)
         iterations += phase2
     return best_estimate(ctx, best, iterations, used_backmatching=used_backmatching,

@@ -4,7 +4,8 @@ Uniform minimal samples (3 points with known focal length, 4 without),
 solver dispatch to P3P/P4Pf, candidate validation by the fitted-match
 test and coverage-quality ranking.  Stops early once the best estimate
 fits enough matches, otherwise runs to the iteration cap.  The advanced
-estimator runs the same loop, search, with its own sampler.
+estimator runs the same loop, search, with its own sampler.  A search
+reads one MatchContext per match set and keeps its best as a PoseEstimate.
 
 search draws its samples in batches, in the sampler's order, and solves
 and masks each batch at once: one P3P and one P4Pf call over all its
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .descriptor_index import Matches, check_ratio
-from .errors import InsufficientMatches, InvalidParams, NoSolution, SamplingExhausted
+from .descriptor_index import Matches
+from .errors import InsufficientMatches, NoSolution, SamplingExhausted, check_setting
 from .minimal_solvers import (
     Candidates,
     Pose,
@@ -40,25 +41,6 @@ from .sfm_data import QueryImage, SfmModel
 
 # the minimal solvers a search may run (see _solvers)
 SOLVERS = ("auto", "p3p", "p4pf", "both")
-
-
-def check_setting(name: str, value, kind: type = int, choices=(),
-                  positive: bool = False, ratio: bool = False) -> None:
-    """Raise InvalidParams, naming the setting, unless value passes its rule:
-    a ratio lies in (0, 1] (check_ratio), a value with choices is one of
-    them, a float is finite (and > 0 when positive), an int is >= 0 or
-    None (an unset seed)."""
-    if ratio:
-        return check_ratio(value, name)
-    if choices:
-        ok, rule = value in choices, f"one of {', '.join(choices)}"
-    elif kind is float:
-        ok = bool(np.isfinite(value)) and (value > 0 or not positive)
-        rule = "a finite number > 0" if positive else "a finite number"
-    else:
-        ok, rule = value is None or value >= 0, "an integer >= 0"
-    if not ok:
-        raise InvalidParams(f"{name} {value!r} is not {rule}")
 
 
 class Params:
@@ -93,7 +75,7 @@ class PoseEstimate:
     pose: Pose
     fitted: Matches
     quality: CoverageStats
-    iterations_used: int
+    iterations_used: int = 0  # set once the search is over (best_estimate)
     used_backmatching: bool = False
     phase1_fitted: int = 0
 
@@ -117,31 +99,39 @@ def _sample_unique_idx(point_ids: np.ndarray, n: int, rng) -> np.ndarray:
 
 
 class MatchContext:
-    """Per-query arrays shared by every candidate evaluation.
+    """One match set's RANSAC state, shared by every candidate of a search.
 
-    The one scoring path: candidates' fitted masks come from fitted_mask
-    (fitted) on the matches' model positions, gathered once into world,
-    and a candidate's quality from the coverage of its masked matches
-    against that of all matches (evaluate).
+    It reads the inlier test and min_fitted from params (checked
+    BasicParams or AdvancedParams) and resolves the solver once, into
+    p3p and p4pf ("auto" runs P4Pf only without a focal; InvalidParams
+    if unknown).  The one scoring path: fitted masks from fitted_mask on
+    the matches' model positions (world), and quality from the coverage
+    of the fitted matches against that of all matches (evaluate).
     """
 
     def __init__(self, query: QueryImage, matches: Matches, model: SfmModel,
-                 threshold: float, metric: str, min_fitted: int):
-        self.query = query
-        self.matches = matches
+                 params: Params, solver: str = "auto"):
+        check_setting("solver", solver, choices=SOLVERS)
+        self.query, self.matches, self.params = query, matches, params
+        self.focal_px = query.exif_focal_px
+        known = self.focal_px is not None
+        self.p3p = known and solver in ("auto", "p3p", "both")
+        self.p4pf = solver in ("p4pf", "both") or (solver == "auto" and not known)
         self.world = model.positions[matches.point_idx]
-        self.threshold = threshold
-        self.metric = metric
-        self.min_fitted = min_fitted
         self.raw_xy = query.features.xy[matches.feature_idx]
         self.centered_xy = normalize_points(self.raw_xy, query.width, query.height)
         self.c = coverage_window(query.width)
         self.area_good = coverage_area_xy(self.raw_xy, query.width, query.height, self.c)
 
+    def fit_target(self, count: int, fraction: float) -> int:
+        """count, or the fraction share of the matches if fewer: the fitted
+        matches that end a basic search or skip backmatching."""
+        return min(count, int(np.ceil(fraction * len(self.matches))))
+
     def fitted(self, poses: Pose | Candidates) -> np.ndarray:
         """Fitted masks of a pose (N,) or of a stack of candidates (K, N)."""
         return fitted_mask(poses, self.centered_xy, self.world,
-                           self.threshold, self.metric)
+                           self.params.inlier_threshold, self.params.inlier_metric)
 
     def evaluate(self, mask: np.ndarray, beat: float = -np.inf):
         """Fitted count and coverage stats of one candidate's fitted mask.
@@ -153,7 +143,7 @@ class MatchContext:
         """
         count = int(mask.sum())
         bound = min(count * (2 * self.c + 1) ** 2, self.area_good)
-        if count < self.min_fitted or (
+        if count < self.params.min_fitted or (
                 bound / self.area_good if self.area_good > 0 else 0.0) <= beat:
             return count, None
         return count, self.score(mask)
@@ -166,33 +156,24 @@ class MatchContext:
         return CoverageStats(self.area_good, area_fitted, q)
 
 
-def _solvers(focal_px: float | None, solver: str):
-    """(run P3P, run P4Pf); "auto" runs P4Pf only when the focal is unknown."""
-    check_setting("solver", solver, choices=SOLVERS)
-    return (solver in ("auto", "p3p", "both") and focal_px is not None,
-            solver in ("p4pf", "both") or (solver == "auto" and focal_px is None))
-
-
-def sample_size(matches: Matches, focal_px: float | None, solver: str) -> int:
+def sample_size(ctx: MatchContext) -> int:
     """Matches per minimal sample: 3 when P3P runs alone, otherwise 4.
 
-    The only check that a sample can be drawn: raises InvalidParams for
-    an unknown solver, InsufficientMatches when fewer distinct points are
-    matched and NoSolution when no solver applies (P3P without a focal).
-    The samplers rely on it.
+    The only check, which the samplers rely on, that a sample of
+    ctx.matches can be drawn: raises InsufficientMatches when fewer
+    distinct points are matched and NoSolution when no solver applies
+    (P3P without a focal).
     """
-    p3p, p4pf = _solvers(focal_px, solver)
-    size = 3 if p3p and not p4pf else 4
-    if (distinct := len(np.unique(matches.point_idx))) < size:
+    size = 3 if ctx.p3p and not ctx.p4pf else 4
+    if (distinct := len(np.unique(ctx.matches.point_idx))) < size:
         raise InsufficientMatches(f"{distinct} distinct points < sample size {size}")
-    if not (p3p or p4pf):
-        raise NoSolution(f"solver {solver!r} needs the focal the query lacks")
+    if not (ctx.p3p or ctx.p4pf):  # only "p3p" without a focal
+        raise NoSolution("solver 'p3p' needs the focal the query lacks")
     return size
 
 
-def solve_candidates(ctx: MatchContext, samples, focal_px: float | None,
-                     solver: str = "auto") -> Candidates:
-    """Run the minimal solver(s) on a batch of samples (B, n) at once.
+def solve_candidates(ctx: MatchContext, samples) -> Candidates:
+    """Run the context's minimal solver(s) on a batch of samples (B, n) at once.
 
     Each row of samples indexes ctx.matches.  The candidates come in row
     order and, within a row, P3P's before P4Pf's; a row the solvers
@@ -200,12 +181,11 @@ def solve_candidates(ctx: MatchContext, samples, focal_px: float | None,
     """
     world = ctx.world[samples]
     centered = ctx.centered_xy[samples]
-    want_p3p, want_p4pf = _solvers(focal_px, solver)
     parts = []
-    if want_p3p:
-        found = solve_p3p(bearing_vectors(centered[:, :3], focal_px), world[:, :3])
-        parts.append(replace(found, focal_px=np.full(len(found), float(focal_px))))
-    if want_p4pf:
+    if ctx.p3p:
+        found = solve_p3p(bearing_vectors(centered[:, :3], ctx.focal_px), world[:, :3])
+        parts.append(replace(found, focal_px=np.full(len(found), float(ctx.focal_px))))
+    if ctx.p4pf:
         parts.append(solve_p4pf(centered[:, :4], world[:, :4]))
     if len(parts) == 1:
         return parts[0]
@@ -219,17 +199,18 @@ def solve_candidates(ctx: MatchContext, samples, focal_px: float | None,
 _BATCH_CAP = 32
 
 
-def search(ctx: MatchContext, draw, iterations: int, focal_px: float | None,
-           solver: str, best=None, stop_at: int | None = None):
+def search(ctx: MatchContext, draw, iterations: int,
+           best: PoseEstimate | None = None, stop_at: int | None = None):
     """The RANSAC loop: (best, iterations run) after at most `iterations`.
 
     draw() gives one minimal sample as indices into ctx.matches.  The
-    caller has run sample_size on ctx.matches or on a subset of them, so
-    draw may rely on enough distinct points.  An iteration whose draw
-    raises SamplingExhausted passes without a sample.  best, None or
-    (q, pose, fitted count, stats, mask), gives way only to a strictly
-    higher q, so a candidate is scored only if it may beat that q (see
-    MatchContext.evaluate).  The loop ends early once best fits stop_at.
+    caller has run sample_size on ctx or on a context over a subset of
+    its matches, so draw may rely on enough distinct points.  An
+    iteration whose draw raises SamplingExhausted passes without a
+    sample.  best, None or a PoseEstimate over ctx.matches, gives way
+    only to a strictly higher q, so a candidate is scored only if it may
+    beat that q (see MatchContext.evaluate).  The loop ends early once
+    best fits stop_at.
 
     Samples are drawn and solved in batches of _BATCH_CAP, one when
     stop_at is set, and their candidates walked in sample order, so the
@@ -246,25 +227,26 @@ def search(ctx: MatchContext, draw, iterations: int, focal_px: float | None,
             except SamplingExhausted:
                 pass
         if samples:  # candidates come in sample order
-            candidates = solve_candidates(ctx, np.array(samples), focal_px, solver)
+            candidates = solve_candidates(ctx, np.array(samples))
             masks = ctx.fitted(candidates)
             for k in range(len(candidates)):
-                count, stats = ctx.evaluate(masks[k], -np.inf if best is None else best[0])
-                if stats is not None and (best is None or stats.q > best[0]):
-                    best = (stats.q, candidates.pose(k), count, stats, masks[k])
-        if stop_at is not None and best is not None and best[2] >= stop_at:
+                beat = -np.inf if best is None else best.quality.q
+                stats = ctx.evaluate(masks[k], beat)[1]
+                if stats is not None and stats.q > beat:
+                    best = PoseEstimate(candidates.pose(k),
+                                        ctx.matches.take(masks[k]), stats)
+        if stop_at is not None and best is not None and len(best.fitted) >= stop_at:
             return best, done + size  # a batch of one
     return best, iterations
 
 
 def best_estimate(ctx: MatchContext, best, iterations: int, **flags) -> PoseEstimate:
-    """The PoseEstimate of a search's best; NoSolution when there is none."""
+    """A search's best with its iteration count and flags; NoSolution
+    when there is none."""
     if best is None:
-        raise NoSolution(f"no candidate fitted {ctx.min_fitted}+ matches "
+        raise NoSolution(f"no candidate fitted {ctx.params.min_fitted}+ matches "
                          f"in {iterations} iterations")
-    _, pose, _, stats, mask = best
-    return PoseEstimate(pose=pose, fitted=ctx.matches.take(mask),
-                        quality=stats, iterations_used=iterations, **flags)
+    return replace(best, iterations_used=iterations, **flags)
 
 
 def estimate_pose_basic(query: QueryImage, matches: Matches, model: SfmModel,
@@ -279,14 +261,11 @@ def estimate_pose_basic(query: QueryImage, matches: Matches, model: SfmModel,
     when there are too few distinct points and NoSolution when no
     solver applies or no candidate ever fits min_fitted matches.
     """
-    focal = query.exif_focal_px
-    size = sample_size(matches, focal, solver)
-    ctx = MatchContext(query, matches, model, params.inlier_threshold,
-                       params.inlier_metric, params.min_fitted)
+    ctx = MatchContext(query, matches, model, params, solver)
+    size = sample_size(ctx)
     rng = np.random.default_rng(params.rng_seed)
-    stop_at = min(params.stop_count,
-                  int(np.ceil(params.stop_fraction * len(matches))))
     best, iterations = search(
         ctx, lambda: _sample_unique_idx(matches.point_idx, size, rng),
-        params.max_iterations, focal, solver, stop_at=stop_at)
+        params.max_iterations,
+        stop_at=ctx.fit_target(params.stop_count, params.stop_fraction))
     return best_estimate(ctx, best, iterations)

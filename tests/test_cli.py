@@ -512,7 +512,8 @@ def test_missing_mode_or_query_without_a_terminal_exits_2(tmp_path, capsys,
     monkeypatch.setattr("builtins.input", lambda prompt: pytest.fail("prompted"))
     assert cli.main([*required_flags(tmp_path, tmp_path), *given]) == 2
     err = capsys.readouterr().err
-    assert ("mode must be" in err or "no query selected" in err)
+    assert ("InvalidParams: RunConfig.mode None is not one of basic, advanced" in err
+            or "InvalidParams: no query selected" in err)
     assert "Traceback" not in err
 
 

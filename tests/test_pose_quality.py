@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfmloc import (
+    BasicParams,
     MatchContext,
     Matches,
     Pose,
@@ -15,6 +16,7 @@ from sfmloc import (
     fitted_mask,
     normalize_points,
 )
+from sfmloc.errors import InvalidParams
 from sfmloc.minimal_solvers import Candidates
 from sfmloc.sfm_data import QueryImage, keyfile_records
 
@@ -27,16 +29,17 @@ def make_query(xy, width=400, height=300):
     return QueryImage(name="q", width=width, height=height, features=feats)
 
 
-def make_context(query, threshold=0.5, metric="ray"):
+def make_context(query):
     """Scoring context over one match per query feature."""
     n = len(query.features)
     matches = Matches(np.arange(n), np.arange(n))
     return MatchContext(query, matches, points_model(np.tile([0.0, 0.0, 1.0], (n, 1))),
-                        threshold, metric, min_fitted=1)
+                        BasicParams(min_fitted=1))
 
 
 def fitted_count(pose, good, query, model, threshold, metric="ray"):
-    ctx = MatchContext(query, good, model, threshold, metric, min_fitted=1)
+    params = BasicParams(inlier_threshold=threshold, inlier_metric=metric, min_fitted=1)
+    ctx = MatchContext(query, good, model, params)
     return ctx.evaluate(ctx.fitted(pose))[0]
 
 
@@ -137,6 +140,20 @@ class TestFittedMatches:
         query, golden, good = scene_matches
         assert fitted_count(golden, good, query, clean_scene.model, 2.0,
                             "pixel") == len(good)
+
+    @pytest.mark.parametrize("metric, threshold, name", [
+        ("manhattan", 0.5, "metric 'manhattan'"), ("ray", 0.0, "threshold 0.0"),
+        ("ray", float("nan"), "threshold nan"), ("pixel", "2", "threshold '2'")])
+    def test_bad_test_settings_raise(self, scene_matches, clean_scene, metric,
+                                     threshold, name):
+        """fitted_mask checks its own metric and threshold, as the params
+        classes do; an unknown metric used to run the pixel test."""
+        query, golden, good = scene_matches
+        xy = normalize_points(query.features.xy[good.feature_idx],
+                              query.width, query.height)
+        world = clean_scene.model.positions[good.point_idx]
+        with pytest.raises(InvalidParams, match=rf"^{name} is not "):
+            fitted_mask(golden, xy, world, threshold, metric)
 
     @pytest.mark.parametrize("metric, threshold", [("ray", 0.5), ("pixel", 4.0)])
     def test_stacked_masks_equal_the_oracle(self, noisy_scene, metric, threshold):

@@ -97,6 +97,14 @@ class TestAcceptProbability:
     pytest.param(AdvancedParams, "rng_seed", -1, id="seed_negative"),
     pytest.param(BackmatchParams, "target_backmatches", -1, id="target_negative"),
     pytest.param(BackmatchParams, "pop_cap_factor", -5, id="pop_cap_negative"),
+    pytest.param(AdvancedParams, "iterations_per_phase", 2.5, id="iterations_fractional"),
+    pytest.param(AdvancedParams, "min_fitted", True, id="min_fitted_bool"),
+    pytest.param(AdvancedParams, "rng_seed", 1.5, id="seed_fractional"),
+    pytest.param(AdvancedParams, "inlier_threshold", "0.5", id="threshold_str"),
+    pytest.param(AdvancedParams, "k_sigmoid", None, id="k_sigmoid_none"),
+    pytest.param(BackmatchParams, "ratio", "0.7", id="ratio_str"),
+    pytest.param(BackmatchParams, "ratio", True, id="ratio_bool"),
+    pytest.param(BackmatchParams, "target_backmatches", 100.0, id="target_float"),
 ])
 def test_invalid_params_raise(cls, field, value):
     with pytest.raises(InvalidParams, match=rf"^{cls.__name__}\.{field} "):
@@ -108,6 +116,9 @@ def test_invalid_params_raise(cls, field, value):
     (AdvancedParams, "k_sigmoid", 1e-9), (AdvancedParams, "inlier_metric", "pixel"),
     (BackmatchParams, "ratio", 1.0), (BackmatchParams, "priority_booster", 0),
     (BackmatchParams, "pool", "all"), (BackmatchParams, "pop_cap_factor", 0),
+    (AdvancedParams, "iterations_per_phase", np.int64(12)),
+    (AdvancedParams, "inlier_threshold", np.float32(0.5)), (AdvancedParams, "k_sigmoid", 5),
+    (BackmatchParams, "ratio", np.float32(0.5)), (BackmatchParams, "ratio", 1),
 ])
 def test_edge_params_are_accepted(cls, field, value):
     assert getattr(cls(**{field: value}), field) == value

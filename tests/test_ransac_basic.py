@@ -36,11 +36,18 @@ class TestSampleUnique:
     def test_duplicate_points_counted_once(self):
         # three matches of two points: sample_size, the samplers' only
         # check, counts each point once
-        matches = Matches(np.arange(3), [5, 5, 6])
+        feats = keyfile_records([(10.0, 10.0)] * 3, np.zeros((3, 128), dtype=np.uint8))
+        query = QueryImage(name="q", width=400, height=300, features=feats,
+                           exif_focal_px=400.0)
+        model = points_model(np.zeros((8, 3)))
+
+        def size(point_idx):
+            ctx = MatchContext(query, Matches(np.arange(3), point_idx), model,
+                               BasicParams(), "p3p")
+            return ransac_basic.sample_size(ctx)
         with pytest.raises(InsufficientMatches):
-            ransac_basic.sample_size(matches, 400.0, "p3p")
-        distinct = replace(matches, point_idx=np.array([5, 6, 7]))
-        assert ransac_basic.sample_size(distinct, 400.0, "p3p") == 3
+            size([5, 5, 6])
+        assert size([5, 6, 7]) == 3
 
     def test_pairs_uniform(self):
         # 1000 draws of n=2 from 4 matches: each unordered pair ~ 1/6
@@ -171,6 +178,12 @@ def test_unknown_solver_fails_before_sampling(monkeypatch, scene_matches,
     pytest.param("stop_count", -1, id="stop_count_negative"),
     pytest.param("min_fitted", -1, id="min_fitted_negative"),
     pytest.param("rng_seed", -1, id="seed_negative"),
+    pytest.param("max_iterations", 2.5, id="iterations_fractional"),
+    pytest.param("min_fitted", True, id="min_fitted_bool"),
+    pytest.param("rng_seed", 1.5, id="seed_fractional"),
+    pytest.param("stop_count", 12.0, id="stop_count_float"),
+    pytest.param("inlier_threshold", "0.5", id="threshold_str"),
+    pytest.param("stop_fraction", None, id="stop_fraction_none"),
 ])
 def test_invalid_params_raise(field, value):
     with pytest.raises(InvalidParams, match=rf"^BasicParams\.{field} "):
@@ -180,6 +193,8 @@ def test_invalid_params_raise(field, value):
 @pytest.mark.parametrize("field, value", [
     ("max_iterations", 0), ("inlier_threshold", 1e-9), ("stop_fraction", -0.5),
     ("stop_count", 0), ("min_fitted", 0), ("inlier_metric", "pixel"), ("rng_seed", 0),
+    ("max_iterations", np.int64(12)), ("inlier_threshold", np.float32(0.5)),
+    ("inlier_threshold", 2), ("rng_seed", None),
 ])
 def test_edge_params_are_accepted(field, value):
     assert getattr(BasicParams(**{field: value}), field) == value
@@ -190,13 +205,14 @@ class TestBothSolvers:
 
     def test_rows_merge_the_single_solvers(self, scene_matches, clean_scene):
         query, _, good = scene_matches
-        ctx = MatchContext(query, good, clean_scene.model, 0.5, "ray", 6)
         rng = np.random.default_rng(8)
         samples = np.array([rng.choice(len(good), 4, replace=False)
                             for _ in range(24)])
         focal = query.exif_focal_px
-        both, p3p, p4pf = (solve_candidates(ctx, samples, focal, solver)
-                           for solver in ("both", "p3p", "p4pf"))
+        both, p3p, p4pf = (
+            solve_candidates(MatchContext(query, good, clean_scene.model,
+                                          BasicParams(), solver), samples)
+            for solver in ("both", "p3p", "p4pf"))
         assert np.all(p3p.focal_px == focal)
         assert len(p3p) and len(p4pf) and len(both) == len(p3p) + len(p4pf)
         for row in range(len(samples)):
@@ -214,21 +230,26 @@ class TestBothSolvers:
         assert err.translation < 1e-3 * scene_diameter(clean_scene.model)
         assert err.rotation_deg < 0.1
 
+    def test_unknown_solver_fails_when_the_context_is_built(self, scene_matches,
+                                                            clean_scene):
+        query, _, good = scene_matches
+        with pytest.raises(InvalidParams, match=r"^solver 'p3pp' "):
+            MatchContext(query, good, clean_scene.model, BasicParams(), solver="p3pp")
 
-def oracle_search(ctx, draw, iterations: int, focal_px: float | None,
-                  solver: str, best=None, stop_at: int | None = None):
+
+def oracle_search(ctx, draw, iterations: int, best=None, stop_at: int | None = None):
     """The RANSAC loop, one sample at a time: (best, iterations run).
 
     draw() gives one minimal sample as indices into ctx.matches.  The
-    caller has run sample_size on ctx.matches or on a subset of them, so
-    draw may rely on enough distinct points.  An iteration whose draw
-    raises SamplingExhausted passes without a sample.  best, None or
-    (q, pose, fitted count, stats, mask), gives way only to a strictly
-    higher q.  The loop ends early once best fits stop_at matches.
+    caller has run sample_size on ctx, so draw may rely on enough
+    distinct points.  An iteration whose draw raises SamplingExhausted
+    passes without a sample.  best, None or (q, pose, fitted count,
+    stats, mask), gives way only to a strictly higher q.  The loop ends
+    early once best fits stop_at matches.
     """
     for it in range(iterations):
         try:
-            found = solve_candidates(ctx, np.asarray(draw())[None], focal_px, solver)
+            found = solve_candidates(ctx, np.asarray(draw())[None])
             poses = [found.pose(k) for k in range(len(found))]
         except SamplingExhausted:
             poses = []
@@ -242,13 +263,13 @@ def oracle_search(ctx, draw, iterations: int, focal_px: float | None,
     return best, iterations
 
 
-def noisy_context(noisy_scene, qi):
-    """Scoring context over the good matches of one noisy-scene query."""
+def noisy_context(noisy_scene, qi, solver="auto"):
+    """RANSAC context over the good matches of one noisy-scene query."""
     model = noisy_scene.model
     index = build_index(model.mean_descriptors.astype(float))
     query, _ = noisy_scene.queries[qi]
     good = find_good_matches(index, query, 0.9)
-    return query, ransac_basic.MatchContext(query, good, model, 0.5, "ray", 6)
+    return query, ransac_basic.MatchContext(query, good, model, BasicParams(), solver)
 
 
 def sampler(kind, matches, size, rng, calls=None, model=None):
@@ -291,31 +312,34 @@ class TestSkipBound:
 
         def counting(ctx, mask, beat=-np.inf):
             count, stats = evaluate(ctx, mask, beat)
-            skipped.append(stats is None and count >= ctx.min_fitted)
+            skipped.append(stats is None and count >= ctx.params.min_fitted)
             return count, stats
         monkeypatch.setattr(ransac_basic.MatchContext, "evaluate", counting)
         for qi in (0, 1):
-            query, ctx = noisy_context(noisy_scene, qi)
-            focal = query.exif_focal_px
-            size = ransac_basic.sample_size(ctx.matches, focal, solver)
+            query, ctx = noisy_context(noisy_scene, qi, solver)
+            size = ransac_basic.sample_size(ctx)
             rngs = np.random.default_rng(qi), np.random.default_rng(qi)
             want_draws, got_draws = [], []
             want, want_its = oracle_search(
                 ctx, sampler(kind, ctx.matches, size, rngs[0], want_draws,
                              noisy_scene.model),
-                60, focal, solver, stop_at=stop_at)
+                60, stop_at=stop_at)
             got, got_its = ransac_basic.search(
                 ctx, sampler(kind, ctx.matches, size, rngs[1], got_draws,
                              noisy_scene.model),
-                60, focal, solver, stop_at=stop_at)
+                60, stop_at=stop_at)
             assert got_its == want_its
             assert len(got_draws) == len(want_draws) == got_its
             assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
-            assert got[0] == want[0] and got[2] == want[2] and got[3] == want[3]
-            assert np.array_equal(got[1].rotation, want[1].rotation)
-            assert np.array_equal(got[1].center, want[1].center)
-            assert got[1].focal_px == want[1].focal_px
-            assert np.array_equal(got[4], want[4])
+            want_q, want_pose, want_count, want_stats, want_mask = want
+            assert got.quality.q == want_q and got.quality == want_stats
+            assert len(got.fitted) == want_count
+            assert np.array_equal(got.pose.rotation, want_pose.rotation)
+            assert np.array_equal(got.pose.center, want_pose.center)
+            assert got.pose.focal_px == want_pose.focal_px
+            want_fitted = ctx.matches.take(want_mask)
+            assert np.array_equal(got.fitted.feature_idx, want_fitted.feature_idx)
+            assert np.array_equal(got.fitted.point_idx, want_fitted.point_idx)
         # without an early stop, the bound does skip candidates
         assert stop_at is not None or any(skipped)
 
@@ -327,7 +351,7 @@ class TestSkipBound:
         query = QueryImage(name="q", width=400, height=300, features=feats)
         matches = Matches(np.arange(10), np.arange(10))
         ctx = ransac_basic.MatchContext(query, matches, points_model(np.zeros((10, 3))),
-                                        0.5, "ray", 1)
+                                        BasicParams(min_fitted=1))
         assert ctx.area_good == 10 * 21 ** 2
         mask = np.arange(10) < 4
         q = ctx.evaluate(mask)[1].q
@@ -339,7 +363,7 @@ class TestSkipBound:
         query, ctx = noisy_context(noisy_scene, 2)
         draw = sampler("basic", ctx.matches, 3, np.random.default_rng(0))
         samples = np.array([draw() for _ in range(60)])
-        found = ransac_basic.solve_candidates(ctx, samples, query.exif_focal_px)
+        found = ransac_basic.solve_candidates(ctx, samples)
         checked = 0
         for mask in ctx.fitted(found):
             count, stats = ctx.evaluate(mask)
