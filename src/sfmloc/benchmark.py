@@ -81,8 +81,6 @@ class SyntheticScene:
 
     model: SfmModel
     queries: list  # (QueryImage, golden Pose) pairs
-    noise_px: float
-    outlier_fraction: float
     outlier_labels: list
     db_keyfiles: list  # one KEYFILE_DTYPE record array per database camera
     db_names: list
@@ -297,8 +295,7 @@ def generate_synthetic_scene(n_points: int, n_cameras: int, image_size=(800, 600
     model = model.with_mean_descriptors(build_mean_descriptors(
         db_model, lambda cam: db_keyfiles[cam].descriptor).mean_descriptors)
 
-    return SyntheticScene(model=model, queries=queries, noise_px=noise_px,
-                          outlier_fraction=outlier_fraction,
+    return SyntheticScene(model=model, queries=queries,
                           outlier_labels=outlier_labels,
                           db_keyfiles=db_keyfiles,
                           db_names=db_names,

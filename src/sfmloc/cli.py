@@ -62,7 +62,7 @@ from .sfm_data import (
     parse_keyfile,
     split_golden,
 )
-from .viz_export import export_ply, export_query_bundle
+from .viz_export import MESH_NAME, export_ply, export_query_bundle
 
 _BASIC, _ADVANCED, _BACKMATCH = (BasicParams,), (AdvancedParams,), (BackmatchParams,)
 _BOTH = _BASIC + _ADVANCED
@@ -301,7 +301,7 @@ def run(config: RunConfig) -> int:
     index = build_index(info.mean_descriptors.astype(float))
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    export_ply(info, out / "mesh.ply")
+    export_ply(info, out / MESH_NAME)
 
     def one(task):
         qi, name = task
@@ -327,7 +327,7 @@ def run(config: RunConfig) -> int:
                 break
         export_query_bundle(est.pose, query, est.fitted, info,
                             out / Path(name).stem, image_source=image_source,
-                            write_mesh=False, mesh_filename="../mesh.ply")
+                            write_mesh=False, mesh_filename=f"../{MESH_NAME}")
         print(f"[{name}] q={est.quality.q:.3f} fitted={len(est.fitted)} "
               f"iters={est.iterations_used} "
               f"backmatching={est.used_backmatching} "

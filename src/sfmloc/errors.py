@@ -75,8 +75,9 @@ def check_setting(name: str, value, kind: type = int, choices=(),
 
     A ratio is a number in (0, 1], so a tie of the two nearest points
     fails the ratio test; a value with choices is one of them; a float is
-    a finite float, > 0 if positive; an int is an integer >= 0; None
-    passes where kind admits it.  numpy numbers count, a bool does not.
+    a number within the float range, > 0 if positive; an int is an
+    integer >= 0; None passes where kind admits it.  numpy numbers count,
+    a bool does not.
     """
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if ratio:
@@ -84,7 +85,10 @@ def check_setting(name: str, value, kind: type = int, choices=(),
     elif choices:
         ok, rule = value in choices, f"one of {', '.join(choices)}"
     elif isinstance(0.5, kind):  # float, or float | None
-        ok = number and math.isfinite(value) and (value > 0 or not positive)
+        try:
+            ok = number and math.isfinite(value) and (value > 0 or not positive)
+        except OverflowError:  # an int beyond the float range
+            ok = False
         rule = "a finite number > 0" if positive else "a finite number"
     else:
         ok = number and isinstance(value, numbers.Integral) and value >= 0

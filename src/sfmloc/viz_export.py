@@ -6,11 +6,15 @@ with per-vertex color, a pose becomes a Meshlab project (virtual
 camera), a camera glyph OBJ (frustum plus textured sprite quad) and a
 projection OBJ whose polylines run from the camera center through the
 image plane to each fitted 3D point.
+
+export_query_bundle writes one query's set into out_dir and returns
+nothing: camera.mlp, camera.obj with camera.obj.mtl, camera_proj.obj
+when a match is fitted, and the photo as camera.jpg when one is found.
+A run writes one shared mesh.ply, which each query names as ../mesh.ply.
 """
 
 import shutil
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,17 +25,8 @@ from .minimal_solvers import BUNDLER_FLIP, Pose
 from .sfm_data import QueryImage, SfmModel, scene_diameter
 
 MLP_PIXEL_SIZE_MM = 0.01
-
-
-@dataclass(frozen=True)
-class ExportBundle:
-    """File locations written for one query."""
-
-    mesh_path: Path
-    mlp_path: Path
-    camera_obj_path: Path
-    projection_obj_path: Path | None  # None when there is no fitted match
-    image_path: Path | None
+PHOTO_NAME = "camera.jpg"  # the query photo, as the .mlp and .mtl name it
+MESH_NAME = "mesh.ply"  # the point cloud one run shares across its queries
 
 
 def _fmt(x: float) -> str:
@@ -60,8 +55,7 @@ def export_ply(model: SfmModel, path) -> None:
 
 
 def export_mlp(pose: Pose, query: QueryImage, path,
-               mesh_filename: str = "mesh.ply",
-               image_filename: str = "camera.jpg") -> None:
+               mesh_filename: str = MESH_NAME) -> None:
     """Write a Meshlab project declaring the pose as a virtual camera.
 
     The rotation is converted to the viewer's -Z-looking frame with the
@@ -81,7 +75,7 @@ def export_mlp(pose: Pose, query: QueryImage, path,
     matrix = ET.SubElement(mesh, "MLMatrix44")
     matrix.text = ("\n1 0 0 0 \n0 1 0 0 \n0 0 1 0 \n0 0 0 1 \n")
     rasters = ET.SubElement(root, "RasterGroup")
-    raster = ET.SubElement(rasters, "MLRaster", label=image_filename)
+    raster = ET.SubElement(rasters, "MLRaster", label=PHOTO_NAME)
     ET.SubElement(raster, "VCGCamera", attrib={
         "TranslationVector": f"{_fmt(tra[0])} {_fmt(tra[1])} {_fmt(tra[2])} 1",
         "LensDistortion": "0 0",
@@ -91,7 +85,7 @@ def export_mlp(pose: Pose, query: QueryImage, path,
         "FocalMm": _fmt(pose.focal_px * MLP_PIXEL_SIZE_MM),
         "RotationMatrix": " ".join(_fmt(v) for v in rot44.reshape(-1)) + " ",
     })
-    ET.SubElement(raster, "Plane", semantic="1", fileName=image_filename)
+    ET.SubElement(raster, "Plane", semantic="1", fileName=PHOTO_NAME)
 
     body = ET.tostring(root, encoding="unicode")
     with open(path, "w") as fh:
@@ -123,7 +117,7 @@ def export_camera_obj(pose: Pose, path, image_size=(400, 300),
     with open(mtl_path, "w") as fh:
         fh.write("newmtl sprite\n")
         fh.write("Kd 1 1 1\n")
-        fh.write("map_Kd camera.jpg\n")
+        fh.write(f"map_Kd {PHOTO_NAME}\n")
 
     with open(path, "w") as fh:
         fh.write(f"mtllib {mtl_path.name}\n")
@@ -169,36 +163,26 @@ def export_projection_obj(pose: Pose, fitted: Matches, model: SfmModel, path,
 def export_query_bundle(pose: Pose, query: QueryImage, fitted: Matches,
                         model: SfmModel, out_dir, image_source=None,
                         write_mesh: bool = True,
-                        mesh_filename: str = "mesh.ply") -> ExportBundle:
+                        mesh_filename: str = MESH_NAME) -> None:
     """Write the full per-query export set into out_dir.
 
     The camera glyph spans one percent of the point-cloud bounding-box
     diagonal.  The query photograph is copied next to the exports as
-    camera.jpg when a source file is supplied.  A shared mesh in a
+    PHOTO_NAME when a source file is supplied.  A shared mesh in a
     parent directory can be referenced through mesh_filename with
     write_mesh=False.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mesh_path = out / mesh_filename
     if write_mesh:
-        export_ply(model, mesh_path)
+        export_ply(model, out / mesh_filename)
 
     glyph = max(scene_diameter(model) * 0.01, 1e-6)
-
-    mlp_path = out / "camera.mlp"
-    export_mlp(pose, query, mlp_path, mesh_filename=mesh_filename)
-    obj_path = out / "camera.obj"
-    export_camera_obj(pose, obj_path, (query.width, query.height), glyph)
-    proj_path = None
+    export_mlp(pose, query, out / "camera.mlp", mesh_filename=mesh_filename)
+    export_camera_obj(pose, out / "camera.obj", (query.width, query.height),
+                      glyph)
     if len(fitted):
-        proj_path = out / "camera_proj.obj"
-        export_projection_obj(pose, fitted, model, proj_path, glyph)
-    image_path = None
+        export_projection_obj(pose, fitted, model, out / "camera_proj.obj",
+                              glyph)
     if image_source is not None and Path(image_source).is_file():
-        image_path = out / "camera.jpg"
-        shutil.copyfile(image_source, image_path)
-    return ExportBundle(mesh_path=mesh_path, mlp_path=mlp_path,
-                        camera_obj_path=obj_path,
-                        projection_obj_path=proj_path,
-                        image_path=image_path)
+        shutil.copyfile(image_source, out / PHOTO_NAME)

@@ -143,7 +143,9 @@ class TestFittedMatches:
 
     @pytest.mark.parametrize("metric, threshold, name", [
         ("manhattan", 0.5, "metric 'manhattan'"), ("ray", 0.0, "threshold 0.0"),
-        ("ray", float("nan"), "threshold nan"), ("pixel", "2", "threshold '2'")])
+        ("ray", float("nan"), "threshold nan"), ("pixel", "2", "threshold '2'"),
+        pytest.param("ray", 10**400, f"threshold {10**400}",
+                     id="ray-beyond_float")])
     def test_bad_test_settings_raise(self, scene_matches, clean_scene, metric,
                                      threshold, name):
         """fitted_mask checks its own metric and threshold, as the params

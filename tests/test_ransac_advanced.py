@@ -105,6 +105,7 @@ class TestAcceptProbability:
     pytest.param(BackmatchParams, "ratio", "0.7", id="ratio_str"),
     pytest.param(BackmatchParams, "ratio", True, id="ratio_bool"),
     pytest.param(BackmatchParams, "target_backmatches", 100.0, id="target_float"),
+    pytest.param(AdvancedParams, "k_sigmoid", -10**400, id="k_sigmoid_beyond_float"),
 ])
 def test_invalid_params_raise(cls, field, value):
     with pytest.raises(InvalidParams, match=rf"^{cls.__name__}\.{field} "):

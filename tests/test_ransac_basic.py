@@ -184,6 +184,8 @@ def test_unknown_solver_fails_before_sampling(monkeypatch, scene_matches,
     pytest.param("stop_count", 12.0, id="stop_count_float"),
     pytest.param("inlier_threshold", "0.5", id="threshold_str"),
     pytest.param("stop_fraction", None, id="stop_fraction_none"),
+    pytest.param("inlier_threshold", 10**400, id="threshold_beyond_float"),
+    pytest.param("stop_fraction", 10**400, id="stop_fraction_beyond_float"),
 ])
 def test_invalid_params_raise(field, value):
     with pytest.raises(InvalidParams, match=rf"^BasicParams\.{field} "):

@@ -16,6 +16,7 @@ from sfmloc import (
 )
 from sfmloc.errors import EmptyInput
 from sfmloc.sfm_data import QueryImage, SfmModel
+from sfmloc.viz_export import MESH_NAME, PHOTO_NAME
 
 from conftest import random_rotation
 
@@ -280,24 +281,47 @@ class TestExportQueryBundle:
     def test_full_bundle_on_disk(self, tmp_path, clean_scene):
         model = clean_scene.model
         query, golden = clean_scene.queries[0]
-        bundle = export_query_bundle(golden, query, make_fitted(model, 1),
-                                     model, tmp_path / "out")
-        assert bundle.mesh_path.is_file()
-        assert bundle.mlp_path.is_file()
-        assert bundle.camera_obj_path.is_file()
-        assert bundle.projection_obj_path.is_file()
-        ET.parse(bundle.mlp_path)  # well-formed
+        out = tmp_path / "out"
+        assert export_query_bundle(golden, query, make_fitted(model, 1),
+                                   model, out) is None
+        for name in (MESH_NAME, "camera.mlp", "camera.obj", "camera.obj.mtl",
+                     "camera_proj.obj"):
+            assert (out / name).is_file()
+        ET.parse(out / "camera.mlp")  # well-formed
 
     def test_deterministic_bundles(self, tmp_path, clean_scene):
         model = clean_scene.model
         query, golden = clean_scene.queries[0]
         outs = []
         for sub in ("a", "b"):
-            bundle = export_query_bundle(golden, query, Matches.empty(),
-                                         model, tmp_path / sub)
-            assert bundle.projection_obj_path is None
-            assert not (tmp_path / sub / "camera_proj.obj").exists()
-            outs.append((bundle.mlp_path.read_bytes(),
-                         bundle.camera_obj_path.read_bytes(),
-                         bundle.mesh_path.read_bytes()))
+            out = tmp_path / sub
+            export_query_bundle(golden, query, Matches.empty(), model, out)
+            assert not (out / "camera_proj.obj").exists()
+            outs.append([(out / name).read_bytes() for name in
+                         ("camera.mlp", "camera.obj", "camera.obj.mtl",
+                          MESH_NAME)])
         assert outs[0] == outs[1]
+
+    def test_every_file_names_the_same_photo(self, tmp_path, clean_scene):
+        """The .mlp's raster and plane, the .mtl's texture and the copy
+        agree on one photo name; the .mlp names the mesh it is given."""
+        model = clean_scene.model
+        query, golden = clean_scene.queries[0]
+        photo = tmp_path / "query_photo.jpg"
+        photo.write_bytes(b"\xff\xd8 not really a jpeg")
+        out = tmp_path / "out"
+        export_query_bundle(golden, query, make_fitted(model, 1), model, out,
+                            image_source=photo, write_mesh=False,
+                            mesh_filename="../shared.ply")
+        root = ET.parse(out / "camera.mlp").getroot()
+        mtl = (out / "camera.obj.mtl").read_text().splitlines()
+        names = [root.find(".//MLRaster").get("label"),
+                 root.find(".//Plane").get("fileName"),
+                 *(line.split()[1] for line in mtl
+                   if line.startswith("map_Kd "))]
+        assert names == [PHOTO_NAME] * 3
+        assert (out / PHOTO_NAME).read_bytes() == photo.read_bytes()
+        assert sorted(f.name for f in out.glob("*.jpg")) == [PHOTO_NAME]
+        mesh = root.find(".//MLMesh")
+        assert mesh.get("filename") == mesh.get("label") == "../shared.ply"
+        assert not (out / "../shared.ply").exists()
