@@ -298,7 +298,7 @@ def run(config: RunConfig) -> int:
     else:
         info = info.with_mean_descriptors(descriptors)
 
-    index = build_index(info.mean_descriptors.astype(float))
+    index = build_index(info.mean_descriptors)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     export_ply(info, out / MESH_NAME)

@@ -1,17 +1,21 @@
 """Nearest-neighbor descriptor search and ratio-test match filtering.
 
-Matching is an exact 2-NN scan over the model's per-point mean
-descriptors (Euclidean metric on raw SIFT values): a kd-tree built as
-one leaf, so each query row is a plain scan in C over every point, with
-no tree to traverse.  In 128-D a tree prunes little, and traversal cost
-more than it saved: on a 7 162-point street model (2 cores) 1 400 rows
-took 0.82 s with 16-point leaves, 0.61 s with 256 and 0.33 s with one
-leaf, with identical results.  The index is immutable.  A multi-row
-query is split over every CPU (rows are searched independently); a
-one-row query, as backmatching issues per popped point, runs on the
-calling thread, where starting threads would cost more than the search.
-A match is a pair of indices, a query feature and a model point; its
-position and camera views stay in the model.
+DescriptorIndex is the only code that knows how 2-NN is computed: its
+query gives each row's exact two nearest points (Euclidean metric on raw
+SIFT values), nearest first.  It takes descriptors of any integer or
+float type and computes in float64, exact for byte-valued descriptors
+(each squared distance is an integer below 2^53, its root correctly
+rounded).  The backend is a kd-tree built as one leaf, so each query row
+is a plain scan in C over every point, with no tree to traverse.  In
+128-D a tree prunes little, and traversal cost more than it saved: on a
+7 162-point street model (2 cores) 1 400 rows took 0.82 s with 16-point
+leaves, 0.61 s with 256 and 0.33 s with one leaf, with identical
+results.  The index is immutable.  A multi-row query is split over every
+CPU (rows are searched independently); a one-row query, as backmatching
+issues per popped point, runs on the calling thread, where starting
+threads would cost more than the search.  A match is a pair of indices,
+a query feature and a model point; its position and camera views stay in
+the model.
 """
 
 import hashlib
@@ -24,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyInput, check_setting
+from .errors import DimensionMismatch, EmptyInput, check_setting
 from .sfm_data import DESCRIPTOR_DIM, QueryImage
 
 CACHE_VERSION = 1
@@ -68,38 +72,33 @@ class Matches:
 
 
 class DescriptorIndex:
-    """Exhaustive exact k-NN over (n, 128) descriptors: a one-leaf kd-tree."""
+    """Exact 2-NN over (n, 128) descriptors, n > 0: a one-leaf kd-tree."""
 
     def __init__(self, descriptors):
-        mat = np.ascontiguousarray(np.asarray(descriptors, dtype=np.float64))
+        mat = np.asarray(descriptors, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[1] != DESCRIPTOR_DIM:
-            raise ValueError(f"descriptors must be (n, {DESCRIPTOR_DIM}), got {mat.shape}")
+            raise DimensionMismatch(
+                f"descriptors must be (n, {DESCRIPTOR_DIM}), got {mat.shape}")
         if len(mat) == 0:
             raise EmptyInput("cannot index zero descriptors")
-        self._mat = mat
         self._tree = cKDTree(mat, leafsize=len(mat))
 
     def __len__(self) -> int:
-        return len(self._mat)
+        return self._tree.n
 
-    def query(self, vectors, k: int):
-        """Distances and indices of the k nearest points per query row.
+    def query(self, vectors):
+        """Distances and indices of the two nearest points per query row.
 
-        Returns (dists, idx) with shape (n, min(k, len(self))), rows
-        sorted by ascending distance.
+        vectors is one descriptor or a matrix of them.  Returns (dists,
+        idx), each (rows, 2), nearest first.  An index of one point
+        answers a second neighbor at distance inf with index len(self).
         """
         vecs = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        k_eff = min(k, len(self))
-        dists, idx = self._tree.query(vecs, k=k_eff,
-                                      workers=-1 if len(vecs) > 1 else 1)
-        if k_eff == 1:
-            dists = dists[:, None]
-            idx = idx[:, None]
-        return dists, idx
+        return self._tree.query(vecs, k=2, workers=-1 if len(vecs) > 1 else 1)
 
 
 def build_index(points) -> DescriptorIndex:
-    """Index a list of 128-dim descriptors for k-NN search."""
+    """Index (n, 128) descriptors of any integer or float type for 2-NN."""
     return DescriptorIndex(points)
 
 
@@ -119,7 +118,7 @@ def find_good_matches(index: DescriptorIndex, query: QueryImage, ratio: float,
     """
     if len(query.features) == 0 or len(index) < 2:
         return Matches.empty()  # a single-point index has no second neighbor
-    dists, idx = index.query(query.features.descriptor, k=2)
+    dists, idx = index.query(query.features.descriptor)
     feature_idx = np.flatnonzero(ratio_test(dists[:, 0], dists[:, 1], ratio))
     return Matches(feature_idx, idx[feature_idx, 0])
 

@@ -183,7 +183,7 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
             continue
         priority[pi] = _GONE
         pops += 1
-        dists, idx = feat_index.query(model.mean_descriptors[pi].astype(float), 2)
+        dists, idx = feat_index.query(model.mean_descriptors[pi])
         if not ratio_test(float(dists[0, 0]), float(dists[0, 1]), params.ratio):
             continue
         raised = model.points_of(model.cameras_of([pi]))

@@ -47,7 +47,7 @@ def noisy_scene():
 def scene_matches(clean_scene):
     """Good matches (ratio 0.7) of the clean scene's first query."""
     model = clean_scene.model
-    index = build_index(model.mean_descriptors.astype(float))
+    index = build_index(model.mean_descriptors)
     query, golden = clean_scene.queries[0]
     good = find_good_matches(index, query, 0.7)
     return query, golden, good

@@ -98,7 +98,7 @@ def backmatch(query, model, good: Matches,
         processed.add(pi)
         pops += 1
 
-        dists, idx = feat_index.query(model.mean_descriptors[pi].astype(float), 2)
+        dists, idx = feat_index.query(model.mean_descriptors[pi])
         if not ratio_test(float(dists[0, 0]), float(dists[0, 1]), params.ratio):
             continue
 

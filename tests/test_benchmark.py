@@ -79,7 +79,7 @@ class TestSyntheticScene:
 
     def test_noise_free_reestimation_is_exact(self, clean_scene):
         model = clean_scene.model
-        index = build_index(model.mean_descriptors.astype(float))
+        index = build_index(model.mean_descriptors)
         query, golden = clean_scene.queries[2]
         good = find_good_matches(index, query, 0.7)
         est = estimate_pose_basic(query, good, model, BasicParams(rng_seed=0))
@@ -104,7 +104,7 @@ def localized_rows(scene, queries, seed=0):
     """Basic-mode rows of queries (query, golden) in order, query i
     with RANSAC seed seed + i, as ``sfmloc --seed`` runs them."""
     model = scene.model
-    index = build_index(model.mean_descriptors.astype(float))
+    index = build_index(model.mean_descriptors)
     return [localize(query, golden, index, model, "basic", seed=seed + qi)[1]
             for qi, (query, golden) in enumerate(queries)]
 
@@ -115,14 +115,14 @@ class TestRunBenchmark:
     @pytest.mark.parametrize("ratio", [1.5, 0.0, float("nan")])
     def test_ratio_outside_unit_interval_raises(self, clean_scene, ratio):
         model = clean_scene.model
-        index = build_index(model.mean_descriptors.astype(float))
+        index = build_index(model.mean_descriptors)
         query, golden = clean_scene.queries[0]
         with pytest.raises(InvalidParams):
             localize(query, golden, index, model, "basic", seed=0, ratio=ratio)
 
     def test_unknown_mode_raises(self, clean_scene):
         model = clean_scene.model
-        index = build_index(model.mean_descriptors.astype(float))
+        index = build_index(model.mean_descriptors)
         query, golden = clean_scene.queries[0]
         with pytest.raises(InvalidParams, match="'basci'"):
             localize(query, golden, index, model, "basci", seed=0)

@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 
 from sfmloc import Matches, build_index, find_good_matches, ratio_test
 from sfmloc.descriptor_index import load_index_cache, save_index_cache
-from sfmloc.errors import EmptyInput, InvalidParams
+from sfmloc.errors import DimensionMismatch, EmptyInput, InvalidParams
 from sfmloc.sfm_data import QueryImage, keyfile_records
 
 
@@ -51,9 +51,9 @@ def tied_database(high, seed):
 class TestBuildIndexKnn:
     def test_exact_copy_has_zero_distance(self):
         rng = np.random.default_rng(0)
-        descs = rng.integers(0, 256, (10, 128)).astype(float)
+        descs = rng.integers(0, 256, (10, 128))
         index = build_index(descs)
-        dists, idx = index.query(descs[3], 1)
+        dists, idx = index.query(descs[3])
         assert idx[0, 0] == 3
         assert dists[0, 0] == 0.0
 
@@ -61,19 +61,28 @@ class TestBuildIndexKnn:
         with pytest.raises(EmptyInput):
             build_index(np.empty((0, 128)))
 
-    def test_k_larger_than_index(self):
-        rng = np.random.default_rng(1)
-        descs = rng.integers(0, 256, (5, 128)).astype(float)
+    def test_one_point_index_answers_inf(self):
+        """The second neighbor of a one-point index is at infinity, with
+        the index's length as its index; find_good_matches matches none."""
+        descs = np.random.default_rng(1).integers(0, 256, (1, 128), dtype=np.uint8)
         index = build_index(descs)
-        dists, idx = index.query(descs[0], 10)
-        assert idx.shape == dists.shape == (1, 5)
-        assert list(dists[0]) == sorted(dists[0])
+        assert len(index) == 1
+        dists, idx = index.query(np.vstack([descs, descs // 2]))
+        assert idx.shape == dists.shape == (2, 2)
+        assert idx.tolist() == [[0, 1], [0, 1]]
+        assert dists[0, 0] == 0.0 and np.isinf(dists[:, 1]).all()
+        assert len(find_good_matches(index, _query_from_descriptors(descs), 0.9)) == 0
+
+    @pytest.mark.parametrize("shape", [(3, 64), (128,)], ids=["3x64", "1-D"])
+    def test_not_n_by_128_raises(self, shape):
+        with pytest.raises(DimensionMismatch, match=r"\(n, 128\)"):
+            build_index(np.zeros(shape, dtype=np.uint8))
 
     def test_two_point_index(self):
         v = np.full(128, 10.0)
         w = np.full(128, 200.0)
         index = build_index(np.vstack([v, w]))
-        dists, idx = index.query(v, 2)
+        dists, idx = index.query(v)
         assert list(idx[0]) == [0, 1]
         assert dists[0, 0] == 0.0
 
@@ -84,11 +93,10 @@ class TestBuildIndexKnn:
         queries = np.vstack([descs[:20],
                              rng.integers(0, 3, (30, 128)).astype(np.uint8)])
         index = build_index(descs)
-        for k in (1, 2):
-            dists, idx = index.query(queries, k)
-            rows = [index.query(q, k) for q in queries]
-            assert np.array_equal(dists, np.vstack([d for d, _ in rows]))
-            assert np.array_equal(idx, np.vstack([i for _, i in rows]))
+        dists, idx = index.query(queries)
+        rows = [index.query(q) for q in queries]
+        assert np.array_equal(dists, np.vstack([d for d, _ in rows]))
+        assert np.array_equal(idx, np.vstack([i for _, i in rows]))
         assert (dists[:, 0] == dists[:, 1]).any()
 
     def test_top1_agreement_with_brute_force(self):
@@ -96,7 +104,7 @@ class TestBuildIndexKnn:
         descs = rng.uniform(0, 255, (1000, 128))
         queries = rng.uniform(0, 255, (1000, 128))
         index = build_index(descs)
-        dists, idx = index.query(queries, 1)
+        dists, idx = index.query(queries)
         agree = sum(int(idx[i, 0]) == brute_force_top1(descs, queries[i])
                     for i in range(len(queries)))
         assert agree >= 950
@@ -108,7 +116,7 @@ class TestBuildIndexKnn:
         agree = 0
         for _ in range(1000):
             q = rng.uniform(0, 255, 128)
-            got = list(index.query(q, 2)[1][0])
+            got = list(index.query(q)[1][0])
             d = np.linalg.norm(descs - q, axis=1)
             expected = list(np.argsort(d)[:2])
             agree += got == expected
@@ -119,13 +127,16 @@ class TestBuildIndexKnn:
 class TestExactOracle:
     """The index against an integer oracle on data with exact ties."""
 
-    def test_index_equals_the_oracle(self, high, seed):
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    def test_index_equals_the_oracle(self, high, seed, dtype):
+        """Any input type of the same values gives the oracle's answer."""
         descs, queries = tied_database(high, seed)
         want_d, want_i, untied = oracle_two_nn(descs, queries)
         assert untied.any() and not untied.all()
+        descs, queries = descs.astype(dtype), queries.astype(dtype)
         index = build_index(descs)
-        rows = [index.query(q, 2) for q in queries]  # as backmatching asks
-        for dists, idx in (index.query(queries, 2),
+        rows = [index.query(q) for q in queries]  # as backmatching asks
+        for dists, idx in (index.query(queries),
                            (np.vstack([d for d, _ in rows]),
                             np.vstack([i for _, i in rows]))):
             assert np.array_equal(dists, want_d)  # bit for bit
@@ -177,7 +188,7 @@ def _query_from_descriptors(descs, width=400, height=300):
 class TestFindGoodMatches:
     def setup_method(self):
         rng = np.random.default_rng(5)
-        self.descs = rng.integers(0, 256, (60, 128)).astype(float)
+        self.descs = rng.integers(0, 256, (60, 128))
         self.index = build_index(self.descs)
 
     def test_exact_copies_all_match(self):
@@ -185,7 +196,7 @@ class TestFindGoodMatches:
         got = find_good_matches(self.index, query, 0.7)
         assert len(got) == 10
         assert list(got.feature_idx) == list(got.point_idx) == list(range(10))
-        dists, _ = self.index.query(self.descs[:10], 2)
+        dists, _ = self.index.query(self.descs[:10])
         assert np.all(dists[:, 0] == 0.0)
         # a match is two indices; position and views are the model's
         assert [f.name for f in fields(got)] == ["feature_idx", "point_idx"]
@@ -218,7 +229,7 @@ class TestFindGoodMatches:
         query = _query_from_descriptors(rng.uniform(0, 255, (30, 128)))
         got = find_good_matches(self.index, query, 0.9)
         assert len(got) <= 30
-        dists, _ = self.index.query(query.features.descriptor, 2)
+        dists, _ = self.index.query(query.features.descriptor)
         assert np.all(dists[:, 0] <= dists[:, 1])
         assert np.all(np.diff(got.feature_idx) > 0)
         assert np.all((got.feature_idx >= 0) & (got.feature_idx < 30))

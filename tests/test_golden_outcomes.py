@@ -38,7 +38,7 @@ GOLDEN_PATH = Path(__file__).with_name("golden_outcomes.json")
 def _run(scene, qi, mode, seed, focal="exif", params=None, n_features=None,
          suppress=False):
     model = scene.model
-    index = build_index(model.mean_descriptors.astype(float))
+    index = build_index(model.mean_descriptors)
     query, _ = scene.queries[qi]
     if focal != "exif" or n_features is not None:
         feats = query.features if n_features is None else query.features[:n_features]

@@ -19,7 +19,7 @@ def outlier_scenes():
             4000, 20, image_size=(1600, 1200), focal_px=800.0, noise_px=1.0,
             outlier_fraction=0.9, seed=seed, n_queries=4, view_cone_deg=35.0,
             max_depth=90.0)
-        scenes.append((scene, build_index(scene.model.mean_descriptors.astype(float))))
+        scenes.append((scene, build_index(scene.model.mean_descriptors)))
     return scenes
 
 

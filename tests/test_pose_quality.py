@@ -164,7 +164,7 @@ class TestFittedMatches:
         changes no entry."""
         model = noisy_scene.model
         query, golden = noisy_scene.queries[0]
-        index = build_index(model.mean_descriptors.astype(float))
+        index = build_index(model.mean_descriptors)
         good = find_good_matches(index, query, 0.9)
         xy = normalize_points(query.features.xy[good.feature_idx],
                               query.width, query.height)

@@ -316,7 +316,7 @@ def noisy_model(request, noisy_scene):
 
 
 def noisy_good(noisy_scene, model, qi):
-    index = build_index(model.mean_descriptors.astype(float))
+    index = build_index(model.mean_descriptors)
     query, _ = noisy_scene.queries[qi]
     return query, find_good_matches(index, query, 0.9)
 
@@ -427,7 +427,7 @@ class TestEstimatePoseAdvanced:
     def test_clean_scene_no_backmatching(self, clean_scene):
         model = clean_scene.model
         diam = scene_diameter(model)
-        index = build_index(model.mean_descriptors.astype(float))
+        index = build_index(model.mean_descriptors)
         query, golden = clean_scene.queries[1]
         good = find_good_matches(index, query, 0.9)
         est = estimate_pose_advanced(query, good, model,
@@ -441,7 +441,7 @@ class TestEstimatePoseAdvanced:
 
     def test_suppression_triggers_backmatching(self, noisy_scene):
         model = noisy_scene.model
-        index = build_index(model.mean_descriptors.astype(float))
+        index = build_index(model.mean_descriptors)
         query, golden = noisy_scene.queries[0]
         good = find_good_matches(index, query, 0.9)
         is_outlier = np.isin(good.feature_idx, noisy_scene.outlier_labels[0])
@@ -472,7 +472,7 @@ class TestEstimatePoseAdvanced:
 
     def test_deterministic_under_seed(self, noisy_scene):
         model = noisy_scene.model
-        index = build_index(model.mean_descriptors.astype(float))
+        index = build_index(model.mean_descriptors)
         query, _ = noisy_scene.queries[1]
         good = find_good_matches(index, query, 0.9)
         a = estimate_pose_advanced(query, good, model,
@@ -485,7 +485,7 @@ class TestEstimatePoseAdvanced:
 
     def test_iteration_counts_are_exact(self, noisy_scene):
         model = noisy_scene.model
-        index = build_index(model.mean_descriptors.astype(float))
+        index = build_index(model.mean_descriptors)
         for qi, (query, _) in enumerate(noisy_scene.queries[:3]):
             good = find_good_matches(index, query, 0.9)
             est = estimate_pose_advanced(query, good, model,
@@ -525,7 +525,7 @@ class TestBackmatchWithEveryFeatureMatched:
     def fully_matched(clean_scene):
         """A query holding only the features its good matches use."""
         model = clean_scene.model
-        index = build_index(model.mean_descriptors.astype(float))
+        index = build_index(model.mean_descriptors)
         query, _ = clean_scene.queries[0]
         good = find_good_matches(index, query, 0.9)
         query = replace(query, features=query.features[good.feature_idx])

@@ -70,7 +70,7 @@ class TestEstimatePoseBasic:
     def test_clean_scene_accuracy(self, clean_scene):
         model = clean_scene.model
         diam = scene_diameter(model)
-        index = build_index(model.mean_descriptors.astype(float))
+        index = build_index(model.mean_descriptors)
         for query, golden in clean_scene.queries[:3]:
             good = find_good_matches(index, query, 0.7)
             est = estimate_pose_basic(query, good, model,
@@ -83,7 +83,7 @@ class TestEstimatePoseBasic:
     def test_noisy_scene_with_outliers(self, noisy_scene):
         model = noisy_scene.model
         diam = scene_diameter(model)
-        index = build_index(model.mean_descriptors.astype(float))
+        index = build_index(model.mean_descriptors)
         registered = 0
         for query, golden in noisy_scene.queries:
             good = find_good_matches(index, query, 0.7)
@@ -115,7 +115,7 @@ class TestEstimatePoseBasic:
 
     def test_unknown_focal_uses_p4pf(self, clean_scene):
         model = clean_scene.model
-        index = build_index(model.mean_descriptors.astype(float))
+        index = build_index(model.mean_descriptors)
         query, golden = clean_scene.queries[0]
         good = find_good_matches(index, query, 0.7)
         no_exif = type(query)(name=query.name, width=query.width,
@@ -268,7 +268,7 @@ def oracle_search(ctx, draw, iterations: int, best=None, stop_at: int | None = N
 def noisy_context(noisy_scene, qi, solver="auto"):
     """RANSAC context over the good matches of one noisy-scene query."""
     model = noisy_scene.model
-    index = build_index(model.mean_descriptors.astype(float))
+    index = build_index(model.mean_descriptors)
     query, _ = noisy_scene.queries[qi]
     good = find_good_matches(index, query, 0.9)
     return query, ransac_basic.MatchContext(query, good, model, BasicParams(), solver)

@@ -85,7 +85,7 @@ def test_pipeline_compatibility_points(clean_scene):
     assert len(vis) == model.num_points
     assert all(vis[p] == frozenset(model.track_cams[model.track_slice(p)].tolist())
                for p in range(model.num_points))
-    index = build_index(model.mean_descriptors.astype(float))
+    index = build_index(model.mean_descriptors)
     for query, _ in clean_scene.queries:
         want = find_good_matches(index, query, 0.7)
         got = find_good_matches(index, query, 0.7, vis, model.positions)
