@@ -50,7 +50,8 @@ from .descriptor_index import (
     load_index_cache,
     save_index_cache,
 )
-from .errors import InvalidParams, LocalizationError, MalformedMetadata, check_setting
+from .errors import (InvalidParams, LocalizationError, MalformedMetadata, UnknownQuery,
+                     check_setting)
 from .minimal_solvers import bundler_to_internal
 from .ransac_advanced import AdvancedParams, BackmatchParams
 from .ransac_basic import SOLVERS, BasicParams
@@ -271,7 +272,7 @@ def run(config: RunConfig) -> int:
         query_names = parse_image_list(fh)
     if config.query_selector != "all":
         if config.query_selector not in query_names:
-            raise LocalizationError(
+            raise UnknownQuery(
                 f"query {config.query_selector!r} not in the query list")
         query_names = [config.query_selector]
 

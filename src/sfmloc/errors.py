@@ -24,7 +24,8 @@ class IndexOutOfRange(LocalizationError):
 
 
 class DimensionMismatch(LocalizationError):
-    """Descriptor length in a keyfile header is not 128."""
+    """Descriptors are not 128-D: a keyfile header's length, or a matrix
+    to index that is not (n, 128)."""
 
 
 class CameraListMismatch(LocalizationError):
@@ -32,7 +33,12 @@ class CameraListMismatch(LocalizationError):
 
 
 class UnknownQuery(LocalizationError):
-    """A query image name is not present in the camera list."""
+    """A query image name is missing from the camera list or, when one
+    query is selected by name, from the query list."""
+
+
+class DuplicateQuery(LocalizationError):
+    """The query list names an image twice."""
 
 
 class EmptyTrack(LocalizationError):

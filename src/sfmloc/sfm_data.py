@@ -43,6 +43,7 @@ import numpy as np
 from .errors import (
     CameraListMismatch,
     DimensionMismatch,
+    DuplicateQuery,
     EmptyTrack,
     IndexOutOfRange,
     MalformedHeader,
@@ -522,7 +523,9 @@ def split_golden(full: SfmModel, query_names, camera_names):
     Returns (info model, {query name: CameraRecord}).  View-list entries
     of query cameras are dropped, surviving cameras are re-indexed and
     points left with an empty visibility set are removed.  Raises
-    CameraListMismatch unless camera_names names each camera's own image.
+    CameraListMismatch unless camera_names names each camera's own image,
+    UnknownQuery for a query it does not name, and DuplicateQuery for a
+    query that query_names names twice.
     """
     if len(camera_names) != full.num_cameras:
         raise CameraListMismatch(
@@ -533,17 +536,14 @@ def split_golden(full: SfmModel, query_names, camera_names):
         if name_to_idx[name] != idx:  # a repeated name keeps its last index
             raise CameraListMismatch(f"the camera list names {name!r} twice")
     golden = {}
-    query_idx = set()
+    keep_cam = np.ones(full.num_cameras, dtype=bool)
     for name in query_names:
         if name not in name_to_idx:
             raise UnknownQuery(f"query {name!r} not in camera list")
-        idx = name_to_idx[name]
-        query_idx.add(idx)
-        golden[name] = full.cameras[idx]
-
-    keep_cam = np.ones(full.num_cameras, dtype=bool)
-    for idx in query_idx:
-        keep_cam[idx] = False
+        if name in golden:
+            raise DuplicateQuery(f"the query list names {name!r} twice")
+        keep_cam[name_to_idx[name]] = False
+        golden[name] = full.cameras[name_to_idx[name]]
     new_cam_idx = np.cumsum(keep_cam) - 1  # old index -> new index
 
     keep_entry = keep_cam[full.track_cams]

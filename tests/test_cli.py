@@ -210,6 +210,14 @@ def _query_missing_from_camera_list(scene):
     return []
 
 
+def _query_listed_twice(scene):
+    """Each listed query gets its own seed and export directory: a repeat
+    would run twice, and its second run overwrite the first's files."""
+    with open(scene / "query_list.txt", "a") as fh:
+        fh.write("query_000.jpg\n")
+    return []
+
+
 def _query_flag_missing_from_query_list(scene):
     return ["--query", "query_999.jpg"]
 
@@ -269,7 +277,10 @@ _ff_in_db_keyfile = _with_byte("keys/db_000.key", b"\xff")
 _nul_in_camera_list = _with_byte("list.txt", b"\0")
 
 # the error type a defect must name, where the test pins it
-SETUP_ERROR = {_drop_meta: "FileNotFoundError",
+SETUP_ERROR = {_query_missing_from_camera_list: "UnknownQuery",
+               _query_flag_missing_from_query_list: "UnknownQuery",
+               _query_listed_twice: "DuplicateQuery",
+               _drop_meta: "FileNotFoundError",
                _missing_meta_flag: "FileNotFoundError",
                _empty_db_keyfile: "IndexOutOfRange",
                _negative_view_key: "TruncatedFile",
@@ -284,7 +295,7 @@ SETUP_ERROR = {_drop_meta: "FileNotFoundError",
 
 @pytest.mark.parametrize("defect", [
     _drop_db_keyfile, _drop_db_keyfile_cached, _truncate_db_keyfile,
-    _bad_model_magic, _query_missing_from_camera_list,
+    _bad_model_magic, _query_missing_from_camera_list, _query_listed_twice,
     _query_flag_missing_from_query_list, _missing_model, _drop_meta,
     _missing_meta_flag, _empty_db_keyfile, _negative_view_key,
     _ff_in_model, _ff_in_camera_list, _ff_in_meta, _ff_in_db_keyfile,

@@ -27,6 +27,7 @@ from sfmloc import (
 )
 from sfmloc.errors import (
     DimensionMismatch,
+    DuplicateQuery,
     EmptyTrack,
     IndexOutOfRange,
     LocalizationError,
@@ -623,6 +624,13 @@ class TestSplitGolden:
         model = two_camera_model()
         with pytest.raises(UnknownQuery):
             split_golden(model, ["zzz.jpg"], ["a.jpg", "b.jpg"])
+
+    def test_query_named_twice_raises(self):
+        """A repeated query would be localized twice, each run with its
+        own seed and the same export directory."""
+        model = two_camera_model()
+        with pytest.raises(DuplicateQuery, match="names 'b.jpg' twice"):
+            split_golden(model, ["b.jpg", "a.jpg", "b.jpg"], ["a.jpg", "b.jpg"])
 
     def test_synthetic_scene_split(self, clean_scene):
         model = clean_scene.model
