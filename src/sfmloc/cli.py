@@ -6,7 +6,8 @@ benchmark module, which produces exactly this):
     model.out        bundler v0.3 text
     list.txt         image names aligned with the model's cameras
     query_list.txt   names of the images to localize
-    meta.txt         per query: name width height [focal_px]
+    meta.txt         per query: name width height [focal_px], sizes
+                     in 1..65535 (JPEG's limit)
     keys/<stem>.key  one keyfile per image
 
 All pipeline parameters are flags; an unset flag takes the type,
@@ -64,6 +65,9 @@ from .sfm_data import (
     split_golden,
 )
 from .viz_export import MESH_NAME, export_ply, export_query_bundle
+
+# the largest width or height meta.txt accepts: JPEG's limit
+MAX_IMAGE_SIZE = 65535
 
 _BASIC, _ADVANCED, _BACKMATCH = (BasicParams,), (AdvancedParams,), (BackmatchParams,)
 _BOTH = _BASIC + _ADVANCED
@@ -210,8 +214,9 @@ def _load_meta(path) -> dict:
     Raises OSError when the file cannot be read (FileNotFoundError when
     it is missing), and MalformedMetadata, naming the file and line, for
     a line that is not ``name width height [focal_px]`` with a width and
-    height in 1..2^31 - 1 and, when given, a finite positive focal, or
-    naming the file for a byte that cannot be decoded.
+    height in 1..65535 (JPEG's limit; the export names the photo
+    camera.jpg) and, when given, a finite positive focal, or naming the
+    file for a byte that cannot be decoded.
     """
     meta = {}
     with open(path) as fh:
@@ -226,13 +231,13 @@ def _load_meta(path) -> dict:
             try:
                 focal = float(parts[3]) if len(parts) > 3 else None
                 width, height = int(parts[1]), int(parts[2])
-                if not (0 < width < 2**31 and 0 < height < 2**31
+                if not (0 < width <= MAX_IMAGE_SIZE and 0 < height <= MAX_IMAGE_SIZE
                         and (focal is None or 0 < focal < np.inf)):
                     raise ValueError
             except (IndexError, ValueError):
                 raise MalformedMetadata(
                     f"{path}:{lineno}: expected 'name width height "
-                    f"[focal_px]' with sizes in 1..2^31 - 1 and a finite "
+                    f"[focal_px]' with sizes in 1..{MAX_IMAGE_SIZE} and a finite "
                     f"positive focal, got {line.strip()!r}") from None
             meta[parts[0]] = (width, height, focal)
     return meta
@@ -280,6 +285,7 @@ def run(config: RunConfig) -> int:
     load_seconds = time.perf_counter() - t0
     print(f"loaded {full.num_points} points, {full.num_cameras} cameras "
           f"in {load_seconds:.2f}s; info model keeps {info.num_points} points")
+    del full  # the queries read the info model, which holds its own arrays
 
     info_names = [n for n in camera_names if n not in golden_records]
     descriptors = None

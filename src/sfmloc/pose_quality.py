@@ -81,7 +81,11 @@ def coverage_area_xy(xy: np.ndarray, width: int, height: int, c: int) -> int:
     A window spans columns ceil(x - c)..floor(x + c) and rows
     ceil(y - c)..floor(y + c), clipped to the image.  Its row intervals,
     keyed row * width + column and taken in key order, add to the exact
-    union whatever lies past the furthest end before them.
+    union whatever lies past the furthest end before them.  A call holds
+    a few arrays of one entry per row interval, about n * min(2c + 1,
+    height) for n windows: 4-byte keys when width * height and that
+    count fit int32 (as they do for any image the CLI accepts), 8-byte
+    otherwise, beside the 8-byte sort order.
     """
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     lo = np.maximum(np.ceil(xy - c), 0.0)
@@ -89,12 +93,22 @@ def coverage_area_xy(xy: np.ndarray, width: int, height: int, c: int) -> int:
     keep = np.flatnonzero((lo <= hi).all(axis=1))
     # windows by first column, so a stable sort by row orders them by key
     keep = keep[np.argsort(lo[keep, 0], kind="stable")]
-    (x0, y0), (x1, y1) = lo[keep].astype(np.int64).T, hi[keep].astype(np.int64).T
+    # int32 when every key and the interval count fit it; under NEP 50 an
+    # int32 times a Python int stays int32, so a wider key would wrap
+    key = (np.int32 if width * height < 2**31 and len(keep) * min(2 * c + 1, height) < 2**31
+           else np.int64)
+    (x0, y0), (x1, y1) = lo[keep].astype(key).T, hi[keep].astype(key).T
     rows = y1 - y0 + 1
-    row = np.arange(rows.sum()) + np.repeat(y0 + rows - np.cumsum(rows), rows)
+    row = (np.arange(rows.sum(), dtype=key)
+           + np.repeat(y0 + rows - np.cumsum(rows, dtype=key), rows))
     # rows that fit 16 bits take numpy's radix sort
     by_row = np.argsort(row.astype(np.uint16) if height <= 1 << 16 else row, kind="stable")
-    start = (np.repeat(x0, rows) + row * width)[by_row]
-    end = start + np.repeat(x1 + 1 - x0, rows)[by_row]
-    reach = np.r_[0, np.maximum.accumulate(end)[:-1]]  # furthest end before
-    return int(np.maximum(end - np.maximum(start, reach), 0).sum())
+    row *= width
+    row += np.repeat(x0, rows)  # each interval's first key
+    start, end = row[by_row], np.repeat(x1 + 1 - x0, rows)[by_row]
+    del row, by_row  # in place from here on: three arrays of one entry per interval
+    end += start
+    reach = np.zeros_like(end)  # the furthest end before each interval
+    np.maximum.accumulate(end[:-1], out=reach[1:])
+    end -= np.maximum(start, reach, out=reach)  # what each adds past it, if > 0
+    return int(np.maximum(end, 0, out=end).sum())

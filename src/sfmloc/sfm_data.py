@@ -2,6 +2,10 @@
 
 Both file kinds start with header lines read as text; the rest, the
 body, is read as bytes and decoded with a few vectorized numpy passes.
+A bundle body is read and decoded a group of points at a time, so a
+parse holds one group's lines and temporaries (a few MB at 2 048
+points) and, while the groups are joined, the model's arrays twice; it
+never holds the body's text.  A keyfile body is decoded whole.
 A token is a run of bytes above 0x20; tokens are separated by ASCII
 whitespace (space, tab, LF, VT, FF, CR), and any other byte below 0x21
 is refused.  A float is a token in Python ``float`` syntax, cast through
@@ -35,8 +39,10 @@ A parser that meets a byte its stream cannot decode raises
 TruncatedFile.
 """
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from itertools import islice
 
 import numpy as np
 
@@ -57,8 +63,8 @@ DESCRIPTOR_DIM = 128
 KEYFILE_DTYPE = np.dtype([("xy", np.float64, 2), ("scale", np.float64),
                           ("orientation", np.float64),
                           ("descriptor", np.uint8, DESCRIPTOR_DIM)])
-# bundle points decoded together: the index arrays, and the heap a parse
-# leaves behind, scale with this and not with the model
+# bundle points read and decoded together: the lines and index arrays a
+# parse holds scale with this and not with the model
 _GROUP_POINTS = 2048
 
 
@@ -266,6 +272,25 @@ def _line_tokens(buf, line_end):
     return start, end, np.searchsorted(start, np.concatenate([[0], line_end]))
 
 
+def _read_lines(stream, n: int, what: str):
+    """The next n lines of stream, the lines of what, as bytes, and each
+    one's end within them.
+
+    A non-ASCII character becomes "?", which no token allows, and the
+    last line of the stream needs no final newline.
+    """
+    # a count too large for islice reads to the end, and fails the check
+    lines = islice(stream, min(n, sys.maxsize))
+    buf = np.frombuffer("".join(lines).encode("ascii", "replace"), dtype=np.uint8)
+    line_end = np.flatnonzero(buf == ord("\n"))
+    if len(buf) and buf[-1] != ord("\n"):
+        line_end = np.append(line_end, len(buf))
+    if len(line_end) < n:
+        raise TruncatedFile(
+            f"unexpected end of file after {len(line_end)} of the {n} lines of {what}")
+    return buf, line_end
+
+
 def _point_records(buf, line_end, first_point):
     """Decode buf, the three lines of each point from first_point on.
 
@@ -299,8 +324,11 @@ def parse_bundle(stream) -> SfmModel:
     """Parse bundler v0.3 text into an SfmModel.
 
     The magic and counts lines are read as text, the records as the
-    module docstring describes.  Lines after the last record are not
-    read.
+    module docstring describes: the camera lines, then each group of
+    _GROUP_POINTS points' lines, taken from the stream's lines and
+    decoded apart, and then the groups joined.  No array is sized from
+    the counts line, so a count larger than the file raises
+    TruncatedFile.  Lines after the last record are not read.
 
     Raises MalformedHeader when the magic line is wrong or a count is
     negative, TruncatedFile when the input ends mid-record, a line holds
@@ -322,34 +350,23 @@ def parse_bundle(stream) -> SfmModel:
     if num_cameras < 0 or num_points < 0:
         raise MalformedHeader(f"negative count in {counts!r}")
 
-    # the body as bytes; a non-ASCII character becomes "?", which no
-    # token allows, and the last record's line needs no final newline
-    buf = np.frombuffer(stream.read().encode("ascii", "replace"), dtype=np.uint8)
-    n_lines = 5 * num_cameras + 3 * num_points
-    line_end = np.flatnonzero(buf == ord("\n"))
-    if len(buf) and buf[-1] != ord("\n"):
-        line_end = np.append(line_end, len(buf))
-    if len(line_end) < n_lines:
-        raise TruncatedFile(
-            f"unexpected end of file after {len(line_end)} of {n_lines} record lines")
-
-    def lines(a, b):
-        """Lines a..b-1 of the body, and each one's end within them."""
-        lo = line_end[a - 1] + 1 if a else 0
-        return buf[lo:line_end[b - 1] if b > a else lo], line_end[a:b] - lo
-
-    text, ends = lines(0, 5 * num_cameras)
+    text, ends = _read_lines(stream, 5 * num_cameras, "the cameras")
     start, end, first = _line_tokens(text, ends)
     short = np.diff(first) != 3
     if short.any():
         raise TruncatedFile(f"short record for camera {np.argmax(short) // 5}")
     camera_rows = _floats(text, start, end - start).reshape(-1, 15)
-    # a group of points at a time, so that no index array outgrows a
-    # group; a model without points still makes one (empty) group
-    groups = [_point_records(*lines(5 * num_cameras + 3 * p,
-                                    5 * num_cameras + 3 * min(p + _GROUP_POINTS, num_points)), p)
-              for p in range(0, num_points or 1, _GROUP_POINTS)]
+
+    # a group of points at a time, so that neither the lines nor any
+    # index array outgrows a group; a model without points still makes
+    # one (empty) group
+    groups = []
+    for p in range(0, num_points or 1, _GROUP_POINTS):
+        q = min(p + _GROUP_POINTS, num_points)
+        groups.append(_point_records(
+            *_read_lines(stream, 3 * (q - p), f"points {p}..{q - 1}"), p))
     point_rows, n_views, cams_arr, keys, xy = map(np.concatenate, zip(*groups))
+    del groups
     offsets = np.concatenate([[0], np.cumsum(n_views)])
 
     if len(cams_arr) and (cams_arr.max() >= num_cameras or cams_arr.min() < 0):
@@ -573,6 +590,10 @@ def build_mean_descriptors(model: SfmModel, keyfile_for_camera) -> SfmModel:
     once per camera with a view-list entry, in ascending camera order.
     Sums and the rounding stay in integers: each mean is
     floor(sum / count + 1/2), rounded half up, and it lies in 0..255.
+    The sums take the narrowest of int16, int32 and int64 that holds
+    511 times the longest track: 2 bytes a value for tracks of up to 64
+    views.  Beside one camera's keyfile and rows, the peak is then about
+    3 bytes a value: the sums and the returned means.
     Raises EmptyTrack, before any keyfile is read, when a point has no
     view-list entry, and IndexOutOfRange when a key is not a feature of
     its keyfile.  Returns a new model with mean_descriptors filled in.
@@ -580,8 +601,9 @@ def build_mean_descriptors(model: SfmModel, keyfile_for_camera) -> SfmModel:
     counts = np.diff(model.track_offsets)
     if (counts == 0).any():
         raise EmptyTrack(f"{int((counts == 0).sum())} points have no descriptors")
-    # 2 * sum + count <= 511 * count must fit the sums' integer type
-    dtype = np.int32 if 511 * counts.max(initial=0) < 2**31 else np.int64
+    # the narrowest type that holds 2 * sum + count <= 511 * count
+    longest = 511 * int(counts.max(initial=0))
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if longest <= np.iinfo(t).max)
     sums = np.zeros((model.num_points, DESCRIPTOR_DIM), dtype=dtype)
     # entries grouped by camera, each group in view-list order
     order = np.argsort(model.track_cams, kind="stable")

@@ -5,7 +5,9 @@ outputs are diffable and byte-stable.  The point cloud becomes a PLY
 with per-vertex color, a pose becomes a Meshlab project (virtual
 camera), a camera glyph OBJ (frustum plus textured sprite quad) and a
 projection OBJ whose polylines run from the camera center through the
-image plane to each fitted 3D point.
+image plane to each fitted 3D point.  The PLY is formatted _PLY_ROWS
+points at a time, so an export holds one block of rows as Python
+objects and text (under 1 MB at 2 048 rows), whatever the model's size.
 
 export_query_bundle writes one query's set into out_dir and returns
 nothing: camera.mlp, camera.obj with camera.obj.mtl, camera_proj.obj
@@ -27,6 +29,8 @@ from .sfm_data import QueryImage, SfmModel, scene_diameter
 MLP_PIXEL_SIZE_MM = 0.01
 PHOTO_NAME = "camera.jpg"  # the query photo, as the .mlp and .mtl name it
 MESH_NAME = "mesh.ply"  # the point cloud one run shares across its queries
+# points export_ply formats at once: its memory scales with this, not the model
+_PLY_ROWS = 2048
 
 
 def _fmt(x: float) -> str:
@@ -34,7 +38,8 @@ def _fmt(x: float) -> str:
 
 
 def export_ply(model: SfmModel, path) -> None:
-    """Write the point cloud as ASCII PLY with vertex colors."""
+    """Write the point cloud as ASCII PLY with vertex colors, a block of
+    _PLY_ROWS rows at a time."""
     if model.num_points == 0:
         raise EmptyInput("refusing to export an empty point cloud")
     with open(path, "w") as fh:
@@ -48,10 +53,12 @@ def export_ply(model: SfmModel, path) -> None:
         fh.write("property uchar green\n")
         fh.write("property uchar blue\n")
         fh.write("end_header\n")
-        # one % over all rows; %.9g is _fmt's format and +0.0 folds -0.0
-        rows = zip((model.positions + 0.0).tolist(), model.colors.tolist())
-        fh.write(("%.9g %.9g %.9g %d %d %d\n" * model.num_points)
-                 % tuple(v for pos, col in rows for v in (*pos, *col)))
+        # one % a block of rows; %.9g is _fmt's format and +0.0 folds -0.0
+        for lo in range(0, model.num_points, _PLY_ROWS):
+            pos = model.positions[lo:lo + _PLY_ROWS] + 0.0
+            rows = zip(pos.tolist(), model.colors[lo:lo + _PLY_ROWS].tolist())
+            fh.write(("%.9g %.9g %.9g %d %d %d\n" * len(pos))
+                     % tuple(v for xyz, rgb in rows for v in (*xyz, *rgb)))
 
 
 def export_mlp(pose: Pose, query: QueryImage, path,

@@ -6,6 +6,7 @@ import re
 import shutil
 import tempfile
 import warnings
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
@@ -18,9 +19,11 @@ from sfmloc import (
     AdvancedParams,
     BackmatchParams,
     BasicParams,
+    CameraRecord,
     SfmModel,
     cli,
     generate_synthetic_scene,
+    keyfile_records,
     parse_bundle,
     parse_keyfile,
     write_bundle,
@@ -75,6 +78,25 @@ def test_localizes_every_query(scene_dir, tmp_path, mode):
         assert (tmp_path / row["name"].replace(".jpg", "") / "camera.mlp").is_file()
 
 
+def test_full_model_is_freed_before_the_queries(scene_dir, tmp_path, monkeypatch):
+    """The queries read the info model; the parsed model, about as large,
+    is not held beside it."""
+    parsed, alive, cli_localize = [], [], cli.localize
+
+    def parse(fh):
+        model = parse_bundle(fh)
+        parsed.append(weakref.ref(model))
+        return model
+
+    def localize(*args, **kwargs):
+        alive.append(parsed[0]() is not None)
+        return cli_localize(*args, **kwargs)
+    monkeypatch.setattr(cli, "parse_bundle", parse)
+    monkeypatch.setattr(cli, "localize", localize)
+    assert run_cli(scene_dir, tmp_path) == 0
+    assert alive == [False] * 4
+
+
 def test_advanced_run_builds_no_camera_sets(noisy_scene, tmp_path, monkeypatch):
     """Sampling and backmatching read the model's view lists: a run with
     SfmModel.visibilities raising writes the rows of a run without.  Phase
@@ -112,6 +134,24 @@ def test_malformed_meta_exits_2(scene_copy, tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert f"{meta}:2:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sizes", ["65536 600", "800 65536"])
+def test_image_size_past_jpeg_limit_exits_2(scene_copy, tmp_path, capsys, sizes):
+    meta = scene_copy / "meta.txt"
+    lines = meta.read_text().splitlines()
+    meta.write_text("\n".join([f"query_000.jpg {sizes} 400.0"] + lines[1:]) + "\n")
+    assert run_cli(scene_copy, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: MalformedMetadata: {meta}:1:")
+    assert "Traceback" not in err
+
+
+def test_load_meta_accepts_jpeg_limit(tmp_path):
+    meta = tmp_path / "meta.txt"
+    meta.write_text("a.jpg 65535 65535 400\nb.jpg 1 1\n")
+    assert cli._load_meta(meta) == {"a.jpg": (65535, 65535, 400.0),
+                                    "b.jpg": (1, 1, None)}
 
 
 def test_camera_list_short_of_the_model_exits_2(scene_copy, tmp_path, capsys):
@@ -181,6 +221,40 @@ def test_bad_query_fails_only_its_row(scene_copy, tmp_path, defect, failure):
     got = {r["name"]: r["failure"] for r in rows(tmp_path / "out")}
     assert got == {"query_000.jpg": "", "query_001.jpg": failure,
                    "query_002.jpg": "", "query_003.jpg": ""}
+
+
+def test_query_the_model_cannot_localize_fails_only_its_row(clean_scene, scene_dir,
+                                                            scene_copy, tmp_path):
+    """A photograph of nowhere, listed after the scene's queries: its
+    features are noisy copies of random points' descriptors at random
+    positions.  Its camera sees no point, so the info model and the seeds
+    of the other queries stay those of a run without it."""
+    name, (width, height), n = "nowhere.jpg", clean_scene.image_size, 400
+    rng = np.random.default_rng(8)
+    means = clean_scene.model.mean_descriptors
+    noisy = means[rng.integers(len(means), size=n)] + rng.normal(0.0, 2.0, (n, 128))
+    features = keyfile_records(rng.uniform(0, (width, height), (n, 2)),
+                               np.clip(np.rint(noisy), 0, 255).astype(np.uint8))
+    with open(scene_copy / "keys" / "nowhere.key", "w") as fh:
+        write_keyfile(features, fh)
+    with open(scene_copy / "model.out") as fh:
+        model = parse_bundle(fh)
+    camera = CameraRecord(clean_scene.focal_px, 0.0, 0.0, np.eye(3), np.zeros(3))
+    with open(scene_copy / "model.out", "w") as fh:
+        write_bundle(SfmModel([*model.cameras, camera], model.positions, model.colors,
+                              model.track_offsets, model.track_cams,
+                              model.track_keys, model.track_xy), fh)
+    for listed, line in (("list.txt", name), ("query_list.txt", name),
+                         ("meta.txt", f"{name} {width} {height} {clean_scene.focal_px!r}")):
+        with open(scene_copy / listed, "a") as fh:
+            fh.write(line + "\n")
+
+    flags = ("--max-iterations", "200")
+    assert run_cli(scene_copy, tmp_path / "with", "basic", *flags) == 1
+    assert run_cli(scene_dir, tmp_path / "without", "basic", *flags) == 0
+    got = without_seconds(tmp_path / "with")
+    assert [(r["name"], r["failure"]) for r in got[-1:]] == [(name, "NoSolution")]
+    assert got[:-1] == without_seconds(tmp_path / "without")
 
 
 def _drop_db_keyfile(scene):
@@ -578,6 +652,12 @@ def corrupt(data: bytes, op: str, at: int, token: bytes) -> bytes:
 # subnormal focal made P3P's rays coplanar, so its quartic overflowed
 @example("meta.txt", "token", 1, b"99999999999999999999")
 @example("meta.txt", "token", 3, b"1e-320")
+# a width past JPEG's limit: near 2^31 one coverage window spans about
+# width / 20 rows, and a query's intervals outgrow memory
+@example("meta.txt", "token", 1, b"65536")
+# a bundle count larger than the file: nothing may be sized from it
+@example("model.out", "token", 4, b"99999999999999999999")
+@example("model.out", "token", 5, b"99999999999999999999")
 def test_any_single_corruption_exits_cleanly(small_scene_dir, name, op, at, token):
     with tempfile.TemporaryDirectory() as tmp:
         scene = shutil.copytree(small_scene_dir, Path(tmp) / "scene")

@@ -230,6 +230,14 @@ class TestCoverageArea:
     def test_edge_cases_equal_the_oracle(self, xy, c):
         assert coverage_area_xy(xy, 40, 30, c) == oracle_coverage_area(xy, 40, 30, c)
 
+    def test_keys_past_int32_equal_a_small_image(self):
+        """The same windows, moved where row * width passes 2^31 in a
+        65 536-square image, cover what they cover in a small one."""
+        rng = np.random.default_rng(3)
+        xy = rng.uniform(20.0, (380.0, 280.0), size=(60, 2))
+        small = coverage_area_xy(xy, 400, 300, 15)
+        assert coverage_area_xy(xy + (40_000.0, 50_000.0), 2**16, 2**16, 15) == small
+
     def test_window_size(self):
         assert coverage_window(400) == 10
         assert coverage_window(41) == 1

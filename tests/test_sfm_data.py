@@ -132,6 +132,15 @@ class TestParseBundle:
         with pytest.raises(MalformedHeader):
             parse_bundle(io.StringIO(f"# Bundle file v0.3\n{counts}\n"))
 
+    @pytest.mark.parametrize("counts", ["1 1000000000000", "1 99999999999999999999",
+                                        "99999999999999999999 1"])
+    def test_count_larger_than_the_file_raises(self, counts):
+        """No array is sized from the counts line: the lines run out first."""
+        text = ONE_CAMERA_ONE_POINT.replace("1 1\n", counts + "\n", 1)
+        assert text != ONE_CAMERA_ONE_POINT
+        with pytest.raises(TruncatedFile):
+            parse_bundle(io.StringIO(text))
+
     @pytest.mark.parametrize("key", ["-1", "2147483648", "4294967303"])
     def test_view_list_key_outside_int32_raises(self, key):
         # 4294967303 = 2**32 + 7 would be stored as key 7
@@ -784,6 +793,16 @@ class TestBuildMeanDescriptors:
                          [0, n], np.repeat(np.arange(n_cams), per_cam),
                          np.tile(np.arange(per_cam), n_cams), np.zeros((n, 2)))
         keyfile = np.full((per_cam, 128), 255, np.uint8)
+        means = build_mean_descriptors(model, lambda cam: keyfile).mean_descriptors
+        assert np.all(means == 255)
+
+    @pytest.mark.parametrize("views", [64, 65])
+    def test_track_at_the_int16_limit(self, views):
+        """511 * 64 is the longest track int16 sums hold: 2 * sum + count
+        wraps at 65 views of 255."""
+        model = SfmModel([None], np.zeros((1, 3)), np.zeros((1, 3)), [0, views],
+                         np.zeros(views), np.arange(views), np.zeros((views, 2)))
+        keyfile = np.full((views, 128), 255, np.uint8)
         means = build_mean_descriptors(model, lambda cam: keyfile).mean_descriptors
         assert np.all(means == 255)
 
