@@ -19,7 +19,6 @@ from .benchmark import (
 from .descriptor_index import (
     DescriptorIndex,
     Matches,
-    build_index,
     find_good_matches,
     ratio_test,
 )

@@ -46,7 +46,7 @@ from .benchmark import (
     write_report,
 )
 from .descriptor_index import (
-    build_index,
+    DescriptorIndex,
     descriptor_source_key,
     load_index_cache,
     save_index_cache,
@@ -305,7 +305,7 @@ def run(config: RunConfig) -> int:
     else:
         info = info.with_mean_descriptors(descriptors)
 
-    index = build_index(info.mean_descriptors)
+    index = DescriptorIndex(info.mean_descriptors)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     export_ply(info, out / MESH_NAME)

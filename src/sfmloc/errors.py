@@ -48,7 +48,8 @@ class EmptyTrack(LocalizationError):
 # --- matching --------------------------------------------------------------
 
 class EmptyInput(LocalizationError):
-    """An operation that needs at least one element got none."""
+    """An operation that needs at least one element got none, or
+    backmatching got a model without mean descriptors."""
 
 
 # --- robust estimation -----------------------------------------------------
@@ -76,14 +77,14 @@ class InvalidParams(LocalizationError):
 
 
 def check_setting(name: str, value, kind: type = int, choices=(),
-                  positive: bool = False, ratio: bool = False) -> None:
+                  positive: bool = False, ratio: bool = False, most: float = math.inf) -> None:
     """Raise InvalidParams, naming the setting, unless value passes its rule.
 
     A ratio is a number in (0, 1], so a tie of the two nearest points
     fails the ratio test; a value with choices is one of them; a float is
     a number within the float range, > 0 if positive; an int is an
-    integer >= 0; None passes where kind admits it.  numpy numbers count,
-    a bool does not.
+    integer in 0..most; None passes where kind admits it.  numpy numbers
+    count, a bool does not.
     """
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if ratio:
@@ -97,7 +98,7 @@ def check_setting(name: str, value, kind: type = int, choices=(),
             ok = False
         rule = "a finite number > 0" if positive else "a finite number"
     else:
-        ok = number and isinstance(value, numbers.Integral) and value >= 0
-        rule = "an integer >= 0"
+        ok = number and isinstance(value, numbers.Integral) and 0 <= value <= most
+        rule = "an integer >= 0" if most == math.inf else f"an integer in 0..{most}"
     if not (ok or value is None and isinstance(None, kind)):
         raise InvalidParams(f"{name} {value!r} is not {rule}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .descriptor_index import DescriptorIndex, Matches, ratio_test
-from .errors import SamplingExhausted
+from .errors import EmptyInput, SamplingExhausted
 from .pose_quality import METRICS
 from .ransac_basic import (
     MatchContext,
@@ -70,7 +70,8 @@ class BackmatchParams(Params):
 
     target_backmatches: int = 100
     ratio: float = field(default=0.7, metadata={"ratio": True})
-    priority_booster: int = 10  # >= 0 as every int: below 0 it would read as _GONE
+    # in 0..2**31 - 1: below 0 it would read as _GONE, and raises stay far inside int64
+    priority_booster: int = field(default=10, metadata={"most": 2**31 - 1})
     pool: str = field(default="covisible", metadata={"choices": POOLS})
     pop_cap_factor: int = 50
 
@@ -155,11 +156,12 @@ def backmatch(query: QueryImage, model: SfmModel, good: Matches,
     per camera (the module docstring describes the state).  Returns good
     followed by the new matches, at most one per query feature; when
     every feature is matched, good is returned before any index is built.
+    Raises EmptyInput for a model without mean descriptors.
     """
     if not len(good) or model.num_points == 0 or len(query.features) == 0:
         return good
     if model.mean_descriptors is None:
-        raise ValueError("model has no mean descriptors")
+        raise EmptyInput("backmatching needs the model's mean descriptors")
     matched = np.zeros(len(query.features), dtype=bool)
     matched[good.feature_idx] = True
     if matched.all():

@@ -16,6 +16,7 @@ baseline's does, takes one sample a batch, so it draws no sample that
 it does not solve.
 """
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -39,7 +40,7 @@ from .pose_quality import (
 )
 from .sfm_data import QueryImage, SfmModel
 
-# the minimal solvers a search may run (see _solvers)
+# the minimal solvers a search may run (see MatchContext)
 SOLVERS = ("auto", "p3p", "p4pf", "both")
 
 
@@ -125,8 +126,9 @@ class MatchContext:
 
     def fit_target(self, count: int, fraction: float) -> int:
         """count, or the fraction share of the matches if fewer: the fitted
-        matches that end a basic search or skip backmatching."""
-        return min(count, int(np.ceil(fraction * len(self.matches))))
+        matches that end a basic search or skip backmatching; the share is
+        clamped to 0..count before rounding, as it may overflow to inf."""
+        return math.ceil(min(max(fraction * len(self.matches), 0), count))
 
     def fitted(self, poses: Pose | Candidates) -> np.ndarray:
         """Fitted masks of a pose (N,) or of a stack of candidates (K, N)."""

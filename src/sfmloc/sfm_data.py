@@ -213,10 +213,9 @@ def _next_line(stream, what: str) -> str:
 
 
 def _check_controls(buf, what: str) -> np.ndarray:
-    """buf, refused when a byte below 33 is not whitespace."""
-    # ASCII whitespace is 9..13 and 32; 14..31 wrap below 18
+    """buf, refused when a byte below 33 is not whitespace (9..13 and 32)."""
     stray = buf < 9
-    stray |= buf - np.uint8(14) < 18
+    stray |= (buf >= 14) & (buf < 32)
     if stray.any():
         raise TruncatedFile(f"control byte {buf[np.argmax(stray)]:#04x} in {what}")
     return buf
@@ -229,13 +228,9 @@ def _floats(buf, start, width) -> np.ndarray:
     view that starts at every byte of buf.
     """
     out = np.empty(len(start))
-    # a stable sort of 16-bit keys is a radix sort
-    order = np.argsort(width.astype(np.uint16) if width.max(initial=0) < 2**16
-                       else width, kind="stable")
-    counts = np.bincount(width)
-    widths = np.flatnonzero(counts)
     try:
-        for w, idx in zip(widths.tolist(), np.split(order, np.cumsum(counts[widths])[:-1])):
+        for w in np.flatnonzero(np.bincount(width)).tolist():
+            idx = np.flatnonzero(width == w)
             chars = np.ndarray(len(buf) - w + 1, f"S{w}", buf, strides=(1,))
             out[idx] = chars[start[idx]].astype(np.float64)
     except ValueError as exc:
@@ -464,25 +459,21 @@ def parse_keyfile(stream) -> np.recarray:
     per_feature = 4 + DESCRIPTOR_DIM
     buf = _check_controls(
         np.frombuffer(stream.read().encode("ascii"), dtype=np.uint8), "keyfile")
-    # last[f, i] is the last byte of token i of feature f
-    tok = buf > 32
+    # last[t] is the last byte of token t: a token byte that the next byte
+    # does not continue; tok ends past the body, so its last token ends too
+    tok = np.append(buf > 32, False)
     last = np.flatnonzero(tok[:-1] > tok[1:])
-    if len(buf) and tok[-1]:
-        last = np.append(last, len(buf) - 1)
     if len(last) != per_feature * num_features:
         raise TruncatedFile(
             f"{len(last)} values for {num_features} features of {per_feature}")
-    last = last.reshape(num_features, per_feature)
 
     # each of the four numbers is cast with the whitespace before it,
-    # which float syntax allows
-    head_end = last[:, :4] + 1
-    head_start = np.empty_like(head_end)
-    head_start[:, 1:] = head_end[:, :-1]
-    head_start[1:, 0] = last[:-1, -1] + 1
-    head_start[:1, 0] = 0
-    head = _floats(buf, head_start.ravel(), (head_end - head_start).ravel())
-    head = head.reshape(-1, 4)
+    # which float syntax allows: from the byte after the token before
+    # (byte 0 for the body's first token)
+    t = (np.arange(0, len(last), per_feature)[:, None] + np.arange(4)).ravel()
+    head_start = np.where(t > 0, last[t - 1] + 1, 0)
+    head = _floats(buf, head_start, last[t] + 1 - head_start).reshape(-1, 4)
+    last = last.reshape(num_features, per_feature)
 
     # the last four bytes of every token, gathered by stepping last back
     # in place (a head column, dropped, may wrap to the body's end)

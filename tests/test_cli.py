@@ -30,6 +30,8 @@ from sfmloc import (
     write_keyfile,
     write_scene_dir,
 )
+from sfmloc.descriptor_index import CACHE_VERSION
+from sfmloc.errors import MalformedMetadata
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +154,38 @@ def test_load_meta_accepts_jpeg_limit(tmp_path):
     meta.write_text("a.jpg 65535 65535 400\nb.jpg 1 1\n")
     assert cli._load_meta(meta) == {"a.jpg": (65535, 65535, 400.0),
                                     "b.jpg": (1, 1, None)}
+
+
+def test_load_meta_skips_blank_lines(tmp_path):
+    meta = tmp_path / "meta.txt"
+    meta.write_text("\na.jpg 640 480 400\n   \n\t\nb.jpg 1 1\n\n")
+    assert cli._load_meta(meta) == {"a.jpg": (640, 480, 400.0), "b.jpg": (1, 1, None)}
+    meta.write_text("\n\n\nc.jpg 0 1\n")  # a blank line still counts
+    with pytest.raises(MalformedMetadata, match=f"{re.escape(str(meta))}:4:"):
+        cli._load_meta(meta)
+
+
+def test_query_photo_beside_the_model_is_exported(scene_copy, tmp_path):
+    photo = b"\xff\xd8\xff\xe0 a photo"
+    (scene_copy / "query_000.jpg").write_bytes(photo)
+    assert run_cli(scene_copy, tmp_path / "out") == 0
+    assert (tmp_path / "out" / "query_000" / "camera.jpg").read_bytes() == photo
+    assert not (tmp_path / "out" / "query_001" / "camera.jpg").exists()
+
+
+@pytest.mark.parametrize("mode, flag, same_as", [
+    ("basic", "--stop-fraction=1e308", "--stop-fraction=1"),
+    ("advanced", "--skip-fraction=1e308", "--skip-fraction=1"),
+    ("basic", "--stop-fraction=-1e308", "--stop-fraction=0"),
+])
+def test_overflowing_fraction_runs_as_a_clamped_one(scene_dir, tmp_path, capsys,
+                                                    mode, flag, same_as):
+    """A share of the matches past the stop or skip count, or below 0,
+    acts as one at the count or at 0, however far past it is."""
+    assert run_cli(scene_dir, tmp_path / "big", mode, flag) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert run_cli(scene_dir, tmp_path / "same", mode, same_as) == 0
+    assert without_seconds(tmp_path / "big") == without_seconds(tmp_path / "same")
 
 
 def test_camera_list_short_of_the_model_exits_2(scene_copy, tmp_path, capsys):
@@ -428,6 +462,23 @@ def test_corrupt_cache_is_a_miss(scene_dir, tmp_path, averaged, damage):
         assert without_seconds(tmp_path / out) == without_seconds(tmp_path / "plain")
 
 
+def test_cache_of_another_version_is_a_miss(scene_dir, tmp_path, averaged):
+    path = tmp_path / "descriptors.npz"
+    cache = ["--cache-index", str(path)]
+    assert run_cli(scene_dir, tmp_path / "a", "basic", *cache) == 0
+    with np.load(path) as data:
+        stored = dict(data)
+    np.savez_compressed(path, **{**stored, "version": np.int64(CACHE_VERSION + 1)})
+
+    assert run_cli(scene_dir, tmp_path / "b", "basic", *cache) == 0
+    assert run_cli(scene_dir, tmp_path / "c", "basic", *cache) == 0
+    assert len(averaged) == 2  # b rewrote the cache, and c read it
+    with np.load(path) as data:
+        assert int(data["version"]) == CACHE_VERSION
+    for out in ("b", "c"):
+        assert without_seconds(tmp_path / out) == without_seconds(tmp_path / "a")
+
+
 def test_settings_file_gives_the_same_rows(scene_dir, tmp_path):
     settings = tmp_path / "settings.txt"
     settings.write_text(
@@ -459,7 +510,8 @@ def test_ratio_one_is_accepted(tmp_path):
 
 # (line, stderr text, id): values that only a params rule refuses, so main
 # returns 2 before reading a file.  Each id is the line and the message a
-# CLI-side flag type gave for it when the CLI kept range checks of its own.
+# CLI-side flag type gave for it when the CLI kept range checks of its own,
+# or, for a value that no CLI check refused, how a run then failed.
 _OUT_OF_RANGE = [
     ("--seed -1", "RunConfig.seed -1 is not an integer >= 0",
      "argument --seed: '-1' is not an integer >= 0"),
@@ -502,6 +554,9 @@ _OUT_OF_RANGE = [
      "argument --inlier-threshold: '-0.5' is not a finite number > 0"),
     ("--inlier-threshold 0", "BasicParams.inlier_threshold 0.0 is not a finite number > 0",
      "argument --inlier-threshold: '0' is not a finite number > 0"),
+    ("--priority-booster 99999999999999999999",
+     "BackmatchParams.priority_booster 99999999999999999999 is not an integer in "
+     "0..2147483647", "OverflowError in backmatch"),
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.spatial import cKDTree
 
-from sfmloc import Matches, build_index, find_good_matches, ratio_test
+from sfmloc import DescriptorIndex, Matches, find_good_matches, ratio_test
 from sfmloc.descriptor_index import load_index_cache, save_index_cache
 from sfmloc.errors import DimensionMismatch, EmptyInput, InvalidParams
 from sfmloc.sfm_data import QueryImage, keyfile_records
@@ -52,20 +52,20 @@ class TestBuildIndexKnn:
     def test_exact_copy_has_zero_distance(self):
         rng = np.random.default_rng(0)
         descs = rng.integers(0, 256, (10, 128))
-        index = build_index(descs)
+        index = DescriptorIndex(descs)
         dists, idx = index.query(descs[3])
         assert idx[0, 0] == 3
         assert dists[0, 0] == 0.0
 
     def test_empty_input_raises(self):
         with pytest.raises(EmptyInput):
-            build_index(np.empty((0, 128)))
+            DescriptorIndex(np.empty((0, 128)))
 
     def test_one_point_index_answers_inf(self):
         """The second neighbor of a one-point index is at infinity, with
         the index's length as its index; find_good_matches matches none."""
         descs = np.random.default_rng(1).integers(0, 256, (1, 128), dtype=np.uint8)
-        index = build_index(descs)
+        index = DescriptorIndex(descs)
         assert len(index) == 1
         dists, idx = index.query(np.vstack([descs, descs // 2]))
         assert idx.shape == dists.shape == (2, 2)
@@ -76,12 +76,12 @@ class TestBuildIndexKnn:
     @pytest.mark.parametrize("shape", [(3, 64), (128,)], ids=["3x64", "1-D"])
     def test_not_n_by_128_raises(self, shape):
         with pytest.raises(DimensionMismatch, match=r"\(n, 128\)"):
-            build_index(np.zeros(shape, dtype=np.uint8))
+            DescriptorIndex(np.zeros(shape, dtype=np.uint8))
 
     def test_two_point_index(self):
         v = np.full(128, 10.0)
         w = np.full(128, 200.0)
-        index = build_index(np.vstack([v, w]))
+        index = DescriptorIndex(np.vstack([v, w]))
         dists, idx = index.query(v)
         assert list(idx[0]) == [0, 1]
         assert dists[0, 0] == 0.0
@@ -92,7 +92,7 @@ class TestBuildIndexKnn:
         descs = np.vstack([descs, descs[:10]])  # duplicated rows: exact ties
         queries = np.vstack([descs[:20],
                              rng.integers(0, 3, (30, 128)).astype(np.uint8)])
-        index = build_index(descs)
+        index = DescriptorIndex(descs)
         dists, idx = index.query(queries)
         rows = [index.query(q) for q in queries]
         assert np.array_equal(dists, np.vstack([d for d, _ in rows]))
@@ -103,7 +103,7 @@ class TestBuildIndexKnn:
         rng = np.random.default_rng(2)
         descs = rng.uniform(0, 255, (1000, 128))
         queries = rng.uniform(0, 255, (1000, 128))
-        index = build_index(descs)
+        index = DescriptorIndex(descs)
         dists, idx = index.query(queries)
         agree = sum(int(idx[i, 0]) == brute_force_top1(descs, queries[i])
                     for i in range(len(queries)))
@@ -112,7 +112,7 @@ class TestBuildIndexKnn:
     def test_top2_agreement_with_brute_force(self):
         rng = np.random.default_rng(3)
         descs = rng.uniform(0, 255, (100, 128))
-        index = build_index(descs)
+        index = DescriptorIndex(descs)
         agree = 0
         for _ in range(1000):
             q = rng.uniform(0, 255, 128)
@@ -134,7 +134,7 @@ class TestExactOracle:
         want_d, want_i, untied = oracle_two_nn(descs, queries)
         assert untied.any() and not untied.all()
         descs, queries = descs.astype(dtype), queries.astype(dtype)
-        index = build_index(descs)
+        index = DescriptorIndex(descs)
         rows = [index.query(q) for q in queries]  # as backmatching asks
         for dists, idx in (index.query(queries),
                            (np.vstack([d for d, _ in rows]),
@@ -189,7 +189,7 @@ class TestFindGoodMatches:
     def setup_method(self):
         rng = np.random.default_rng(5)
         self.descs = rng.integers(0, 256, (60, 128))
-        self.index = build_index(self.descs)
+        self.index = DescriptorIndex(self.descs)
 
     def test_exact_copies_all_match(self):
         query = _query_from_descriptors(self.descs[:10])
@@ -219,7 +219,7 @@ class TestFindGoodMatches:
 
     def test_duplicate_indexed_descriptor_rejected(self):
         descs = np.vstack([self.descs, self.descs[0]])
-        index = build_index(descs)
+        index = DescriptorIndex(descs)
         query = _query_from_descriptors(descs[:1])
         got = find_good_matches(index, query, 0.9)
         assert len(got) == 0

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from sfmloc import (
     BasicParams,
+    DescriptorIndex,
     MatchContext,
     Matches,
     Pose,
-    build_index,
     coverage_area_xy,
     coverage_window,
     find_good_matches,
@@ -164,7 +164,7 @@ class TestFittedMatches:
         changes no entry."""
         model = noisy_scene.model
         query, golden = noisy_scene.queries[0]
-        index = build_index(model.mean_descriptors)
+        index = DescriptorIndex(model.mean_descriptors)
         good = find_good_matches(index, query, 0.9)
         xy = normalize_points(query.features.xy[good.feature_idx],
                               query.width, query.height)

@@ -9,17 +9,17 @@ from hypothesis import given, strategies as st
 from sfmloc import (
     AdvancedParams,
     BackmatchParams,
+    DescriptorIndex,
     Matches,
     accept_probability,
     backmatch,
-    build_index,
     estimate_pose_advanced,
     find_good_matches,
     pose_error,
     ransac_advanced,
     scene_diameter,
 )
-from sfmloc.errors import InsufficientMatches, InvalidParams, SamplingExhausted
+from sfmloc.errors import EmptyInput, InsufficientMatches, InvalidParams, SamplingExhausted
 from sfmloc.ransac_advanced import _draw_cooccurrence_idx, _seed_matches
 from sfmloc.sfm_data import QueryImage, SfmModel, keyfile_records
 
@@ -86,6 +86,8 @@ class TestAcceptProbability:
     pytest.param(AdvancedParams, "inlier_threshold", -0.5, id="threshold_negative"),
     pytest.param(AdvancedParams, "inlier_metric", "manhattan", id="unknown_metric"),
     pytest.param(BackmatchParams, "priority_booster", -1, id="booster_negative"),
+    pytest.param(BackmatchParams, "priority_booster", 2**31, id="booster_past_int32"),
+    pytest.param(BackmatchParams, "priority_booster", 10**20, id="booster_past_int64"),
     pytest.param(AdvancedParams, "iterations_per_phase", -5, id="iterations_negative"),
     pytest.param(AdvancedParams, "skip_fraction", float("nan"), id="skip_fraction_nan"),
     pytest.param(AdvancedParams, "skip_fraction", float("-inf"), id="skip_fraction_-inf"),
@@ -120,6 +122,8 @@ def test_invalid_params_raise(cls, field, value):
     (AdvancedParams, "iterations_per_phase", np.int64(12)),
     (AdvancedParams, "inlier_threshold", np.float32(0.5)), (AdvancedParams, "k_sigmoid", 5),
     (BackmatchParams, "ratio", np.float32(0.5)), (BackmatchParams, "ratio", 1),
+    (AdvancedParams, "skip_fraction", 1e308), (AdvancedParams, "skip_fraction", -1e308),
+    (BackmatchParams, "priority_booster", 2**31 - 1),
 ])
 def test_edge_params_are_accepted(cls, field, value):
     assert getattr(cls(**{field: value}), field) == value
@@ -316,7 +320,7 @@ def noisy_model(request, noisy_scene):
 
 
 def noisy_good(noisy_scene, model, qi):
-    index = build_index(model.mean_descriptors)
+    index = DescriptorIndex(model.mean_descriptors)
     query, _ = noisy_scene.queries[qi]
     return query, find_good_matches(index, query, 0.9)
 
@@ -406,6 +410,20 @@ class TestBackmatch:
         assert len(backmatch(query, model, Matches.empty(),
                              BackmatchParams())) == 0
 
+    def test_model_without_descriptors_raises(self):
+        model, query, good = micro_scene()
+        with pytest.raises(EmptyInput, match="mean descriptors"):
+            backmatch(query, model.with_mean_descriptors(None), good)
+
+    def test_booster_at_its_bound_matches_as_a_small_one(self):
+        """No raise in this scene passes a booster of 10, so the largest
+        booster the bound admits pops the same points, and none wraps."""
+        model, query, good = micro_scene()
+        small, large = (backmatch(query, model, good, BackmatchParams(priority_booster=b))
+                        for b in (10, 2**31 - 1))
+        assert np.array_equal(small.feature_idx, large.feature_idx)
+        assert np.array_equal(small.point_idx, large.point_idx)
+
     def test_already_matched_feature_not_duplicated(self):
         model, query, good = micro_scene()
         # make point 2's descriptor identical to the matched feature 0
@@ -427,7 +445,7 @@ class TestEstimatePoseAdvanced:
     def test_clean_scene_no_backmatching(self, clean_scene):
         model = clean_scene.model
         diam = scene_diameter(model)
-        index = build_index(model.mean_descriptors)
+        index = DescriptorIndex(model.mean_descriptors)
         query, golden = clean_scene.queries[1]
         good = find_good_matches(index, query, 0.9)
         est = estimate_pose_advanced(query, good, model,
@@ -441,7 +459,7 @@ class TestEstimatePoseAdvanced:
 
     def test_suppression_triggers_backmatching(self, noisy_scene):
         model = noisy_scene.model
-        index = build_index(model.mean_descriptors)
+        index = DescriptorIndex(model.mean_descriptors)
         query, golden = noisy_scene.queries[0]
         good = find_good_matches(index, query, 0.9)
         is_outlier = np.isin(good.feature_idx, noisy_scene.outlier_labels[0])
@@ -472,7 +490,7 @@ class TestEstimatePoseAdvanced:
 
     def test_deterministic_under_seed(self, noisy_scene):
         model = noisy_scene.model
-        index = build_index(model.mean_descriptors)
+        index = DescriptorIndex(model.mean_descriptors)
         query, _ = noisy_scene.queries[1]
         good = find_good_matches(index, query, 0.9)
         a = estimate_pose_advanced(query, good, model,
@@ -485,7 +503,7 @@ class TestEstimatePoseAdvanced:
 
     def test_iteration_counts_are_exact(self, noisy_scene):
         model = noisy_scene.model
-        index = build_index(model.mean_descriptors)
+        index = DescriptorIndex(model.mean_descriptors)
         for qi, (query, _) in enumerate(noisy_scene.queries[:3]):
             good = find_good_matches(index, query, 0.9)
             est = estimate_pose_advanced(query, good, model,
@@ -525,7 +543,7 @@ class TestBackmatchWithEveryFeatureMatched:
     def fully_matched(clean_scene):
         """A query holding only the features its good matches use."""
         model = clean_scene.model
-        index = build_index(model.mean_descriptors)
+        index = DescriptorIndex(model.mean_descriptors)
         query, _ = clean_scene.queries[0]
         good = find_good_matches(index, query, 0.9)
         query = replace(query, features=query.features[good.feature_idx])

@@ -8,8 +8,8 @@ import pytest
 from sfmloc import (
     AdvancedParams,
     BasicParams,
+    DescriptorIndex,
     Matches,
-    build_index,
     estimate_pose_advanced,
     estimate_pose_basic,
     find_good_matches,
@@ -49,6 +49,30 @@ class TestSampleUnique:
             size([5, 5, 6])
         assert size([5, 6, 7]) == 3
 
+    def test_falls_back_to_groups_after_100_rejected_draws(self):
+        """Two of 1 002 matches hold the only other points, so every
+        rejection draw of three distinct points fails; the grouped draw
+        then picks one match per point, as fixed by the seed."""
+        point_ids = np.array([0] * 1000 + [1, 2])
+        sizes = []
+
+        class Recording:  # the generator, noting each choice's population
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def choice(self, m, **kwargs):
+                sizes.append(m)
+                return self.rng.choice(m, **kwargs)
+
+            def integers(self, n):
+                return self.rng.integers(n)
+        got = _sample_unique_idx(point_ids, 3, Recording(4))
+        assert sizes == [1002] * 100 + [3]
+        assert sorted(point_ids[got]) == [0, 1, 2]
+        assert np.array_equal(got, _sample_unique_idx(point_ids, 3, Recording(4)))
+        assert np.array_equal(got, _sample_unique_idx(point_ids, 3,
+                                                      np.random.default_rng(4)))
+
     def test_pairs_uniform(self):
         # 1000 draws of n=2 from 4 matches: each unordered pair ~ 1/6
         point_ids = np.arange(4)
@@ -70,7 +94,7 @@ class TestEstimatePoseBasic:
     def test_clean_scene_accuracy(self, clean_scene):
         model = clean_scene.model
         diam = scene_diameter(model)
-        index = build_index(model.mean_descriptors)
+        index = DescriptorIndex(model.mean_descriptors)
         for query, golden in clean_scene.queries[:3]:
             good = find_good_matches(index, query, 0.7)
             est = estimate_pose_basic(query, good, model,
@@ -83,7 +107,7 @@ class TestEstimatePoseBasic:
     def test_noisy_scene_with_outliers(self, noisy_scene):
         model = noisy_scene.model
         diam = scene_diameter(model)
-        index = build_index(model.mean_descriptors)
+        index = DescriptorIndex(model.mean_descriptors)
         registered = 0
         for query, golden in noisy_scene.queries:
             good = find_good_matches(index, query, 0.7)
@@ -115,7 +139,7 @@ class TestEstimatePoseBasic:
 
     def test_unknown_focal_uses_p4pf(self, clean_scene):
         model = clean_scene.model
-        index = build_index(model.mean_descriptors)
+        index = DescriptorIndex(model.mean_descriptors)
         query, golden = clean_scene.queries[0]
         good = find_good_matches(index, query, 0.7)
         no_exif = type(query)(name=query.name, width=query.width,
@@ -197,9 +221,25 @@ def test_invalid_params_raise(field, value):
     ("stop_count", 0), ("min_fitted", 0), ("inlier_metric", "pixel"), ("rng_seed", 0),
     ("max_iterations", np.int64(12)), ("inlier_threshold", np.float32(0.5)),
     ("inlier_threshold", 2), ("rng_seed", None),
+    ("stop_fraction", 1e308), ("stop_fraction", -1e308),
 ])
 def test_edge_params_are_accepted(field, value):
     assert getattr(BasicParams(**{field: value}), field) == value
+
+
+@pytest.mark.parametrize("fraction, target", [
+    (0.5, 8), (0.1, 2), (1.0, 12), (1e308, 12), (0.0, 0), (-0.5, 0), (-1e308, 0),
+])
+def test_fit_target_clamps_the_share(fraction, target):
+    """Of 15 matches, with a count of 12: a share past the count, even one
+    that overflows to inf, gives the count, and one below 0 gives 0."""
+    feats = keyfile_records(np.outer(np.arange(15), [10.0, 5.0]),
+                            np.zeros((15, 128), dtype=np.uint8))
+    query = QueryImage(name="q", width=400, height=300, features=feats,
+                       exif_focal_px=400.0)
+    ctx = MatchContext(query, Matches(np.arange(15), np.arange(15)),
+                       points_model(np.zeros((15, 3))), BasicParams())
+    assert ctx.fit_target(12, fraction) == target
 
 
 class TestBothSolvers:
@@ -268,7 +308,7 @@ def oracle_search(ctx, draw, iterations: int, best=None, stop_at: int | None = N
 def noisy_context(noisy_scene, qi, solver="auto"):
     """RANSAC context over the good matches of one noisy-scene query."""
     model = noisy_scene.model
-    index = build_index(model.mean_descriptors)
+    index = DescriptorIndex(model.mean_descriptors)
     query, _ = noisy_scene.queries[qi]
     good = find_good_matches(index, query, 0.9)
     return query, ransac_basic.MatchContext(query, good, model, BasicParams(), solver)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from sfmloc import (
-    build_index,
     estimate_pose_advanced,
     estimate_pose_basic,
     find_good_matches,
@@ -22,6 +21,7 @@ from sfmloc import (
     ransac_advanced,
     ransac_basic,
 )
+from sfmloc.descriptor_index import build_index
 
 # (module, name) of every layer function the tracer rebinds and the
 # pipeline calls, and the (module, class, method) it wraps
@@ -77,9 +77,10 @@ def test_p4pf_runs_only_without_a_focal(scene_matches, clean_scene, p4pf_calls,
 
 
 def test_pipeline_compatibility_points(clean_scene):
-    """perfbench/pipeline.py reads SfmModel.visibilities and passes it and
-    the positions to find_good_matches, which ignores them.  Both go, with
-    this test, when that file stops using them."""
+    """perfbench/pipeline.py builds its index with build_index, reads
+    SfmModel.visibilities and passes it and the positions to
+    find_good_matches, which ignores them.  Each goes, with this test, when
+    that file stops using it."""
     model = clean_scene.model
     vis = model.visibilities
     assert len(vis) == model.num_points
