@@ -8,6 +8,7 @@ pipeline, an advanced pipeline using co-occurrence prior sampling and
 
 from .benchmark import (
     BenchmarkReport,
+    Localizer,
     PoseError,
     SyntheticScene,
     generate_synthetic_scene,

@@ -1,5 +1,5 @@
-"""Pose-error metrics, the per-query pipeline, benchmark reports and the
-synthetic-scene oracle.
+"""Pose-error metrics, the per-query pipeline (``Localizer``), benchmark
+reports and the synthetic-scene oracle.
 
 The synthetic scene builds a point cloud inside a box, database cameras
 on a surrounding ring and query cameras with known golden poses.
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .descriptor_index import find_good_matches
+from .descriptor_index import DescriptorIndex, find_good_matches
 from .errors import InsufficientMatches, InvalidParams, NoSolution, check_setting
 from .minimal_solvers import Pose, denormalize_points, internal_to_bundler
 from .ransac_advanced import AdvancedParams, BackmatchParams, estimate_pose_advanced
@@ -25,7 +25,7 @@ from .sfm_data import (CameraRecord, QueryImage, SfmModel, build_mean_descriptor
                        keyfile_records, split_golden, write_bundle,
                        write_keyfile)
 
-# the pipelines localize runs
+# the pipelines a Localizer runs
 MODES = ("basic", "advanced")
 GOOD_RATIO_BASIC = 0.7
 GOOD_RATIO_ADVANCED = 0.9
@@ -340,34 +340,52 @@ def _histogram(values, bins) -> list:
     return rows
 
 
-def localize(query: QueryImage, golden: Pose, index, model: SfmModel,
-             mode: str, basic: BasicParams = BasicParams(),
-             advanced: AdvancedParams = AdvancedParams(),
-             back: BackmatchParams = BackmatchParams(),
-             seed: int | None = None, ratio: float | None = None,
-             solver: str = "auto"):
-    """Match one query, estimate its pose and score it against golden.
+class Localizer:
+    """The per-query pipeline of one run: the model's descriptor index,
+    the mode, its settings and its good-match ratio, set up once.
 
-    The mode's RANSAC runs with rng_seed=seed; ratio defaults to the
-    mode's good-match ratio.  Returns (estimate, row), with estimate
-    None and the exception type name as the row's failure when the
-    query has too few matches or no pose.  seconds covers matching and
-    estimation.  Raises InvalidParams for a mode not in MODES.
+    ratio defaults to the mode's good-match ratio.  Raises InvalidParams
+    for a mode not in MODES; every other setting is checked where it is
+    used.
     """
-    check_setting("mode", mode, choices=MODES)
-    if ratio is None:
-        ratio = GOOD_RATIO_BASIC if mode == "basic" else GOOD_RATIO_ADVANCED
+
+    def __init__(self, model: SfmModel, mode: str,
+                 basic: BasicParams = BasicParams(),
+                 advanced: AdvancedParams = AdvancedParams(),
+                 back: BackmatchParams = BackmatchParams(),
+                 ratio: float | None = None, solver: str = "auto"):
+        check_setting("mode", mode, choices=MODES)
+        if ratio is None:
+            ratio = GOOD_RATIO_BASIC if mode == "basic" else GOOD_RATIO_ADVANCED
+        self.model, self.mode, self.ratio, self.solver = model, mode, ratio, solver
+        self.basic, self.advanced, self.back = basic, advanced, back
+        self.index = DescriptorIndex(model.mean_descriptors)
+
+    def localize(self, query: QueryImage, seed: int | None = None):
+        """Match one query and estimate its pose, the mode's RANSAC run
+        with rng_seed=seed; raises NoSolution or InsufficientMatches
+        when it finds none."""
+        good = find_good_matches(self.index, query, self.ratio)
+        if self.mode == "basic":
+            return estimate_pose_basic(query, good, self.model,
+                                       replace(self.basic, rng_seed=seed),
+                                       solver=self.solver)
+        return estimate_pose_advanced(query, good, self.model,
+                                      replace(self.advanced, rng_seed=seed),
+                                      self.back, solver=self.solver)
+
+
+def localize(localizer: Localizer, query: QueryImage, golden: Pose,
+             seed: int | None = None):
+    """Localize one query and score it against golden.
+
+    Returns (estimate, row), with estimate None and the exception type
+    name as the row's failure when the query has too few matches or no
+    pose.  seconds covers matching and estimation.
+    """
     start = time.perf_counter()
     try:
-        good = find_good_matches(index, query, ratio)
-        if mode == "basic":
-            est = estimate_pose_basic(query, good, model,
-                                      replace(basic, rng_seed=seed),
-                                      solver=solver)
-        else:
-            est = estimate_pose_advanced(query, good, model,
-                                         replace(advanced, rng_seed=seed),
-                                         back, solver=solver)
+        est = localizer.localize(query, seed)
     except (NoSolution, InsufficientMatches) as exc:
         return None, QueryResult(query.name, None,
                                  time.perf_counter() - start, False, 0,

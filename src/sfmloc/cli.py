@@ -4,11 +4,15 @@ Expected dataset layout (see the scene-directory writer in the
 benchmark module, which produces exactly this):
 
     model.out        bundler v0.3 text
-    list.txt         image names aligned with the model's cameras
+    list.txt         image names aligned with the model's cameras, no
+                     two with one stem (it names a keyfile and an
+                     output directory)
     query_list.txt   names of the images to localize
-    meta.txt         per query: name width height [focal_px], sizes
-                     in 1..65535 (JPEG's limit)
+    meta.txt         one line per query: name width height [focal_px],
+                     sizes in 1..65535 (JPEG's limit)
     keys/<stem>.key  one keyfile per image
+    <name>           a query's photograph, if any, looked up beside
+                     model.out and exported as camera.jpg
 
 All pipeline parameters are flags; an unset flag takes the type,
 default and choices of the params field it sets.  The params classes
@@ -40,19 +44,15 @@ from .benchmark import (
     GOOD_RATIO_ADVANCED,
     GOOD_RATIO_BASIC,
     MODES,
+    Localizer,
     QueryResult,
     localize,
     report_from_rows,
     write_report,
 )
-from .descriptor_index import (
-    DescriptorIndex,
-    descriptor_source_key,
-    load_index_cache,
-    save_index_cache,
-)
-from .errors import (InvalidParams, LocalizationError, MalformedMetadata, UnknownQuery,
-                     check_setting)
+from .descriptor_index import descriptor_source_key, load_index_cache, save_index_cache
+from .errors import (CameraListMismatch, InvalidParams, LocalizationError,
+                     MalformedMetadata, UnknownQuery, check_setting)
 from .minimal_solvers import bundler_to_internal
 from .ransac_advanced import AdvancedParams, BackmatchParams
 from .ransac_basic import SOLVERS, BasicParams
@@ -215,10 +215,11 @@ def _load_meta(path) -> dict:
     it is missing), and MalformedMetadata, naming the file and line, for
     a line that is not ``name width height [focal_px]`` with a width and
     height in 1..65535 (JPEG's limit; the export names the photo
-    camera.jpg) and, when given, a finite positive focal, or naming the
-    file for a byte that cannot be decoded.
+    camera.jpg) and, when given, a finite positive focal, naming both
+    lines for a second line of one name, or naming the file for a byte
+    that cannot be decoded.
     """
-    meta = {}
+    meta, first_line = {}, {}
     with open(path) as fh:
         try:
             lines = fh.readlines()
@@ -239,6 +240,11 @@ def _load_meta(path) -> dict:
                     f"{path}:{lineno}: expected 'name width height "
                     f"[focal_px]' with sizes in 1..{MAX_IMAGE_SIZE} and a finite "
                     f"positive focal, got {line.strip()!r}") from None
+            if parts[0] in first_line:
+                raise MalformedMetadata(
+                    f"{path}:{lineno}: a second line for {parts[0]!r}, the first "
+                    f"is line {first_line[parts[0]]}")
+            first_line[parts[0]] = lineno
             meta[parts[0]] = (width, height, focal)
     return meta
 
@@ -273,6 +279,13 @@ def run(config: RunConfig) -> int:
         full = parse_bundle(fh)
     with open(config.camera_list_path) as fh:
         camera_names = parse_image_list(fh)
+    by_stem = {}
+    for name in camera_names:  # a stem names a keyfile and an output directory
+        other = by_stem.setdefault(Path(name).stem, name)
+        if other != name:
+            raise CameraListMismatch(
+                f"the camera list names {other!r} and {name!r}, which share "
+                f"the keyfile {_keyfile_path(config, name)}")
     with open(config.query_list_path) as fh:
         query_names = parse_image_list(fh)
     if config.query_selector != "all":
@@ -305,7 +318,8 @@ def run(config: RunConfig) -> int:
     else:
         info = info.with_mean_descriptors(descriptors)
 
-    index = DescriptorIndex(info.mean_descriptors)
+    localizer = Localizer(info, config.mode, config.basic, config.advanced,
+                          config.backmatch, config.ratio, config.solver_override)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     export_ply(info, out / MESH_NAME)
@@ -318,22 +332,14 @@ def run(config: RunConfig) -> int:
             print(f"[{name}] FAILED {type(exc).__name__}: {exc}")
             return QueryResult(name, None, 0.0, False, 0,
                                failure=type(exc).__name__)
-        est, row = localize(
-            query, bundler_to_internal(golden_records[name]), index, info,
-            config.mode, config.basic, config.advanced, config.backmatch,
-            seed=None if config.seed is None else config.seed + qi,
-            ratio=config.ratio, solver=config.solver_override)
+        est, row = localize(localizer, query, bundler_to_internal(golden_records[name]),
+                            None if config.seed is None else config.seed + qi)
         if est is None:
             print(f"[{name}] FAILED {row.failure}")
             return row
 
-        image_source = None
-        for candidate in (Path(name), config.model_path.parent / name):
-            if candidate.is_file():
-                image_source = candidate
-                break
-        export_query_bundle(est.pose, query, est.fitted, info,
-                            out / Path(name).stem, image_source=image_source,
+        export_query_bundle(est.pose, query, est.fitted, info, out / Path(name).stem,
+                            image_source=config.model_path.parent / name,
                             write_mesh=False, mesh_filename=f"../{MESH_NAME}")
         print(f"[{name}] q={est.quality.q:.3f} fitted={len(est.fitted)} "
               f"iters={est.iterations_used} "

@@ -29,7 +29,8 @@ class DimensionMismatch(LocalizationError):
 
 
 class CameraListMismatch(LocalizationError):
-    """The camera list does not name one image per model camera."""
+    """The camera list does not name one image per model camera, or
+    names two images with one stem, which would share a keyfile."""
 
 
 class UnknownQuery(LocalizationError):
@@ -69,7 +70,8 @@ class NoSolution(LocalizationError):
 # --- benchmark / cli -------------------------------------------------------
 
 class MalformedMetadata(LocalizationError):
-    """A meta.txt line is malformed, or a query has no meta.txt entry."""
+    """A meta.txt line is malformed or repeats an image, or a query has
+    no meta.txt entry."""
 
 
 class InvalidParams(LocalizationError):

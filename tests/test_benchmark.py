@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from sfmloc import (
-    BasicParams,
-    DescriptorIndex,
+    Localizer,
     Pose,
-    estimate_pose_basic,
-    find_good_matches,
     generate_synthetic_scene,
     localize,
     pose_error,
@@ -78,12 +75,9 @@ class TestSyntheticScene:
             assert np.all((0 <= y) & (y < query.height))
 
     def test_noise_free_reestimation_is_exact(self, clean_scene):
-        model = clean_scene.model
-        index = DescriptorIndex(model.mean_descriptors)
         query, golden = clean_scene.queries[2]
-        good = find_good_matches(index, query, 0.7)
-        est = estimate_pose_basic(query, good, model, BasicParams(rng_seed=0))
-        err = pose_error(est.pose, golden)
+        err = pose_error(Localizer(clean_scene.model, "basic").localize(query, 0).pose,
+                         golden)
         assert err.rotation_deg < 1e-6
         assert err.translation < 1e-6
 
@@ -103,9 +97,8 @@ class TestSyntheticScene:
 def localized_rows(scene, queries, seed=0):
     """Basic-mode rows of queries (query, golden) in order, query i
     with RANSAC seed seed + i, as ``sfmloc --seed`` runs them."""
-    model = scene.model
-    index = DescriptorIndex(model.mean_descriptors)
-    return [localize(query, golden, index, model, "basic", seed=seed + qi)[1]
+    localizer = Localizer(scene.model, "basic")
+    return [localize(localizer, query, golden, seed + qi)[1]
             for qi, (query, golden) in enumerate(queries)]
 
 
@@ -114,18 +107,14 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("ratio", [1.5, 0.0, float("nan")])
     def test_ratio_outside_unit_interval_raises(self, clean_scene, ratio):
-        model = clean_scene.model
-        index = DescriptorIndex(model.mean_descriptors)
+        localizer = Localizer(clean_scene.model, "basic", ratio=ratio)
         query, golden = clean_scene.queries[0]
         with pytest.raises(InvalidParams):
-            localize(query, golden, index, model, "basic", seed=0, ratio=ratio)
+            localize(localizer, query, golden, 0)
 
     def test_unknown_mode_raises(self, clean_scene):
-        model = clean_scene.model
-        index = DescriptorIndex(model.mean_descriptors)
-        query, golden = clean_scene.queries[0]
         with pytest.raises(InvalidParams, match="'basci'"):
-            localize(query, golden, index, model, "basci", seed=0)
+            Localizer(clean_scene.model, "basci")
 
     def test_empty_queries(self):
         report = report_from_rows([])

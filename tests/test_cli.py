@@ -20,12 +20,15 @@ from sfmloc import (
     BackmatchParams,
     BasicParams,
     CameraRecord,
+    Localizer,
     SfmModel,
     cli,
     generate_synthetic_scene,
     keyfile_records,
+    localize,
     parse_bundle,
     parse_keyfile,
+    split_golden,
     write_bundle,
     write_keyfile,
     write_scene_dir,
@@ -99,6 +102,23 @@ def test_full_model_is_freed_before_the_queries(scene_dir, tmp_path, monkeypatch
     assert alive == [False] * 4
 
 
+@pytest.mark.parametrize("mode", ["basic", "advanced"])
+def test_localizer_on_the_info_model_gives_the_cli_rows(noisy_scene, tmp_path, mode):
+    """In process, a Localizer over split_golden's info model gives each
+    query the error, iterations and backmatching of a CLI run."""
+    scene = tmp_path / "scene"
+    write_scene_dir(noisy_scene, scene)
+    assert run_cli(scene, tmp_path / "out", mode, "--seed", "7") == 0
+    names = [q.name for q, _ in noisy_scene.queries]
+    localizer = Localizer(split_golden(noisy_scene.model, names,
+                                       noisy_scene.db_names + names)[0], mode)
+    got = [localize(localizer, query, golden, 7 + qi)[1]
+           for qi, (query, golden) in enumerate(noisy_scene.queries)]
+    assert [[f"{r.error.translation:.9g}", str(r.iterations), str(r.used_backmatching)]
+            for r in got] == [[r["translation"], r["iterations"], r["used_backmatching"]]
+                              for r in rows(tmp_path / "out")]
+
+
 def test_advanced_run_builds_no_camera_sets(noisy_scene, tmp_path, monkeypatch):
     """Sampling and backmatching read the model's view lists: a run with
     SfmModel.visibilities raising writes the rows of a run without.  Phase
@@ -127,7 +147,8 @@ def test_advanced_run_builds_no_camera_sets(noisy_scene, tmp_path, monkeypatch):
                                   "query_000.jpg 800 600 -800",
                                   "query_000.jpg 0 600 400.0",
                                   "query_000.jpg 99999999999999999999 600 400.0",
-                                  "query_000.jpg 800 2147483648 400.0"])
+                                  "query_000.jpg 800 2147483648 400.0",
+                                  "query_000.jpg 400 300"])
 def test_malformed_meta_exits_2(scene_copy, tmp_path, capsys, line):
     meta = scene_copy / "meta.txt"
     lines = meta.read_text().splitlines()
@@ -165,12 +186,27 @@ def test_load_meta_skips_blank_lines(tmp_path):
         cli._load_meta(meta)
 
 
+def test_load_meta_refuses_a_second_line_for_an_image(tmp_path):
+    meta = tmp_path / "meta.txt"
+    meta.write_text("a.jpg 640 480\nb.jpg 1 1\na.jpg 640 480\n")
+    with pytest.raises(MalformedMetadata,
+                       match=f"{re.escape(str(meta))}:3: .*'a.jpg'.* line 1"):
+        cli._load_meta(meta)
+
+
 def test_query_photo_beside_the_model_is_exported(scene_copy, tmp_path):
     photo = b"\xff\xd8\xff\xe0 a photo"
     (scene_copy / "query_000.jpg").write_bytes(photo)
     assert run_cli(scene_copy, tmp_path / "out") == 0
     assert (tmp_path / "out" / "query_000" / "camera.jpg").read_bytes() == photo
     assert not (tmp_path / "out" / "query_001" / "camera.jpg").exists()
+
+
+def test_photo_in_the_working_directory_is_not_exported(scene_dir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "query_000.jpg").write_bytes(b"\xff\xd8\xff\xe0 a decoy")
+    assert run_cli(scene_dir, tmp_path / "out") == 0
+    assert not (tmp_path / "out" / "query_000" / "camera.jpg").exists()
 
 
 @pytest.mark.parametrize("mode, flag, same_as", [
@@ -207,6 +243,20 @@ def test_camera_list_naming_an_image_twice_exits_2(scene_copy, tmp_path, capsys)
     err = capsys.readouterr().err
     assert "CameraListMismatch" in err and "'query_000.jpg' twice" in err
     assert "Traceback" not in err
+
+
+def test_camera_list_naming_one_stem_twice_exits_2(scene_copy, tmp_path, capsys,
+                                                  monkeypatch):
+    """Two images with one stem would read one keyfile; no keyfile is read."""
+    names = scene_copy / "list.txt"
+    lines = names.read_text().splitlines(True)
+    lines[1] = "sub/db_000.jpg\n"
+    names.write_text("".join(lines))
+    monkeypatch.setattr(cli, "parse_keyfile", None)
+    assert run_cli(scene_copy, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: CameraListMismatch: ")
+    assert "'db_000.jpg' and 'sub/db_000.jpg'" in err
 
 
 def _drop_keyfile(scene):

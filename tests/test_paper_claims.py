@@ -6,30 +6,26 @@ scene, query and RANSAC seed, and asserts the claim with a margin.
 
 import pytest
 
-from sfmloc import BasicParams, DescriptorIndex, generate_synthetic_scene, localize
+from sfmloc import BasicParams, Localizer, generate_synthetic_scene, localize
 from sfmloc.benchmark import GOOD_RATIO_ADVANCED
 
 
 @pytest.fixture(scope="module")
 def outlier_scenes():
     """Two street scenes whose query features are 90 % outliers."""
-    scenes = []
-    for seed in (0, 1):
-        scene = generate_synthetic_scene(
-            4000, 20, image_size=(1600, 1200), focal_px=800.0, noise_px=1.0,
-            outlier_fraction=0.9, seed=seed, n_queries=4, view_cone_deg=35.0,
-            max_depth=90.0)
-        scenes.append((scene, DescriptorIndex(scene.model.mean_descriptors)))
-    return scenes
+    return [generate_synthetic_scene(
+        4000, 20, image_size=(1600, 1200), focal_px=800.0, noise_px=1.0,
+        outlier_fraction=0.9, seed=seed, n_queries=4, view_cone_deg=35.0,
+        max_depth=90.0) for seed in (0, 1)]
 
 
 def count_under_half_unit(scenes, mode, basic=BasicParams()):
     """Queries localized within 0.5 units; query i gets RANSAC seed i."""
     under = 0
-    for scene, index in scenes:
+    for scene in scenes:
+        localizer = Localizer(scene.model, mode, basic, ratio=GOOD_RATIO_ADVANCED)
         for i, (query, golden) in enumerate(scene.queries):
-            _, row = localize(query, golden, index, scene.model, mode, basic,
-                              seed=i, ratio=GOOD_RATIO_ADVANCED)
+            _, row = localize(localizer, query, golden, i)
             under += row.error is not None and row.error.translation < 0.5
     return under
 
