@@ -7,9 +7,11 @@ A candidate pose is judged not by how many matches it fits but by how
 much of the image area its fitted matches cover relative to the area
 covered by all good matches.  Each match stamps a (2c+1) x (2c+1) pixel
 window around its feature; a covered area is the exact size of the
-windows' union, summed from their row intervals without an image.  The
-score, computed per candidate by ``ransac_basic.MatchContext``, is the
-ratio of the two covered areas and always lies in [0, 1].
+windows' union, summed from their row intervals a band of rows at a
+time without an image, so a call holds about 1 MB whatever the
+photo's size.  The score, computed per candidate by
+``ransac_basic.MatchContext``, is the ratio of the two covered areas
+and always lies in [0, 1].
 """
 
 from dataclasses import dataclass
@@ -21,6 +23,8 @@ from .minimal_solvers import Candidates, Pose
 
 # the fitted-match tests fitted_mask knows
 METRICS = ("ray", "pixel")
+# row intervals coverage_area_xy sums at once: its memory scales with this
+_BAND_INTERVALS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -79,13 +83,15 @@ def coverage_area_xy(xy: np.ndarray, width: int, height: int, c: int) -> int:
     """Distinct pixels under (2c+1)^2 windows centered at each coordinate.
 
     A window spans columns ceil(x - c)..floor(x + c) and rows
-    ceil(y - c)..floor(y + c), clipped to the image.  Its row intervals,
-    keyed row * width + column and taken in key order, add to the exact
-    union whatever lies past the furthest end before them.  A call holds
-    a few arrays of one entry per row interval, about n * min(2c + 1,
-    height) for n windows: 4-byte keys when width * height and that
-    count fit int32 (as they do for any image the CLI accepts), 8-byte
-    otherwise, beside the 8-byte sort order.
+    ceil(y - c)..floor(y + c), clipped to the image.  The rows are swept
+    a band at a time, and the bands' areas add up.  A band's row
+    intervals, keyed row * width + column and taken in key order, add
+    to its union whatever lies past the furthest end before them.  A
+    band holds about _BAND_INTERVALS intervals (more only when one row
+    alone holds more), at most 2^16 rows and under 2^31 pixels, so its
+    keys fit int32 and its rows a 16-bit radix sort.  A call holds one
+    band's arrays, about 1 MB, beside one count per image row and a few
+    per window, whatever the image's size.
     """
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     lo = np.maximum(np.ceil(xy - c), 0.0)
@@ -93,19 +99,37 @@ def coverage_area_xy(xy: np.ndarray, width: int, height: int, c: int) -> int:
     keep = np.flatnonzero((lo <= hi).all(axis=1))
     # windows by first column, so a stable sort by row orders them by key
     keep = keep[np.argsort(lo[keep, 0], kind="stable")]
-    # int32 when every key and the interval count fit it; under NEP 50 an
-    # int32 times a Python int stays int32, so a wider key would wrap
-    key = (np.int32 if width * height < 2**31 and len(keep) * min(2 * c + 1, height) < 2**31
-           else np.int64)
-    (x0, y0), (x1, y1) = lo[keep].astype(key).T, hi[keep].astype(key).T
-    rows = y1 - y0 + 1
-    row = (np.arange(rows.sum(), dtype=key)
-           + np.repeat(y0 + rows - np.cumsum(rows, dtype=key), rows))
-    # rows that fit 16 bits take numpy's radix sort
-    by_row = np.argsort(row.astype(np.uint16) if height <= 1 << 16 else row, kind="stable")
+    (x0, y0), (x1, past) = lo[keep].astype(np.int32).T, hi[keep].astype(np.int32).T + 1
+    x1 -= x0  # each window's width
+    # the intervals in rows 0..r, for each row r
+    through = np.bincount(y0, minlength=height + 1)
+    through -= np.bincount(past, minlength=height + 1)
+    np.add.accumulate(np.add.accumulate(through, out=through), out=through)
+    max_rows = min(1 << 16, (2**31 - 1) // width)
+    area = start = 0
+    while start < height:
+        before = through[start - 1] if start else 0
+        stop = int(np.searchsorted(through, before + _BAND_INTERVALS, side="right"))
+        stop = min(max(stop, start + 1), start + max_rows, height)
+        # each window's rows in the band, from its first there
+        first = np.maximum(y0, start)
+        rows = np.minimum(past, stop)
+        rows -= first
+        first -= start
+        area += _band_area(x0, x1, first, np.maximum(rows, 0, out=rows), width)
+        start = stop
+    return area
+
+
+def _band_area(x0, span, y0, rows, width: int) -> int:
+    """coverage_area_xy over one band: windows by first column x0, each
+    span columns wide and rows rows tall from band row y0."""
+    row = np.repeat(y0 + rows - np.cumsum(rows, dtype=np.int32), rows)
+    row += np.arange(len(row), dtype=np.int32)
+    by_row = np.argsort(row.astype(np.uint16), kind="stable")  # numpy's radix sort
     row *= width
     row += np.repeat(x0, rows)  # each interval's first key
-    start, end = row[by_row], np.repeat(x1 + 1 - x0, rows)[by_row]
+    start, end = row[by_row], np.repeat(span, rows)[by_row]
     del row, by_row  # in place from here on: three arrays of one entry per interval
     end += start
     reach = np.zeros_like(end)  # the furthest end before each interval

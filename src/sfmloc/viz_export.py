@@ -1,7 +1,7 @@
 """Exporters for inspecting results in a mesh viewer.
 
-Everything is written as ASCII with 9-significant-digit floats so
-outputs are diffable and byte-stable.  The point cloud becomes a PLY
+Every file is written from one template, as ASCII with
+9-significant-digit floats, so outputs are diffable and byte-stable.  The point cloud becomes a PLY
 with per-vertex color, a pose becomes a Meshlab project (virtual
 camera), a camera glyph OBJ (frustum plus textured sprite quad) and a
 projection OBJ whose polylines run from the camera center through the
@@ -16,8 +16,8 @@ A run writes one shared mesh.ply, which each query names as ../mesh.ply.
 """
 
 import shutil
-import xml.etree.ElementTree as ET
 from pathlib import Path
+from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
@@ -31,10 +31,23 @@ PHOTO_NAME = "camera.jpg"  # the query photo, as the .mlp and .mtl name it
 MESH_NAME = "mesh.ply"  # the point cloud one run shares across its queries
 # points export_ply formats at once: its memory scales with this, not the model
 _PLY_ROWS = 2048
-
-
-def _fmt(x: float) -> str:
-    return f"{x + 0.0:.9g}"  # +0.0 folds negative zero away
+# each file's template: %.9g is every float's format, and each float is
+# passed + 0.0, which folds negative zero away
+_PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex %d\n"
+               "property float x\nproperty float y\nproperty float z\n"
+               "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+               "end_header\n")
+_MLP = ("<!DOCTYPE MeshLabDocument>\n<MeshLabProject><MeshGroup>"
+        "<MLMesh label=%s filename=%s><MLMatrix44>\n"  # quoteattr's quoted mesh name
+        "1 0 0 0 \n0 1 0 0 \n0 0 1 0 \n0 0 0 1 \n</MLMatrix44></MLMesh></MeshGroup>"
+        f'<RasterGroup><MLRaster label="{PHOTO_NAME}"><VCGCamera '
+        'TranslationVector="%.9g %.9g %.9g 1" LensDistortion="0 0" ViewportPx="%s %s" '
+        'PixelSizeMm="%.9g %.9g" CenterPx="%.9g %.9g" FocalMm="%.9g" RotationMatrix="'
+        + "%.9g " * 16 + f'" /><Plane semantic="1" fileName="{PHOTO_NAME}" />'
+        "</MLRaster></RasterGroup></MeshLabProject>\n")
+_OBJ = ("mtllib %s\n" + "v %.9g %.9g %.9g\n" * 5 + "vt 0 0\nvt 1 0\nvt 1 1\nvt 0 1\n"
+        "usemtl sprite\nf 2/1 3/2 4/3 5/4\nl 1 2\nl 1 3\nl 1 4\nl 1 5\nl 2 3 4 5 2\n")
+_MTL = f"newmtl sprite\nKd 1 1 1\nmap_Kd {PHOTO_NAME}\n"
 
 
 def export_ply(model: SfmModel, path) -> None:
@@ -43,18 +56,8 @@ def export_ply(model: SfmModel, path) -> None:
     if model.num_points == 0:
         raise EmptyInput("refusing to export an empty point cloud")
     with open(path, "w") as fh:
-        fh.write("ply\n")
-        fh.write("format ascii 1.0\n")
-        fh.write(f"element vertex {model.num_points}\n")
-        fh.write("property float x\n")
-        fh.write("property float y\n")
-        fh.write("property float z\n")
-        fh.write("property uchar red\n")
-        fh.write("property uchar green\n")
-        fh.write("property uchar blue\n")
-        fh.write("end_header\n")
-        # one % a block of rows; %.9g is _fmt's format and +0.0 folds -0.0
-        for lo in range(0, model.num_points, _PLY_ROWS):
+        fh.write(_PLY_HEADER % model.num_points)
+        for lo in range(0, model.num_points, _PLY_ROWS):  # one % a block of rows
             pos = model.positions[lo:lo + _PLY_ROWS] + 0.0
             rows = zip(pos.tolist(), model.colors[lo:lo + _PLY_ROWS].tolist())
             fh.write(("%.9g %.9g %.9g %d %d %d\n" * len(pos))
@@ -70,35 +73,14 @@ def export_mlp(pose: Pose, query: QueryImage, path,
     in millimetres through a fixed 0.01 mm pixel size, so
     focal_mm / pixel_size = focal_px holds exactly.
     """
-    rot_viewer = BUNDLER_FLIP @ pose.rotation
-    tra = -np.asarray(pose.center, dtype=float)
     rot44 = np.eye(4)
-    rot44[:3, :3] = rot_viewer
-
-    root = ET.Element("MeshLabProject")
-    group = ET.SubElement(root, "MeshGroup")
-    mesh = ET.SubElement(group, "MLMesh",
-                         label=mesh_filename, filename=mesh_filename)
-    matrix = ET.SubElement(mesh, "MLMatrix44")
-    matrix.text = ("\n1 0 0 0 \n0 1 0 0 \n0 0 1 0 \n0 0 0 1 \n")
-    rasters = ET.SubElement(root, "RasterGroup")
-    raster = ET.SubElement(rasters, "MLRaster", label=PHOTO_NAME)
-    ET.SubElement(raster, "VCGCamera", attrib={
-        "TranslationVector": f"{_fmt(tra[0])} {_fmt(tra[1])} {_fmt(tra[2])} 1",
-        "LensDistortion": "0 0",
-        "ViewportPx": f"{query.width} {query.height}",
-        "PixelSizeMm": f"{_fmt(MLP_PIXEL_SIZE_MM)} {_fmt(MLP_PIXEL_SIZE_MM)}",
-        "CenterPx": f"{_fmt(query.width / 2.0)} {_fmt(query.height / 2.0)}",
-        "FocalMm": _fmt(pose.focal_px * MLP_PIXEL_SIZE_MM),
-        "RotationMatrix": " ".join(_fmt(v) for v in rot44.reshape(-1)) + " ",
-    })
-    ET.SubElement(raster, "Plane", semantic="1", fileName=PHOTO_NAME)
-
-    body = ET.tostring(root, encoding="unicode")
+    rot44[:3, :3] = BUNDLER_FLIP @ pose.rotation
+    mesh = quoteattr(mesh_filename)
     with open(path, "w") as fh:
-        fh.write("<!DOCTYPE MeshLabDocument>\n")
-        fh.write(body)
-        fh.write("\n")
+        fh.write(_MLP % (mesh, mesh, *(-np.asarray(pose.center, dtype=float) + 0.0),
+                         query.width, query.height, MLP_PIXEL_SIZE_MM, MLP_PIXEL_SIZE_MM,
+                         query.width / 2.0 + 0.0, query.height / 2.0 + 0.0,
+                         pose.focal_px * MLP_PIXEL_SIZE_MM + 0.0, *(rot44.ravel() + 0.0)))
 
 
 def export_camera_obj(pose: Pose, path, image_size=(400, 300),
@@ -112,34 +94,15 @@ def export_camera_obj(pose: Pose, path, image_size=(400, 300),
     width, height = image_size
     right, up, forward = pose.rotation
     center = np.asarray(pose.center, dtype=float)
-    plane_center = center + glyph_scale * forward
     hx = glyph_scale * width / (2.0 * pose.focal_px)
     hy = glyph_scale * height / (2.0 * pose.focal_px)
-    corners = [plane_center - hx * right - hy * up,
-               plane_center + hx * right - hy * up,
-               plane_center + hx * right + hy * up,
-               plane_center - hx * right + hy * up]
-
+    # the sprite's corners: lower left, lower right, upper right, upper left
+    corners = (center + glyph_scale * forward + np.outer([-1, 1, 1, -1], hx * right)
+               + np.outer([-1, -1, 1, 1], hy * up))
     mtl_path = Path(str(path) + ".mtl")
-    with open(mtl_path, "w") as fh:
-        fh.write("newmtl sprite\n")
-        fh.write("Kd 1 1 1\n")
-        fh.write(f"map_Kd {PHOTO_NAME}\n")
-
+    mtl_path.write_text(_MTL)
     with open(path, "w") as fh:
-        fh.write(f"mtllib {mtl_path.name}\n")
-        fh.write(f"v {_fmt(center[0])} {_fmt(center[1])} {_fmt(center[2])}\n")
-        for c in corners:
-            fh.write(f"v {_fmt(c[0])} {_fmt(c[1])} {_fmt(c[2])}\n")
-        fh.write("vt 0 0\n")
-        fh.write("vt 1 0\n")
-        fh.write("vt 1 1\n")
-        fh.write("vt 0 1\n")
-        fh.write("usemtl sprite\n")
-        fh.write("f 2/1 3/2 4/3 5/4\n")
-        for corner_idx in (2, 3, 4, 5):
-            fh.write(f"l 1 {corner_idx}\n")
-        fh.write("l 2 3 4 5 2\n")
+        fh.write(_OBJ % (mtl_path.name, *(np.vstack([center, corners]) + 0.0).ravel()))
 
 
 def export_projection_obj(pose: Pose, fitted: Matches, model: SfmModel, path,
@@ -162,7 +125,7 @@ def export_projection_obj(pose: Pose, fitted: Matches, model: SfmModel, path,
     rows = np.stack([np.broadcast_to(center, points.shape), middle, points], axis=1)
     n = len(fitted)
     with open(path, "w") as fh:
-        # one % over all rows; %.9g is _fmt's format and +0.0 folds -0.0
+        # one % over all rows
         fh.write(("v %.9g %.9g %.9g\n" * 3 * n) % tuple((rows + 0.0).ravel().tolist()))
         fh.write(("l %d %d %d\n" * n) % tuple(range(1, 3 * n + 1)))
 

@@ -1,4 +1,5 @@
-"""Set-up stages hold one block of work at a time, whatever the model size.
+"""Set-up stages hold one block of work at a time, whatever the model
+size, and coverage one band of rows, whatever the photo's size.
 
 tracemalloc counts every numpy buffer and Python object.  A stage's cost
 is its peak above what it returns: export_ply's nothing, and
@@ -15,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sfmloc import sfm_data, viz_export
+from sfmloc import pose_quality, sfm_data, viz_export
 from sfmloc.sfm_data import CameraRecord, SfmModel, parse_bundle, write_bundle
 from sfmloc.viz_export import export_ply
 
@@ -78,3 +79,18 @@ def test_peak_stays_within_one_block(tmp_path, block_of, cost):
     one_block = cost(tmp_path, BLOCK)
     for blocks in (2, 8):
         assert cost(tmp_path, blocks * BLOCK) <= 1.25 * one_block, blocks
+
+
+def coverage_peak(xy, width, height, c) -> int:
+    peak, _ = peak_and_result(lambda: pose_quality.coverage_area_xy(xy, width, height, c))
+    return peak
+
+
+def test_coverage_peak_does_not_grow_with_the_photo():
+    """The same 1 400 windows on a 1600 x 1200 photo (c = 40) and scaled
+    to 8000 x 6000 (c = 200), where they hold five times the row
+    intervals: coverage sums a band of rows at a time, so both peak
+    alike.  Summing every interval at once would cost five times as much."""
+    xy = np.random.default_rng(0).uniform(0.0, (1600.0, 1200.0), (1400, 2))
+    small = coverage_peak(xy, 1600, 1200, 40)
+    assert coverage_peak(5.0 * xy, 8000, 6000, 200) <= 1.25 * small

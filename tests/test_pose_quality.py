@@ -16,6 +16,7 @@ from sfmloc import (
     fitted_mask,
     normalize_points,
 )
+from sfmloc import pose_quality
 from sfmloc.errors import InvalidParams
 from sfmloc.minimal_solvers import Candidates
 from sfmloc.sfm_data import QueryImage, keyfile_records
@@ -220,6 +221,17 @@ class TestCoverageArea:
         xy, width, height, c = case
         assert coverage_area_xy(xy, width, height, c) == \
             oracle_coverage_area(xy, width, height, c)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(window_sets(), st.integers(1, 40))
+    def test_many_bands_equal_the_painting_oracle(self, case, band_intervals):
+        """Bands of a few intervals each, so that every call sums many
+        bands and most windows span several."""
+        xy, width, height, c = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pose_quality, "_BAND_INTERVALS", band_intervals)
+            got = coverage_area_xy(xy, width, height, c)
+        assert got == oracle_coverage_area(xy, width, height, c)
 
     @pytest.mark.parametrize("xy, c", [
         (np.empty((0, 2)), 5),                             # no windows

@@ -1,6 +1,7 @@
 """Exporters: format validity, determinism, geometry."""
 
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from sfmloc import (
     export_query_bundle,
 )
 from sfmloc.errors import EmptyInput
+from sfmloc.minimal_solvers import BUNDLER_FLIP
 from sfmloc.sfm_data import QueryImage, SfmModel
-from sfmloc.viz_export import MESH_NAME, PHOTO_NAME
+from sfmloc.viz_export import MESH_NAME, MLP_PIXEL_SIZE_MM, PHOTO_NAME
 
 from conftest import random_rotation
 
@@ -157,6 +159,120 @@ class TestExportMlp:
         assert cam.get("CenterPx") == "200 150"
         rot = np.array([float(v) for v in cam.get("RotationMatrix").split()])
         assert rot.shape == (16,)
+
+
+def fmt(x):
+    return f"{x + 0.0:.9g}"
+
+
+def element_tree_mlp(pose, query, path, mesh_filename=MESH_NAME):
+    """export_mlp as an ElementTree document, element by element."""
+    rot_viewer = BUNDLER_FLIP @ pose.rotation
+    tra = -np.asarray(pose.center, dtype=float)
+    rot44 = np.eye(4)
+    rot44[:3, :3] = rot_viewer
+
+    root = ET.Element("MeshLabProject")
+    group = ET.SubElement(root, "MeshGroup")
+    mesh = ET.SubElement(group, "MLMesh",
+                         label=mesh_filename, filename=mesh_filename)
+    matrix = ET.SubElement(mesh, "MLMatrix44")
+    matrix.text = ("\n1 0 0 0 \n0 1 0 0 \n0 0 1 0 \n0 0 0 1 \n")
+    rasters = ET.SubElement(root, "RasterGroup")
+    raster = ET.SubElement(rasters, "MLRaster", label=PHOTO_NAME)
+    ET.SubElement(raster, "VCGCamera", attrib={
+        "TranslationVector": f"{fmt(tra[0])} {fmt(tra[1])} {fmt(tra[2])} 1",
+        "LensDistortion": "0 0",
+        "ViewportPx": f"{query.width} {query.height}",
+        "PixelSizeMm": f"{fmt(MLP_PIXEL_SIZE_MM)} {fmt(MLP_PIXEL_SIZE_MM)}",
+        "CenterPx": f"{fmt(query.width / 2.0)} {fmt(query.height / 2.0)}",
+        "FocalMm": fmt(pose.focal_px * MLP_PIXEL_SIZE_MM),
+        "RotationMatrix": " ".join(fmt(v) for v in rot44.reshape(-1)) + " ",
+    })
+    ET.SubElement(raster, "Plane", semantic="1", fileName=PHOTO_NAME)
+
+    body = ET.tostring(root, encoding="unicode")
+    with open(path, "w") as fh:
+        fh.write("<!DOCTYPE MeshLabDocument>\n")
+        fh.write(body)
+        fh.write("\n")
+
+
+def per_line_camera_obj(pose, path, image_size=(400, 300), glyph_scale=1.0):
+    """export_camera_obj a line and a corner at a time."""
+    width, height = image_size
+    right, up, forward = pose.rotation
+    center = np.asarray(pose.center, dtype=float)
+    plane_center = center + glyph_scale * forward
+    hx = glyph_scale * width / (2.0 * pose.focal_px)
+    hy = glyph_scale * height / (2.0 * pose.focal_px)
+    corners = [plane_center - hx * right - hy * up,
+               plane_center + hx * right - hy * up,
+               plane_center + hx * right + hy * up,
+               plane_center - hx * right + hy * up]
+
+    mtl_path = Path(str(path) + ".mtl")
+    with open(mtl_path, "w") as fh:
+        fh.write("newmtl sprite\n")
+        fh.write("Kd 1 1 1\n")
+        fh.write(f"map_Kd {PHOTO_NAME}\n")
+
+    with open(path, "w") as fh:
+        fh.write(f"mtllib {mtl_path.name}\n")
+        fh.write(f"v {fmt(center[0])} {fmt(center[1])} {fmt(center[2])}\n")
+        for c in corners:
+            fh.write(f"v {fmt(c[0])} {fmt(c[1])} {fmt(c[2])}\n")
+        fh.write("vt 0 0\n")
+        fh.write("vt 1 0\n")
+        fh.write("vt 1 1\n")
+        fh.write("vt 0 1\n")
+        fh.write("usemtl sprite\n")
+        fh.write("f 2/1 3/2 4/3 5/4\n")
+        for corner_idx in (2, 3, 4, 5):
+            fh.write(f"l 1 {corner_idx}\n")
+        fh.write("l 2 3 4 5 2\n")
+
+
+def seeded_poses(n, seed):
+    """Random poses with varied centres and focals; every fifth centre
+    holds zeros and negative zeros, and every seventh rotation is the
+    identity, whose flip holds negative zeros."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        rotation = np.eye(3) if i % 7 == 0 else random_rotation(rng)
+        center = (np.array([0.0, -0.0, rng.uniform(-1, 1)]) if i % 5 == 0
+                  else rng.normal(0.0, 10.0 ** rng.integers(-3, 5), 3))
+        yield Pose(rotation, center, float(rng.uniform(50.0, 5000.0)))
+
+
+class TestTemplatesEqualElementByElementWriters:
+    """export_mlp and export_camera_obj, each one template, write the
+    bytes of writers that build a file element by element."""
+
+    def test_mlp(self, tmp_path):
+        rng = np.random.default_rng(7)
+        names = (MESH_NAME, f"../{MESH_NAME}", "../a&b <c> d.ply")
+        got, want = tmp_path / "got.mlp", tmp_path / "want.mlp"
+        for i, pose in enumerate(seeded_poses(300, 0)):
+            query = default_query(*(int(v) for v in rng.integers(1, 65536, 2)))
+            name = names[i % len(names)]
+            export_mlp(pose, query, got, mesh_filename=name)
+            element_tree_mlp(pose, query, want, mesh_filename=name)
+            assert got.read_bytes() == want.read_bytes(), i
+            assert ET.parse(got).getroot().find(".//MLMesh").get("filename") == name
+
+    def test_camera_obj(self, tmp_path):
+        rng = np.random.default_rng(8)
+        (tmp_path / "got").mkdir(), (tmp_path / "want").mkdir()
+        got, want = tmp_path / "got" / "camera.obj", tmp_path / "want" / "camera.obj"
+        for i, pose in enumerate(seeded_poses(500, 1)):
+            size = tuple(int(v) for v in rng.integers(1, 65536, 2))
+            scale = float(10.0 ** rng.uniform(-6, 3))
+            export_camera_obj(pose, got, size, scale)
+            per_line_camera_obj(pose, want, size, scale)
+            assert got.read_bytes() == want.read_bytes(), i
+            assert (Path(f"{got}.mtl").read_bytes()
+                    == Path(f"{want}.mtl").read_bytes()), i
 
 
 class TestExportCameraObj:
