@@ -63,7 +63,6 @@ from .sfm_data import (
     parse_bundle,
     parse_image_list,
     parse_keyfile,
-    scene_diameter,
     split_golden,
     write_bundle,
     write_keyfile,

@@ -32,6 +32,10 @@ GOOD_RATIO_ADVANCED = 0.9
 WRONG_POSE_THRESHOLD = 30.0
 FOCAL_SPLIT_PX = 1000.0
 
+# the files write_report writes into a run's output directory, in its order
+REPORT_FILES = ("per_query.csv", "histogram_time.csv", "histogram_l2.csv",
+                "histogram_focal.csv", "summary.txt")
+
 TIME_BINS = [0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, np.inf]
 L2_BINS = [0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, np.inf]
 FOCAL_BINS = [0.0, 10.0, 50.0, 100.0, 500.0, 1000.0, np.inf]
@@ -429,11 +433,13 @@ def report_from_rows(rows) -> BenchmarkReport:
 
 
 def write_report(report: BenchmarkReport, out_dir) -> None:
-    """Write per_query.csv, the three histogram CSVs and summary.txt."""
+    """Write REPORT_FILES: per_query.csv, the three histogram CSVs and
+    summary.txt."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    per_query, *histograms, summary = (out / name for name in REPORT_FILES)
 
-    with open(out / "per_query.csv", "w", newline="") as fh:
+    with open(per_query, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["name", "rotation_deg", "rotation_frob", "translation",
                     "focal_px_delta", "seconds", "used_backmatching",
@@ -450,16 +456,15 @@ def write_report(report: BenchmarkReport, out_dir) -> None:
                             f"{r.seconds:.6f}", r.used_backmatching,
                             r.iterations, ""])
 
-    for fname, rows in (("histogram_time.csv", report.histogram_time),
-                        ("histogram_l2.csv", report.histogram_l2),
-                        ("histogram_focal.csv", report.histogram_focal)):
-        with open(out / fname, "w", newline="") as fh:
+    for path, rows in zip(histograms, (report.histogram_time, report.histogram_l2,
+                                       report.histogram_focal)):
+        with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["bin_lo", "bin_hi", "count"])
             for lo, hi, count in rows:
                 w.writerow([lo, hi, count])
 
-    with open(out / "summary.txt", "w") as fh:
+    with open(summary, "w") as fh:
         n = len(report.per_query)
         fh.write(f"queries: {n}\n")
         fh.write(f"failed: {report.n_failed}\n")

@@ -6,7 +6,8 @@ benchmark module, which produces exactly this):
     model.out        bundler v0.3 text
     list.txt         image names aligned with the model's cameras, no
                      two with one stem (it names a keyfile and an
-                     output directory)
+                     output directory) and none whose stem is a file
+                     the run writes (mesh.ply, summary.txt, ...)
     query_list.txt   names of the images to localize
     meta.txt         one line per query: name width height [focal_px],
                      sizes in 1..65535 (JPEG's limit)
@@ -44,6 +45,7 @@ from .benchmark import (
     GOOD_RATIO_ADVANCED,
     GOOD_RATIO_BASIC,
     MODES,
+    REPORT_FILES,
     Localizer,
     QueryResult,
     localize,
@@ -68,6 +70,8 @@ from .viz_export import MESH_NAME, export_ply, export_query_bundle
 
 # the largest width or height meta.txt accepts: JPEG's limit
 MAX_IMAGE_SIZE = 65535
+# the files a run writes beside its queries' directories, which no stem may name
+_RUN_FILES = (MESH_NAME, *REPORT_FILES)
 
 _BASIC, _ADVANCED, _BACKMATCH = (BasicParams,), (AdvancedParams,), (BackmatchParams,)
 _BOTH = _BASIC + _ADVANCED
@@ -281,7 +285,12 @@ def run(config: RunConfig) -> int:
         camera_names = parse_image_list(fh)
     by_stem = {}
     for name in camera_names:  # a stem names a keyfile and an output directory
-        other = by_stem.setdefault(Path(name).stem, name)
+        stem = Path(name).stem
+        if stem in _RUN_FILES:
+            raise CameraListMismatch(
+                f"the camera list names {name!r}, whose output directory would "
+                f"be the run's file {config.output_dir / stem}")
+        other = by_stem.setdefault(stem, name)
         if other != name:
             raise CameraListMismatch(
                 f"the camera list names {other!r} and {name!r}, which share "
@@ -307,7 +316,7 @@ def run(config: RunConfig) -> int:
         cache_key = descriptor_source_key(
             info, [_keyfile_path(config, info_names[c])
                    for c in np.unique(info.track_cams)])
-        descriptors = load_index_cache(config.cache_path, cache_key)
+        descriptors = load_index_cache(config.cache_path, cache_key, info.num_points)
     if descriptors is None:
         def keyfile_for_camera(cam_idx):
             with open(_keyfile_path(config, info_names[cam_idx])) as fh:

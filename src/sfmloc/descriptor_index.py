@@ -155,14 +155,18 @@ def save_index_cache(path, descriptors, checksum: str) -> None:
                         descriptors=mat)
 
 
-def load_index_cache(path, checksum: str):
-    """Load cached descriptors; None when missing, stale or unreadable."""
+def load_index_cache(path, checksum: str, num_points: int):
+    """Load cached descriptors; None when missing, stale, unreadable or
+    not a (num_points, 128) uint8 array."""
     try:
         with np.load(path) as data:
             if int(data["version"]) != CACHE_VERSION:
                 return None
             if bytes(data["checksum"]).decode() != checksum:
                 return None
-            return data["descriptors"]
+            descriptors = data["descriptors"]
     except _UNREADABLE_CACHE:
         return None
+    if descriptors.shape != (num_points, DESCRIPTOR_DIM) or descriptors.dtype != np.uint8:
+        return None
+    return descriptors

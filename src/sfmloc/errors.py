@@ -29,8 +29,9 @@ class DimensionMismatch(LocalizationError):
 
 
 class CameraListMismatch(LocalizationError):
-    """The camera list does not name one image per model camera, or
-    names two images with one stem, which would share a keyfile."""
+    """The camera list does not name one image per model camera, names
+    two images with one stem, which would share a keyfile, or names an
+    image whose stem is a file the run writes, such as mesh.ply."""
 
 
 class UnknownQuery(LocalizationError):

@@ -99,16 +99,15 @@ def coverage_area_xy(xy: np.ndarray, width: int, height: int, c: int) -> int:
     keep = np.flatnonzero((lo <= hi).all(axis=1))
     # windows by first column, so a stable sort by row orders them by key
     keep = keep[np.argsort(lo[keep, 0], kind="stable")]
-    (x0, y0), (x1, past) = lo[keep].astype(np.int32).T, hi[keep].astype(np.int32).T + 1
-    x1 -= x0  # each window's width
+    (x0, y0), (span, past) = lo[keep].astype(np.int32).T, hi[keep].astype(np.int32).T + 1
+    span -= x0  # each window's width
     # the intervals in rows 0..r, for each row r
     through = np.bincount(y0, minlength=height + 1)
     through -= np.bincount(past, minlength=height + 1)
     np.add.accumulate(np.add.accumulate(through, out=through), out=through)
     max_rows = min(1 << 16, (2**31 - 1) // width)
-    area = start = 0
+    area = start = before = 0
     while start < height:
-        before = through[start - 1] if start else 0
         stop = int(np.searchsorted(through, before + _BAND_INTERVALS, side="right"))
         stop = min(max(stop, start + 1), start + max_rows, height)
         # each window's rows in the band, from its first there
@@ -116,8 +115,8 @@ def coverage_area_xy(xy: np.ndarray, width: int, height: int, c: int) -> int:
         rows = np.minimum(past, stop)
         rows -= first
         first -= start
-        area += _band_area(x0, x1, first, np.maximum(rows, 0, out=rows), width)
-        start = stop
+        area += _band_area(x0, span, first, np.maximum(rows, 0, out=rows), width)
+        start, before = stop, through[stop - 1]
     return area
 
 

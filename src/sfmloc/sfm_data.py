@@ -135,6 +135,13 @@ class SfmModel:
     def num_points(self) -> int:
         return len(self.positions)
 
+    @cached_property
+    def diameter(self) -> float:
+        """Diagonal of the point-cloud bounding box, 0 for no points."""
+        if self.num_points == 0:
+            return 0.0
+        return float(np.linalg.norm(self.positions.max(axis=0) - self.positions.min(axis=0)))
+
     def track_slice(self, i: int) -> slice:
         return slice(self.track_offsets[i], self.track_offsets[i + 1])
 
@@ -184,14 +191,6 @@ class SfmModel:
         return SfmModel(self.cameras, self.positions, self.colors,
                         self.track_offsets, self.track_cams, self.track_keys,
                         self.track_xy, descriptors)
-
-
-def scene_diameter(model: SfmModel) -> float:
-    """Diagonal of the point-cloud bounding box."""
-    if model.num_points == 0:
-        return 0.0
-    span = model.positions.max(axis=0) - model.positions.min(axis=0)
-    return float(np.linalg.norm(span))
 
 
 def _decoded(parse):

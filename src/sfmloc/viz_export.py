@@ -1,13 +1,14 @@
 """Exporters for inspecting results in a mesh viewer.
 
 Every file is written from one template, as ASCII with
-9-significant-digit floats, so outputs are diffable and byte-stable.  The point cloud becomes a PLY
-with per-vertex color, a pose becomes a Meshlab project (virtual
-camera), a camera glyph OBJ (frustum plus textured sprite quad) and a
-projection OBJ whose polylines run from the camera center through the
-image plane to each fitted 3D point.  The PLY is formatted _PLY_ROWS
-points at a time, so an export holds one block of rows as Python
-objects and text (under 1 MB at 2 048 rows), whatever the model's size.
+9-significant-digit floats, so outputs are diffable and byte-stable.
+The point cloud becomes a PLY with per-vertex color, a pose becomes a
+Meshlab project (virtual camera), a camera glyph OBJ (frustum plus
+textured sprite quad) and a projection OBJ whose polylines run from the
+camera center through the image plane to each fitted 3D point.  The
+PLY is formatted _PLY_ROWS points at a time, so an export holds one
+block of rows as Python objects and text (under 1 MB at 2 048 rows),
+whatever the model's size.
 
 export_query_bundle writes one query's set into out_dir and returns
 nothing: camera.mlp, camera.obj with camera.obj.mtl, camera_proj.obj
@@ -24,7 +25,7 @@ import numpy as np
 from .descriptor_index import Matches
 from .errors import EmptyInput
 from .minimal_solvers import BUNDLER_FLIP, Pose
-from .sfm_data import QueryImage, SfmModel, scene_diameter
+from .sfm_data import QueryImage, SfmModel
 
 MLP_PIXEL_SIZE_MM = 0.01
 PHOTO_NAME = "camera.jpg"  # the query photo, as the .mlp and .mtl name it
@@ -147,7 +148,7 @@ def export_query_bundle(pose: Pose, query: QueryImage, fitted: Matches,
     if write_mesh:
         export_ply(model, out / mesh_filename)
 
-    glyph = max(scene_diameter(model) * 0.01, 1e-6)
+    glyph = max(model.diameter * 0.01, 1e-6)
     export_mlp(pose, query, out / "camera.mlp", mesh_filename=mesh_filename)
     export_camera_obj(pose, out / "camera.obj", (query.width, query.height),
                       glyph)

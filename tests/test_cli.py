@@ -259,6 +259,26 @@ def test_camera_list_naming_one_stem_twice_exits_2(scene_copy, tmp_path, capsys,
     assert "'db_000.jpg' and 'sub/db_000.jpg'" in err
 
 
+@pytest.mark.parametrize("query, renamed", [("query_000.jpg", "summary.txt.jpg"),
+                                             ("query_001.jpg", "mesh.ply.jpg")])
+def test_query_exporting_into_a_run_file_exits_2(scene_copy, tmp_path, capsys,
+                                                monkeypatch, query, renamed):
+    """A query exports into the directory its stem names, which must not
+    be a file the run writes beside it; no keyfile is read."""
+    for listing in ("list.txt", "query_list.txt", "meta.txt"):
+        path = scene_copy / listing
+        path.write_text(path.read_text().replace(query, renamed))
+    (scene_copy / "keys" / f"{Path(query).stem}.key").rename(
+        scene_copy / "keys" / f"{Path(renamed).stem}.key")
+    monkeypatch.setattr(cli, "parse_keyfile", None)
+    out = tmp_path / "out"
+    assert run_cli(scene_copy, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: CameraListMismatch: ")
+    assert f"{renamed!r}" in err and str(out / Path(renamed).stem) in err
+    assert not out.exists()
+
+
 def _drop_keyfile(scene):
     (scene / "keys" / "query_001.key").unlink()
 
@@ -527,6 +547,24 @@ def test_cache_of_another_version_is_a_miss(scene_dir, tmp_path, averaged):
         assert int(data["version"]) == CACHE_VERSION
     for out in ("b", "c"):
         assert without_seconds(tmp_path / out) == without_seconds(tmp_path / "a")
+
+
+def test_cache_that_does_not_fit_the_model_is_a_miss(scene_dir, tmp_path, averaged):
+    """A cache of the right version and checksum whose array has extra
+    rows before the real ones is averaged again, not indexed."""
+    path = tmp_path / "descriptors.npz"
+    cache = ["--cache-index", str(path)]
+    assert run_cli(scene_dir, tmp_path / "plain", "basic") == 0
+    assert run_cli(scene_dir, tmp_path / "a", "basic", *cache) == 0
+    with np.load(path) as data:
+        stored = dict(data)
+    extra = np.random.default_rng(0).integers(0, 256, (400, 128), dtype=np.uint8)
+    np.savez_compressed(path, **{
+        **stored, "descriptors": np.concatenate([extra, stored["descriptors"]])})
+
+    assert run_cli(scene_dir, tmp_path / "b", "basic", *cache) == 0
+    assert len(averaged) == 3  # plain, a, and b, which found no fitting array
+    assert without_seconds(tmp_path / "b") == without_seconds(tmp_path / "plain")
 
 
 def test_settings_file_gives_the_same_rows(scene_dir, tmp_path):

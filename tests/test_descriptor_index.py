@@ -266,10 +266,27 @@ class TestIndexCache:
         checksum = "0123abcd"
         path = tmp_path / "cache.npz"
         save_index_cache(path, descs, checksum)
-        loaded = load_index_cache(path, checksum)
+        loaded = load_index_cache(path, checksum, 20)
         assert np.array_equal(loaded, descs)
-        assert load_index_cache(path, "different") is None
-        assert load_index_cache(tmp_path / "missing.npz", checksum) is None
+        assert load_index_cache(path, "different", 20) is None
+        assert load_index_cache(tmp_path / "missing.npz", checksum, 20) is None
+
+    @pytest.mark.parametrize("stored", [
+        np.zeros((21, 128), np.uint8),     # a row too many
+        np.zeros((19, 128), np.uint8),     # a row too few
+        np.zeros((20, 127), np.uint8),     # a column too few
+        np.zeros((20, 129), np.uint8),     # a column too many
+        np.zeros(20 * 128, np.uint8),      # flat
+        np.zeros((20, 128, 1), np.uint8),  # a third axis
+        np.zeros((20, 128), np.int16),
+        np.zeros((20, 128), np.float64),
+        np.zeros((20, 128), bool),
+    ], ids=["rows+1", "rows-1", "cols-1", "cols+1", "flat", "3d", "int16",
+            "float64", "bool"])
+    def test_an_array_that_does_not_fit_the_model_is_a_miss(self, tmp_path, stored):
+        path = tmp_path / "cache.npz"
+        save_index_cache(path, stored, "0123abcd")
+        assert load_index_cache(path, "0123abcd", 20) is None
 
     @pytest.mark.parametrize("mask", [0x01, 0xff])
     def test_any_flipped_byte_is_a_miss_or_the_same_array(self, tmp_path, mask):
@@ -279,5 +296,5 @@ class TestIndexCache:
         data = path.read_bytes()
         for i in range(len(data)):
             path.write_bytes(data[:i] + bytes([data[i] ^ mask]) + data[i + 1:])
-            loaded = load_index_cache(path, "0123abcd")
+            loaded = load_index_cache(path, "0123abcd", 2)
             assert loaded is None or np.array_equal(loaded, descs), i

@@ -17,7 +17,6 @@ from sfmloc import (
     find_good_matches,
     pose_error,
     ransac_advanced,
-    scene_diameter,
 )
 from sfmloc.errors import EmptyInput, InsufficientMatches, InvalidParams, SamplingExhausted
 from sfmloc.ransac_advanced import _draw_cooccurrence_idx, _seed_matches
@@ -444,7 +443,7 @@ class TestBackmatch:
 class TestEstimatePoseAdvanced:
     def test_clean_scene_no_backmatching(self, clean_scene):
         model = clean_scene.model
-        diam = scene_diameter(model)
+        diam = model.diameter
         index = DescriptorIndex(model.mean_descriptors)
         query, golden = clean_scene.queries[1]
         good = find_good_matches(index, query, 0.9)

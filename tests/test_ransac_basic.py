@@ -16,7 +16,6 @@ from sfmloc import (
     pose_error,
     ransac_advanced,
     ransac_basic,
-    scene_diameter,
 )
 from sfmloc.errors import InsufficientMatches, InvalidParams, NoSolution, SamplingExhausted
 from sfmloc.ransac_advanced import _draw_cooccurrence_idx, _seed_matches
@@ -93,7 +92,7 @@ class TestSampleUnique:
 class TestEstimatePoseBasic:
     def test_clean_scene_accuracy(self, clean_scene):
         model = clean_scene.model
-        diam = scene_diameter(model)
+        diam = model.diameter
         index = DescriptorIndex(model.mean_descriptors)
         for query, golden in clean_scene.queries[:3]:
             good = find_good_matches(index, query, 0.7)
@@ -106,7 +105,7 @@ class TestEstimatePoseBasic:
 
     def test_noisy_scene_with_outliers(self, noisy_scene):
         model = noisy_scene.model
-        diam = scene_diameter(model)
+        diam = model.diameter
         index = DescriptorIndex(model.mean_descriptors)
         registered = 0
         for query, golden in noisy_scene.queries:
@@ -147,7 +146,7 @@ class TestEstimatePoseBasic:
                               exif_focal_px=None)
         est = estimate_pose_basic(no_exif, good, model, BasicParams(rng_seed=1))
         err = pose_error(est.pose, golden)
-        assert err.translation < 0.01 * scene_diameter(model)
+        assert err.translation < 0.01 * model.diameter
         assert abs(est.pose.focal_px - golden.focal_px) / golden.focal_px < 0.01
 
     def test_no_solution_on_garbage(self):
@@ -269,7 +268,7 @@ class TestBothSolvers:
         est = estimate_pose_basic(query, good, clean_scene.model,
                                   BasicParams(rng_seed=0), solver="both")
         err = pose_error(est.pose, golden)
-        assert err.translation < 1e-3 * scene_diameter(clean_scene.model)
+        assert err.translation < 1e-3 * clean_scene.model.diameter
         assert err.rotation_deg < 0.1
 
     def test_unknown_solver_fails_when_the_context_is_built(self, scene_matches,

@@ -1,6 +1,7 @@
 """Exporters: format validity, determinism, geometry."""
 
 import xml.etree.ElementTree as ET
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -417,6 +418,22 @@ class TestExportQueryBundle:
                          ("camera.mlp", "camera.obj", "camera.obj.mtl",
                           MESH_NAME)])
         assert outs[0] == outs[1]
+
+    def test_two_queries_compute_the_diameter_once(self, tmp_path, clean_scene,
+                                                    monkeypatch):
+        """The glyph size reads the model's bounding box, computed once per
+        model however many queries export."""
+        calls = []
+        computed = SfmModel.__dict__["diameter"]
+        counted = cached_property(lambda model: calls.append(1) or computed.func(model))
+        counted.__set_name__(SfmModel, "diameter")
+        monkeypatch.setattr(SfmModel, "diameter", counted)
+        model = tiny_model(clean_scene.model.positions)
+        for i, (query, golden) in enumerate(clean_scene.queries[:2]):
+            export_query_bundle(golden, query, Matches.empty(), model, tmp_path / str(i),
+                                write_mesh=False)
+        assert len(calls) == 1
+        assert model.diameter == computed.func(model)
 
     def test_every_file_names_the_same_photo(self, tmp_path, clean_scene):
         """The .mlp's raster and plane, the .mtl's texture and the copy
