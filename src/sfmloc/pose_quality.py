@@ -107,10 +107,10 @@ def coverage_area_xy(xy: np.ndarray, width: int, height: int, c: int) -> int:
     np.add.accumulate(np.add.accumulate(through, out=through), out=through)
     max_rows = min(1 << 16, (2**31 - 1) // width)
     area = start = before = 0
-    while start < height:
+    while start < height:  # the band of rows start..stop - 1
         stop = int(np.searchsorted(through, before + _BAND_INTERVALS, side="right"))
         stop = min(max(stop, start + 1), start + max_rows, height)
-        # each window's rows in the band, from its first there
+        # each window's first row in the band and its rows there, 0 outside
         first = np.maximum(y0, start)
         rows = np.minimum(past, stop)
         rows -= first
@@ -122,7 +122,8 @@ def coverage_area_xy(xy: np.ndarray, width: int, height: int, c: int) -> int:
 
 def _band_area(x0, span, y0, rows, width: int) -> int:
     """coverage_area_xy over one band: windows by first column x0, each
-    span columns wide and rows rows tall from band row y0."""
+    span columns wide and rows rows tall from band row y0.  Its arrays
+    go when it returns, so a call never holds two bands' at once."""
     row = np.repeat(y0 + rows - np.cumsum(rows, dtype=np.int32), rows)
     row += np.arange(len(row), dtype=np.int32)
     by_row = np.argsort(row.astype(np.uint16), kind="stable")  # numpy's radix sort
