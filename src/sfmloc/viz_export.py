@@ -18,7 +18,6 @@ A run writes one shared mesh.ply, which each query names as ../mesh.ply.
 
 import shutil
 from pathlib import Path
-from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
@@ -39,7 +38,7 @@ _PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex %d\n"
                "property uchar red\nproperty uchar green\nproperty uchar blue\n"
                "end_header\n")
 _MLP = ("<!DOCTYPE MeshLabDocument>\n<MeshLabProject><MeshGroup>"
-        "<MLMesh label=%s filename=%s><MLMatrix44>\n"  # quoteattr's quoted mesh name
+        '<MLMesh label="%s" filename="%s"><MLMatrix44>\n'
         "1 0 0 0 \n0 1 0 0 \n0 0 1 0 \n0 0 0 1 \n</MLMatrix44></MLMesh></MeshGroup>"
         f'<RasterGroup><MLRaster label="{PHOTO_NAME}"><VCGCamera '
         'TranslationVector="%.9g %.9g %.9g 1" LensDistortion="0 0" ViewportPx="%s %s" '
@@ -49,6 +48,10 @@ _MLP = ("<!DOCTYPE MeshLabDocument>\n<MeshLabProject><MeshGroup>"
 _OBJ = ("mtllib %s\n" + "v %.9g %.9g %.9g\n" * 5 + "vt 0 0\nvt 1 0\nvt 1 1\nvt 0 1\n"
         "usemtl sprite\nf 2/1 3/2 4/3 5/4\nl 1 2\nl 1 3\nl 1 4\nl 1 5\nl 2 3 4 5 2\n")
 _MTL = f"newmtl sprite\nKd 1 1 1\nmap_Kd {PHOTO_NAME}\n"
+# an XML attribute's escapes, as ElementTree writes them, with no XML import
+# (xml.sax.saxutils's quoteattr would load urllib.request and ssl: 1.4 MB resident)
+_ATTRIBUTE_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                                    "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
 
 
 def export_ply(model: SfmModel, path) -> None:
@@ -76,7 +79,7 @@ def export_mlp(pose: Pose, query: QueryImage, path,
     """
     rot44 = np.eye(4)
     rot44[:3, :3] = BUNDLER_FLIP @ pose.rotation
-    mesh = quoteattr(mesh_filename)
+    mesh = mesh_filename.translate(_ATTRIBUTE_ESCAPES)
     with open(path, "w") as fh:
         fh.write(_MLP % (mesh, mesh, *(-np.asarray(pose.center, dtype=float) + 0.0),
                          query.width, query.height, MLP_PIXEL_SIZE_MM, MLP_PIXEL_SIZE_MM,

@@ -252,7 +252,8 @@ class TestTemplatesEqualElementByElementWriters:
 
     def test_mlp(self, tmp_path):
         rng = np.random.default_rng(7)
-        names = (MESH_NAME, f"../{MESH_NAME}", "../a&b <c> d.ply")
+        names = (MESH_NAME, f"../{MESH_NAME}", "../a&b <c> d.ply",
+                 "q\"uote's\ttab\r\nline.ply")
         got, want = tmp_path / "got.mlp", tmp_path / "want.mlp"
         for i, pose in enumerate(seeded_poses(300, 0)):
             query = default_query(*(int(v) for v in rng.integers(1, 65536, 2)))
