@@ -6,8 +6,9 @@ benchmark module, which produces exactly this):
     model.out        bundler v0.3 text
     list.txt         image names aligned with the model's cameras, no
                      two with one stem (it names a keyfile and an
-                     output directory) and none whose stem is a file
-                     the run writes (mesh.ply, summary.txt, ...)
+                     output directory) and none whose stem is ".",
+                     ".." or a file the run writes (mesh.ply,
+                     summary.txt, ...)
     query_list.txt   names of the images to localize
     meta.txt         one line per query: name width height [focal_px],
                      sizes in 1..65535 (JPEG's limit)
@@ -70,8 +71,9 @@ from .viz_export import MESH_NAME, export_ply, export_query_bundle
 
 # the largest width or height meta.txt accepts: JPEG's limit
 MAX_IMAGE_SIZE = 65535
-# the files a run writes beside its queries' directories, which no stem may name
-_RUN_FILES = (MESH_NAME, *REPORT_FILES)
+# stems no image may have, since its query would export into the output
+# directory itself, its parent or a file the run writes beside the queries
+_RESERVED_STEMS = (".", "..", MESH_NAME, *REPORT_FILES)
 
 _BASIC, _ADVANCED, _BACKMATCH = (BasicParams,), (AdvancedParams,), (BackmatchParams,)
 _BOTH = _BASIC + _ADVANCED
@@ -286,10 +288,10 @@ def run(config: RunConfig) -> int:
     by_stem = {}
     for name in camera_names:  # a stem names a keyfile and an output directory
         stem = Path(name).stem
-        if stem in _RUN_FILES:
+        if stem in _RESERVED_STEMS:
             raise CameraListMismatch(
-                f"the camera list names {name!r}, whose output directory would "
-                f"be the run's file {config.output_dir / stem}")
+                f"the camera list names {name!r}, which would export into "
+                f"{config.output_dir / stem}, not a directory of its own")
         other = by_stem.setdefault(stem, name)
         if other != name:
             raise CameraListMismatch(

@@ -31,7 +31,8 @@ class DimensionMismatch(LocalizationError):
 class CameraListMismatch(LocalizationError):
     """The camera list does not name one image per model camera, names
     two images with one stem, which would share a keyfile, or names an
-    image whose stem is a file the run writes, such as mesh.ply."""
+    image whose stem is ".", ".." or a file the run writes, such as
+    mesh.ply."""
 
 
 class UnknownQuery(LocalizationError):

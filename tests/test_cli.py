@@ -260,11 +260,14 @@ def test_camera_list_naming_one_stem_twice_exits_2(scene_copy, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("query, renamed", [("query_000.jpg", "summary.txt.jpg"),
-                                             ("query_001.jpg", "mesh.ply.jpg")])
-def test_query_exporting_into_a_run_file_exits_2(scene_copy, tmp_path, capsys,
-                                                monkeypatch, query, renamed):
+                                             ("query_001.jpg", "mesh.ply.jpg"),
+                                             ("query_000.jpg", "..jpg"),
+                                             ("query_001.jpg", "...jpg")])
+def test_query_exporting_outside_its_own_directory_exits_2(
+        scene_copy, tmp_path, capsys, monkeypatch, query, renamed):
     """A query exports into the directory its stem names, which must not
-    be a file the run writes beside it; no keyfile is read."""
+    be a file the run writes beside it, the output directory itself or
+    its parent; no keyfile is read."""
     for listing in ("list.txt", "query_list.txt", "meta.txt"):
         path = scene_copy / listing
         path.write_text(path.read_text().replace(query, renamed))
