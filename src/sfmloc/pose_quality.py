@@ -130,9 +130,9 @@ def _band_area(x0, span, y0, rows, width: int) -> int:
     row *= width
     row += np.repeat(x0, rows)  # each interval's first key
     start, end = row[by_row], np.repeat(span, rows)[by_row]
-    del row, by_row  # in place from here on: three arrays of one entry per interval
+    del row, by_row  # in place from here on: two arrays of one entry per interval
     end += start
-    reach = np.zeros_like(end)  # the furthest end before each interval
-    np.maximum.accumulate(end[:-1], out=reach[1:])
-    end -= np.maximum(start, reach, out=reach)  # what each adds past it, if > 0
-    return int(np.maximum(end, 0, out=end).sum())
+    np.maximum.accumulate(end, out=end)  # the furthest end so far
+    # where each interval's new part starts: past the furthest end before it
+    np.maximum(start[1:], end[:-1], out=start[1:])
+    return int(end.sum(dtype=np.int64) - start.sum(dtype=np.int64))
