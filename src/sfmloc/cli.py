@@ -235,10 +235,11 @@ def _load_meta(path) -> dict:
             parts = line.split()
             if not parts:
                 continue
-            try:
+            try:  # int and float take "_" separators, which no grammar here does
                 focal = float(parts[3]) if len(parts) > 3 else None
                 width, height = int(parts[1]), int(parts[2])
-                if not (0 < width <= MAX_IMAGE_SIZE and 0 < height <= MAX_IMAGE_SIZE
+                if len(parts) > 4 or "_" in "".join(parts[1:]) or not (
+                        0 < width <= MAX_IMAGE_SIZE and 0 < height <= MAX_IMAGE_SIZE
                         and (focal is None or 0 < focal < np.inf)):
                     raise ValueError
             except (IndexError, ValueError):

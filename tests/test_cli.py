@@ -148,14 +148,17 @@ def test_advanced_run_builds_no_camera_sets(noisy_scene, tmp_path, monkeypatch):
                                   "query_000.jpg 0 600 400.0",
                                   "query_000.jpg 99999999999999999999 600 400.0",
                                   "query_000.jpg 800 2147483648 400.0",
-                                  "query_000.jpg 400 300"])
+                                  "query_000.jpg 400 300",
+                                  "query_001.jpg 800 600 400.0 extra",
+                                  "query_001.jpg 8_00 600 400.0",
+                                  "query_001.jpg 800 600 4_00.0"])
 def test_malformed_meta_exits_2(scene_copy, tmp_path, capsys, line):
     meta = scene_copy / "meta.txt"
     lines = meta.read_text().splitlines()
     meta.write_text("\n".join(lines[:1] + [line] + lines[2:]) + "\n")
     assert run_cli(scene_copy, tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert f"{meta}:2:" in err
+    assert err.startswith(f"error: MalformedMetadata: {meta}:2:")
     assert "Traceback" not in err
 
 
