@@ -232,8 +232,7 @@ def _load_meta(path) -> dict:
         except UnicodeDecodeError as exc:
             raise MalformedMetadata(f"{path}: unreadable text: {exc}") from None
         for lineno, line in enumerate(lines, 1):
-            parts = line.split()
-            if not parts:
+            if not (parts := line.split()):
                 continue
             try:  # int and float take "_" separators, which no grammar here does
                 focal = float(parts[3]) if len(parts) > 3 else None

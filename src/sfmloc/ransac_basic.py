@@ -11,7 +11,9 @@ search draws its samples in batches, in the sampler's order, and solves
 and masks each batch at once: one P3P and one P4Pf call over all its
 samples, one stacked fitted-mask computation over all its candidates.
 It then walks the candidates in sample order, so it picks the winner a
-one-sample-at-a-time loop would.
+one-sample-at-a-time loop would.  A search that may stop early, as the
+baseline's does, takes one sample a batch, so it draws no sample that
+it does not solve.
 """
 
 import math
@@ -195,7 +197,8 @@ def solve_candidates(ctx: MatchContext, samples) -> Candidates:
     return Candidates(*(a[order] for a in stacked))
 
 
-_BATCH_CAP = 32  # samples in a batch of a search
+# Samples in a batch of a search without an early stop.
+_BATCH_CAP = 32
 
 
 def search(ctx: MatchContext, draw, iterations: int,
@@ -208,36 +211,34 @@ def search(ctx: MatchContext, draw, iterations: int,
     iteration whose draw raises SamplingExhausted passes without a
     sample.  best, None or a PoseEstimate over ctx.matches, gives way
     only to a strictly higher q, so a candidate is scored only if it may
-    beat that q (see MatchContext.evaluate).  The loop ends after the
-    first sample at which best fits stop_at; no caller passes both best
-    and stop_at.
+    beat that q (see MatchContext.evaluate).  The loop ends early once
+    best fits stop_at.
 
-    Samples are drawn and solved in batches of _BATCH_CAP and their
-    candidates walked in sample order, so the result, the iterations run
-    and the draws are those of solving one sample at a time, but for the
-    rest of its batch that an early stop draws.
+    Samples are drawn and solved in batches of _BATCH_CAP, one when
+    stop_at is set, and their candidates walked in sample order, so the
+    result, the draws and the generator state are those of solving one
+    sample at a time.
     """
-    for done in range(0, iterations, _BATCH_CAP):
-        samples, its = [], []  # its: the iteration number of each sample
-        for it in range(done + 1, min(done + _BATCH_CAP, iterations) + 1):
+    batch = _BATCH_CAP if stop_at is None else 1
+    for done in range(0, iterations, batch):
+        size = min(batch, iterations - done)
+        samples = []
+        for _ in range(size):
             try:
                 samples.append(draw())
-                its.append(it)
             except SamplingExhausted:
                 pass
         if samples:  # candidates come in sample order
             candidates = solve_candidates(ctx, np.array(samples))
             masks = ctx.fitted(candidates)
-            rows = candidates.sample.tolist() + [None]
             for k in range(len(candidates)):
                 beat = -np.inf if best is None else best.quality.q
                 stats = ctx.evaluate(masks[k], beat)[1]
                 if stats is not None and stats.q > beat:
                     best = PoseEstimate(candidates.pose(k),
                                         ctx.matches.take(masks[k]), stats)
-                if (stop_at is not None and best is not None and rows[k + 1] != rows[k]
-                        and len(best.fitted) >= stop_at):  # at a sample's end
-                    return best, its[rows[k]]
+        if stop_at is not None and best is not None and len(best.fitted) >= stop_at:
+            return best, done + size  # a batch of one
     return best, iterations
 
 

@@ -163,23 +163,6 @@ class TestEstimatePoseBasic:
             estimate_pose_basic(query, matches, points_model(positions),
                                 BasicParams(max_iterations=60, rng_seed=0))
 
-    def test_hopeless_search_solves_a_batch_at_a_time(self, monkeypatch,
-                                                      scene_matches, clean_scene):
-        """No candidate fits more matches than there are, so the search
-        runs all 200 iterations in ceil(200 / 32) = 7 solver calls, not
-        one call per sample."""
-        query, _, good = scene_matches
-        batches = []
-
-        def counting(ctx, samples):
-            batches.append(len(samples))
-            return solve_candidates(ctx, samples)
-        monkeypatch.setattr(ransac_basic, "solve_candidates", counting)
-        params = BasicParams(max_iterations=200, min_fitted=len(good) + 1, rng_seed=0)
-        with pytest.raises(NoSolution, match=r" in 200 iterations$"):
-            estimate_pose_basic(query, good, clean_scene.model, params)
-        assert batches == [32] * 6 + [8]
-
 
 @pytest.mark.parametrize("estimate", [estimate_pose_basic, estimate_pose_advanced])
 def test_p3p_without_focal_fails_before_sampling(monkeypatch, scene_matches,
@@ -331,8 +314,7 @@ def noisy_context(noisy_scene, qi, solver="auto"):
 
 
 def sampler(kind, matches, size, rng, calls=None, model=None):
-    """draw() of one sampler kind, appending to calls on every call the
-    sample it gives, or None when it raises.
+    """draw() of one sampler kind, appending to calls on every call.
 
     "exhausting" is the co-occurrence sampler with every third draw
     raising SamplingExhausted instead; the co-occurrence kinds read the
@@ -345,14 +327,12 @@ def sampler(kind, matches, size, rng, calls=None, model=None):
 
     def draw():
         calls.append(None)
+        if kind == "basic":
+            return _sample_unique_idx(matches.point_idx, size, rng)
         if kind == "exhausting" and len(calls) % 3 == 0:
             raise SamplingExhausted("every third draw")
-        if kind == "basic":
-            calls[-1] = _sample_unique_idx(matches.point_idx, size, rng)
-        else:
-            calls[-1] = _draw_cooccurrence_idx(matches.point_idx, bits, seeds,
-                                               size, params, rng)
-        return calls[-1]
+        return _draw_cooccurrence_idx(matches.point_idx, bits, seeds, size,
+                                      params, rng)
     return draw
 
 
@@ -365,9 +345,8 @@ class TestSkipBound:
         """Batched search picks the one-at-a-time loop's winner, bit for bit.
 
         It draws what the loop draws, so the generator ends where the
-        loop leaves it (an advanced phase's state for the next phase);
-        with an early stop it draws the loop's draws and then the rest
-        of the stopping sample's batch, fewer than _BATCH_CAP more.
+        loop leaves it (an advanced phase's state for the next phase),
+        and with an early stop it draws only the iterations it runs.
         """
         skipped = []
         evaluate = ransac_basic.MatchContext.evaluate
@@ -390,13 +369,9 @@ class TestSkipBound:
                 ctx, sampler(kind, ctx.matches, size, rngs[1], got_draws,
                              noisy_scene.model),
                 60, stop_at=stop_at)
-            assert got_its == want_its == len(want_draws)
-            assert all(np.array_equal(g, w) for g, w in zip(got_draws, want_draws))
-            if stop_at is None:
-                assert len(got_draws) == got_its
-                assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
-            else:
-                assert got_its <= len(got_draws) < got_its + ransac_basic._BATCH_CAP
+            assert got_its == want_its
+            assert len(got_draws) == len(want_draws) == got_its
+            assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
             want_q, want_pose, want_count, want_stats, want_mask = want
             assert got.quality.q == want_q and got.quality == want_stats
             assert len(got.fitted) == want_count
