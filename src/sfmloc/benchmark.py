@@ -18,7 +18,7 @@ import numpy as np
 
 from .descriptor_index import DescriptorIndex, find_good_matches
 from .errors import InsufficientMatches, InvalidParams, NoSolution, check_setting
-from .minimal_solvers import Pose, denormalize_points, internal_to_bundler
+from .minimal_solvers import Pose, denormalize_points, internal_to_bundler, normalize_points
 from .ransac_advanced import AdvancedParams, BackmatchParams, estimate_pose_advanced
 from .ransac_basic import BasicParams, estimate_pose_basic
 from .sfm_data import (CameraRecord, QueryImage, SfmModel, build_mean_descriptors,
@@ -269,8 +269,7 @@ def generate_synthetic_scene(n_points: int, n_cameras: int, image_size=(800, 600
         q_cams.append(np.full(len(keys), n_db + qi))
         q_points.append(src_points[keys])
         q_keys.append(keys)
-        q_xy.append(np.column_stack([feats.xy[keys, 0] - width / 2.0,
-                                     height / 2.0 - feats.xy[keys, 1]]))
+        q_xy.append(normalize_points(feats.xy[keys], width, height))
 
         name = f"query_{qi:03d}.jpg"
         queries.append((QueryImage(name=name, width=width, height=height,

@@ -9,9 +9,11 @@ benchmark module, which produces exactly this):
                      output directory) and none whose stem is ".",
                      ".." or a file the run writes (mesh.ply,
                      summary.txt, ...)
-    query_list.txt   names of the images to localize
+    query_list.txt   names of the images to localize, whose cameras the
+                     run holds out of the model; the i-th runs with seed
+                     + i, so --query NAME runs one row as --query all does
     meta.txt         one line per query: name width height [focal_px],
-                     sizes in 1..65535 (JPEG's limit)
+                     sizes of ASCII digits in 1..65535 (JPEG's limit)
     keys/<stem>.key  one keyfile per image
     <name>           a query's photograph, if any, looked up beside
                      model.out and exported as camera.jpg
@@ -157,7 +159,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         "height [focal_px] (default: meta.txt next to the model)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--query", help="'all' or one query image name")
+    p.add_argument("--query", help="'all' or one query image name, which runs "
+                   "as in 'all': the list's other queries stay held out")
     p.add_argument("--solver", choices=SOLVERS, default=RunConfig.solver_override)
     p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--benchmark", action="store_true",
@@ -220,10 +223,10 @@ def _load_meta(path) -> dict:
     Raises OSError when the file cannot be read (FileNotFoundError when
     it is missing), and MalformedMetadata, naming the file and line, for
     a line that is not ``name width height [focal_px]`` with a width and
-    height in 1..65535 (JPEG's limit; the export names the photo
-    camera.jpg) and, when given, a finite positive focal, naming both
-    lines for a second line of one name, or naming the file for a byte
-    that cannot be decoded.
+    height of ASCII digits in 1..65535 (JPEG's limit; the export names
+    the photo camera.jpg) and, when given, a finite positive ASCII focal
+    without ``_``, naming both lines for a second line of one name, or
+    naming the file for a byte that cannot be decoded.
     """
     meta, first_line = {}, {}
     with open(path) as fh:
@@ -234,11 +237,13 @@ def _load_meta(path) -> dict:
         for lineno, line in enumerate(lines, 1):
             if not (parts := line.split()):
                 continue
-            try:  # int and float take "_" separators, which no grammar here does
+            numbers = "".join(parts[1:])
+            try:  # int and float also take a sign, "_" and non-ASCII digits
                 focal = float(parts[3]) if len(parts) > 3 else None
                 width, height = int(parts[1]), int(parts[2])
-                if len(parts) > 4 or "_" in "".join(parts[1:]) or not (
-                        0 < width <= MAX_IMAGE_SIZE and 0 < height <= MAX_IMAGE_SIZE
+                if len(parts) > 4 or "_" in numbers or not numbers.isascii() or not (
+                        (parts[1] + parts[2]).isdigit()
+                        and 0 < width <= MAX_IMAGE_SIZE and 0 < height <= MAX_IMAGE_SIZE
                         and (focal is None or 0 < focal < np.inf)):
                     raise ValueError
             except (IndexError, ValueError):
@@ -263,8 +268,7 @@ def _load_query_image(config: RunConfig, name: str, meta: dict) -> QueryImage:
     with open(_keyfile_path(config, name)) as fh:
         features = parse_keyfile(fh)
     if name not in meta:
-        raise MalformedMetadata(
-            f"no metadata (width height [focal]) for {name!r}")
+        raise MalformedMetadata(f"no metadata (width height [focal]) for {name!r}")
     width, height, focal = meta[name]
     xy = features.xy
     in_bounds = ((xy >= 0) & (xy < (width, height))).all(axis=1)
@@ -299,11 +303,8 @@ def run(config: RunConfig) -> int:
                 f"the keyfile {_keyfile_path(config, name)}")
     with open(config.query_list_path) as fh:
         query_names = parse_image_list(fh)
-    if config.query_selector != "all":
-        if config.query_selector not in query_names:
-            raise UnknownQuery(
-                f"query {config.query_selector!r} not in the query list")
-        query_names = [config.query_selector]
+    if config.query_selector not in ("all", *query_names):
+        raise UnknownQuery(f"query {config.query_selector!r} not in the query list")
 
     info, golden_records = split_golden(full, query_names, camera_names)
     load_seconds = time.perf_counter() - t0
@@ -335,14 +336,12 @@ def run(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     export_ply(info, out / MESH_NAME)
 
-    def one(task):
-        qi, name = task
+    def one(qi, name):
         try:
             query = _load_query_image(config, name, meta)
         except (OSError, LocalizationError) as exc:
             print(f"[{name}] FAILED {type(exc).__name__}: {exc}")
-            return QueryResult(name, None, 0.0, False, 0,
-                               failure=type(exc).__name__)
+            return QueryResult(name, None, 0.0, False, 0, failure=type(exc).__name__)
         est, row = localize(localizer, query, bundler_to_internal(golden_records[name]),
                             None if config.seed is None else config.seed + qi)
         if est is None:
@@ -353,18 +352,17 @@ def run(config: RunConfig) -> int:
                             image_source=config.model_path.parent / name,
                             write_mesh=False, mesh_filename=f"../{MESH_NAME}")
         print(f"[{name}] q={est.quality.q:.3f} fitted={len(est.fitted)} "
-              f"iters={est.iterations_used} "
-              f"backmatching={est.used_backmatching} "
+              f"iters={est.iterations_used} backmatching={est.used_backmatching} "
               f"err={row.error.translation:.3f} ({row.seconds:.2f}s)")
         return row
 
-    rows = [one(task) for task in enumerate(query_names)]
+    rows = [one(qi, name) for qi, name in enumerate(query_names)
+            if config.query_selector in ("all", name)]
 
     if config.benchmark:
         report = report_from_rows(rows)
         write_report(report, out)
-        print(f"benchmark: median translation error "
-              f"{report.median_translation}, "
+        print(f"benchmark: median translation error {report.median_translation}, "
               f"{report.n_failed} failed, load excluded ({load_seconds:.2f}s)")
 
     return 0 if all(r.failure is None for r in rows) else 1

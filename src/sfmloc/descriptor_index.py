@@ -149,10 +149,10 @@ def descriptor_source_key(model, keyfile_paths) -> str:
 
 def save_index_cache(path, descriptors, checksum: str) -> None:
     """Write descriptors + checksum so a later run can skip averaging."""
-    mat = np.asarray(descriptors)
-    np.savez_compressed(path, version=np.int64(CACHE_VERSION),
-                        checksum=np.bytes_(checksum.encode()),
-                        descriptors=mat)
+    with open(path, "wb") as fh:  # numpy adds ".npz" to a path, not to a file
+        np.savez_compressed(fh, version=np.int64(CACHE_VERSION),
+                            checksum=np.bytes_(checksum.encode()),
+                            descriptors=np.asarray(descriptors))
 
 
 def load_index_cache(path, checksum: str, num_points: int):

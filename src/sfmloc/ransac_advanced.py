@@ -218,6 +218,7 @@ def estimate_pose_advanced(query: QueryImage, matches: Matches, model: SfmModel,
     size = sample_size(ctx)
     rng = np.random.default_rng(adv.rng_seed)
 
+    # no stop_at: the next phase draws on from where this one left rng
     def phase(ctx: MatchContext, best=None):
         m = ctx.matches
         bits = model.view_bits(m.point_idx)

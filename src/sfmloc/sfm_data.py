@@ -1,6 +1,7 @@
 """Bundler models, SIFT keyfiles and query lists.
 
-Both file kinds start with header lines read as text; the rest, the
+Both file kinds start with header lines read as text, their counts a
+line of two tokens of ASCII digits of any length; the rest, the
 body, is read as bytes and decoded with a few vectorized numpy passes.
 A bundle body is read and decoded a group of points at a time, so a
 parse holds one group's lines and temporaries (a few MB at 2 048
@@ -211,6 +212,18 @@ def _next_line(stream, what: str) -> str:
     return line
 
 
+def _header_counts(line: str, what: str) -> tuple[int, int]:
+    """A header line's two counts: two tokens of ASCII digits of any length."""
+    fields = line.split()
+    digits = "".join(fields)
+    try:  # int alone also takes a sign, "_" and non-ASCII digits
+        if len(fields) != 2 or not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        return int(fields[0]), int(fields[1])
+    except ValueError:  # also a count past int's digit limit
+        raise MalformedHeader(f"bad {what}: {fields!r}") from None
+
+
 def _check_controls(buf, what: str) -> np.ndarray:
     """buf, refused when a byte below 33 is not whitespace (9..13 and 32)."""
     stray = buf < 9
@@ -324,25 +337,19 @@ def parse_bundle(stream) -> SfmModel:
     the counts line, so a count larger than the file raises
     TruncatedFile.  Lines after the last record are not read.
 
-    Raises MalformedHeader when the magic line is wrong or a count is
-    negative, TruncatedFile when the input ends mid-record, a line holds
-    the wrong number of tokens, a token breaks the grammar (a non-ASCII
-    character breaks any), a record holds a control byte, a colour is
-    outside 0..255, a view-list key outside 0..2**31-1, or a camera
-    value, position or view-list coordinate is not finite, and
-    IndexOutOfRange when a view list references a camera that does not
-    exist.
+    Raises MalformedHeader when the magic or counts line is wrong,
+    TruncatedFile when the input ends mid-record, a line holds the wrong
+    number of tokens, a token breaks the grammar (a non-ASCII character
+    breaks any), a record holds a control byte, a colour is outside
+    0..255, a view-list key outside 0..2**31-1, or a camera value,
+    position or view-list coordinate is not finite, and IndexOutOfRange
+    when a view list references a camera that does not exist.
     """
     magic = _next_line(stream, "magic line").strip()
     if magic != BUNDLE_MAGIC:
         raise MalformedHeader(f"expected {BUNDLE_MAGIC!r}, got {magic!r}")
-    counts = _next_line(stream, "camera/point counts").split()
-    try:
-        num_cameras, num_points = int(counts[0]), int(counts[1])
-    except (ValueError, IndexError) as exc:
-        raise MalformedHeader(f"bad counts line: {counts!r}") from exc
-    if num_cameras < 0 or num_points < 0:
-        raise MalformedHeader(f"negative count in {counts!r}")
+    num_cameras, num_points = _header_counts(
+        _next_line(stream, "camera/point counts"), "counts line")
 
     text, ends = _read_lines(stream, 5 * num_cameras, "the cameras")
     start, end, first = _line_tokens(text, ends)
@@ -440,18 +447,12 @@ def parse_keyfile(stream) -> np.recarray:
 
     Stored (row, col) become xy = (col, row).  The header line is split
     as text; the body follows the byte grammar of the module docstring.
-    Raises MalformedHeader for a bad or negative count, DimensionMismatch
+    Raises MalformedHeader for a bad header line, DimensionMismatch
     for a dimension other than 128, and TruncatedFile when the body is
     not 132 tokens per feature, holds a non-ASCII byte or a control
     byte other than whitespace, or a token breaks the grammar.
     """
-    fields = stream.readline().split()
-    try:
-        num_features, dim = int(fields[0]), int(fields[1])
-    except (ValueError, IndexError) as exc:
-        raise MalformedHeader(f"bad keyfile header: {fields!r}") from exc
-    if num_features < 0:
-        raise MalformedHeader(f"negative feature count {num_features}")
+    num_features, dim = _header_counts(stream.readline(), "keyfile header")
     if dim != DESCRIPTOR_DIM:
         raise DimensionMismatch(f"descriptor dimension {dim}, expected {DESCRIPTOR_DIM}")
 

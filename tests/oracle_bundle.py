@@ -3,9 +3,11 @@
 Each line is split with ``str.split`` and each number read with Python's
 ``int`` or ``float``, one record at a time, into ``array`` columns.  It
 takes the same typed errors as ``sfm_data.parse_bundle``; its integer
-grammar is Python's ``int``, wider than the byte parser's.
+grammar is Python's ``int``, wider than the byte parser's, except on
+the counts line, which holds two tokens of ASCII digits.
 """
 
+import re
 from array import array
 
 import numpy as np
@@ -34,12 +36,9 @@ def oracle_parse_bundle(stream) -> SfmModel:
     if magic != BUNDLE_MAGIC:
         raise MalformedHeader(f"expected {BUNDLE_MAGIC!r}, got {magic!r}")
     counts = _next_line(lines, "camera/point counts").split()
-    try:
-        num_cameras, num_points = int(counts[0]), int(counts[1])
-    except (ValueError, IndexError) as exc:
-        raise MalformedHeader(f"bad counts line: {counts!r}") from exc
-    if num_cameras < 0 or num_points < 0:
-        raise MalformedHeader(f"negative count in {counts!r}")
+    if len(counts) != 2 or not all(re.fullmatch("[0-9]+", c) for c in counts):
+        raise MalformedHeader(f"bad counts line: {counts!r}")
+    num_cameras, num_points = int(counts[0]), int(counts[1])
 
     cam_values = array("d")
     for ci in range(num_cameras):

@@ -44,6 +44,13 @@ def scene_dir(clean_scene, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def noisy_scene_dir(noisy_scene, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "noisy"
+    write_scene_dir(noisy_scene, path)
+    return path
+
+
 @pytest.fixture
 def scene_copy(scene_dir, tmp_path):
     """A scene directory the test may edit."""
@@ -103,12 +110,11 @@ def test_full_model_is_freed_before_the_queries(scene_dir, tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("mode", ["basic", "advanced"])
-def test_localizer_on_the_info_model_gives_the_cli_rows(noisy_scene, tmp_path, mode):
+def test_localizer_on_the_info_model_gives_the_cli_rows(noisy_scene, noisy_scene_dir,
+                                                        tmp_path, mode):
     """In process, a Localizer over split_golden's info model gives each
     query the error, iterations and backmatching of a CLI run."""
-    scene = tmp_path / "scene"
-    write_scene_dir(noisy_scene, scene)
-    assert run_cli(scene, tmp_path / "out", mode, "--seed", "7") == 0
+    assert run_cli(noisy_scene_dir, tmp_path / "out", mode, "--seed", "7") == 0
     names = [q.name for q, _ in noisy_scene.queries]
     localizer = Localizer(split_golden(noisy_scene.model, names,
                                        noisy_scene.db_names + names)[0], mode)
@@ -119,23 +125,39 @@ def test_localizer_on_the_info_model_gives_the_cli_rows(noisy_scene, tmp_path, m
                               for r in rows(tmp_path / "out")]
 
 
-def test_advanced_run_builds_no_camera_sets(noisy_scene, tmp_path, monkeypatch):
+def test_advanced_run_builds_no_camera_sets(noisy_scene, noisy_scene_dir, tmp_path,
+                                            monkeypatch):
     """Sampling and backmatching read the model's view lists: a run with
     SfmModel.visibilities raising writes the rows of a run without.  Phase
     one cannot fit every match of a scene with outliers, so with these
     flags every query backmatches."""
-    scene = tmp_path / "scene"
-    write_scene_dir(noisy_scene, scene)
     flags = ("--skip-count", "1000000000", "--skip-fraction", "1")
-    code = run_cli(scene, tmp_path / "plain", "advanced", *flags)
+    code = run_cli(noisy_scene_dir, tmp_path / "plain", "advanced", *flags)
 
     def refuse(model):
         raise AssertionError("SfmModel.visibilities was read")
     monkeypatch.setattr(SfmModel, "visibilities", property(refuse))
-    assert run_cli(scene, tmp_path / "patched", "advanced", *flags) == code
+    assert run_cli(noisy_scene_dir, tmp_path / "patched", "advanced", *flags) == code
     got = without_seconds(tmp_path / "patched")
     assert got == without_seconds(tmp_path / "plain")
     assert [r["used_backmatching"] for r in got] == ["True"] * len(noisy_scene.queries)
+
+
+@pytest.mark.parametrize("mode", ["basic", "advanced"])
+def test_a_named_query_runs_as_in_the_full_run(noisy_scene_dir, tmp_path, mode):
+    """--query NAME holds the list's other queries out of the model too and
+    seeds NAME by its place in the list: its row and export are those of
+    --query all."""
+    assert run_cli(noisy_scene_dir, tmp_path / "all", mode, "--seed", "7") == 0
+    full = without_seconds(tmp_path / "all")
+    assert len(full) == 6
+    for row in full:
+        name, stem = row["name"], Path(row["name"]).stem
+        assert run_cli(noisy_scene_dir, tmp_path / stem, mode, "--seed", "7",
+                       "--query", name) == 0
+        assert without_seconds(tmp_path / stem) == [row]
+        assert ((tmp_path / stem / stem / "camera.mlp").read_bytes()
+                == (tmp_path / "all" / stem / "camera.mlp").read_bytes())
 
 
 @pytest.mark.parametrize("line", ["query_000.jpg 800",
@@ -151,7 +173,12 @@ def test_advanced_run_builds_no_camera_sets(noisy_scene, tmp_path, monkeypatch):
                                   "query_000.jpg 400 300",
                                   "query_001.jpg 800 600 400.0 extra",
                                   "query_001.jpg 8_00 600 400.0",
-                                  "query_001.jpg 800 600 4_00.0"])
+                                  "query_001.jpg 800 600 4_00.0",
+                                  "query_001.jpg +800 600 +400",
+                                  "query_001.jpg 800 +600",
+                                  "query_001.jpg \u0668\u0660\u0660 600 400.0",
+                                  "query_001.jpg 800 \u0666\u0660\u0660",
+                                  "query_001.jpg 800 600 \u0664\u0660\u0660"])
 def test_malformed_meta_exits_2(scene_copy, tmp_path, capsys, line):
     meta = scene_copy / "meta.txt"
     lines = meta.read_text().splitlines()
@@ -502,8 +529,9 @@ def averaged(monkeypatch):
     return calls
 
 
-def test_cache_is_invalidated_by_a_keyfile_edit(scene_copy, tmp_path, averaged):
-    cache = ["--cache-index", str(tmp_path / "descriptors.npz")]
+@pytest.mark.parametrize("name", ["descriptors.npz", "descriptors"])
+def test_cache_is_invalidated_by_a_keyfile_edit(scene_copy, tmp_path, averaged, name):
+    cache = ["--cache-index", str(tmp_path / name)]
 
     assert run_cli(scene_copy, tmp_path / "a", "basic", *cache) == 0
     assert run_cli(scene_copy, tmp_path / "b", "basic", *cache) == 0

@@ -1,6 +1,7 @@
 """Parsers, writers and dataset assembly."""
 
 import io
+import re
 import tracemalloc
 from collections import namedtuple
 from unittest import mock
@@ -124,8 +125,11 @@ class TestParseBundle:
             parse_bundle(io.StringIO(text))
 
     def test_bad_counts_line(self):
-        with pytest.raises(MalformedHeader):
-            parse_bundle(io.StringIO("# Bundle file v0.3\nnot numbers\n"))
+        # Python's int reads the last three as 12 cameras
+        for counts in ["not numbers", "1 1 1", "+12 400", "1_2 400", "\u0661\u0662 400"]:
+            for parse in (parse_bundle, oracle_parse_bundle):
+                with pytest.raises(MalformedHeader):
+                    parse(io.StringIO(f"# Bundle file v0.3\n{counts}\n"))
 
     @pytest.mark.parametrize("counts", ["-1 -1", "-1 0", "0 -1"])
     def test_negative_count_raises(self, counts):
@@ -413,6 +417,13 @@ class TestParseKeyfile:
         with pytest.raises(MalformedHeader):
             parse_keyfile(io.StringIO("-1 128\n"))
 
+    @pytest.mark.parametrize("header", ["+224 128", "224 1_28", "224 128 junk",
+                                        "\u0662\u0662\u0664 128", "224", ""])
+    def test_header_of_other_than_two_ascii_counts_raises(self, header):
+        for parse in (parse_keyfile, oracle_parse_keyfile):
+            with pytest.raises(MalformedHeader):
+                parse(io.StringIO(header + "\n"))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             parse_keyfile(io.StringIO("1 64\n1 1 1 1\n"))
@@ -486,10 +497,9 @@ def oracle_parse_keyfile(stream) -> list:
     """The line-by-line keyfile parser the record-array one replaced."""
     lines = iter(stream)
     header = _oracle_next_line(lines, "keyfile header").split()
-    try:
-        num_features, dim = int(header[0]), int(header[1])
-    except (ValueError, IndexError) as exc:
-        raise MalformedHeader(f"bad keyfile header: {header!r}") from exc
+    if len(header) != 2 or not all(re.fullmatch("[0-9]+", h) for h in header):
+        raise MalformedHeader(f"bad keyfile header: {header!r}")
+    num_features, dim = int(header[0]), int(header[1])
     if dim != 128:
         raise DimensionMismatch(f"descriptor dimension {dim}, expected 128")
 
